@@ -23,8 +23,17 @@ import itertools
 import random
 from typing import Iterable
 
-from .cones import ConeCombination, SymbolicCone, canonicalize
-from .exactmath import IntMat, IntVec, det, lll_reduce, mat_vec, scaled_inverse, solve_rational
+from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
+from .exactmath import (
+    IntMat,
+    IntVec,
+    det,
+    lll_reduce,
+    mat_vec,
+    prim,
+    scaled_inverse,
+    solve_rational,
+)
 
 
 class _DegenerateDirection(Exception):
@@ -101,8 +110,11 @@ def _decompose_with_direction(
         gens, sign = stack.pop()
         d = det(gens)
         if abs(d) <= index_threshold:
+            # d != 0 (every child has index |alpha_i| > 0), so the columns
+            # are independent and the leaf needs no validation
             bits = _openness_from_direction(gens, xi)
-            out.add(SymbolicCone(gens, c.apex, bits), sign)
+            _, leaf = _canonical_cone(tuple(prim(g) for g in gens), c.apex, bits)
+            out.add(leaf, sign)
             continue
         w, alpha_scaled, d = _shortest_exchange_vector(gens)
         sign_d = 1 if d > 0 else -1

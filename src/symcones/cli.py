@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .cones import ConeCombination, eval_combination
-from .elimination import LDSystem, Relation, solve_with_trace
+from .elimination import LDSystem, Relation, solve, solve_with_trace
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
@@ -114,8 +114,11 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     """Execute one subcommand; returns (status, output, diagnostic lines)."""
     if config.threads < 1:
         raise ParseError("--threads must be at least 1")
-    combination, trace = solve_with_trace(sys_)
-    diagnostics = trace.format_lines(sys_.num_variables) if config.verbose else []
+    if config.verbose:
+        combination, trace = solve_with_trace(sys_)
+        diagnostics = trace.format_lines(sys_.num_variables)
+    else:
+        combination, diagnostics = solve(sys_), []
     rng = random.Random(config.seed)
     if config.subcommand == "solve":
         return 0, combination_to_json(combination, sys_.num_variables), diagnostics

@@ -27,6 +27,7 @@ from .exactmath import (
     RatVec,
     Scalar,
     as_fractions,
+    has_full_column_rank,
     is_forward,
     mat_vec,
     prim,
@@ -44,7 +45,11 @@ class SymbolicCone:
     generators: IntMat
     apex: RatVec
     openness: tuple[int, ...]
-    _canonical: bool = field(default=False, compare=False, repr=False, hash=False)
+    # set only by _canonical_cone, never by callers
+    _canonical: bool = field(default=False, init=False, compare=False, repr=False)
+    # hashing the Fraction apex is costly and cones are dict keys, so the
+    # hash is computed once, on first use
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         k = len(self.generators)
@@ -67,6 +72,13 @@ class SymbolicCone:
             raise ValueError("openness needs one bit per generator")
         if any(bit not in (0, 1) for bit in self.openness):
             raise ValueError("openness bits must be 0 or 1")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.generators, self.apex, self.openness))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def dim(self) -> int:
@@ -91,21 +103,51 @@ def cone(
     apex: Sequence[Scalar] | None = None,
     openness: Sequence[int] | None = None,
 ) -> SymbolicCone:
-    """Convenience constructor coercing plain ints/Fractions."""
+    """Convenience constructor coercing plain ints/Fractions; raises on
+    linearly dependent generators."""
     gens = tuple(tuple(int(x) for x in g) for g in generators)
     if apex is None:
         apex = (0,) * len(gens[0])
     if openness is None:
         openness = (0,) * len(gens)
-    return SymbolicCone(gens, as_fractions(apex), tuple(int(b) for b in openness))
+    out = SymbolicCone(gens, as_fractions(apex), tuple(int(b) for b in openness))
+    _assert_independent(out.generators)
+    return out
 
 
 def _assert_independent(generators: IntMat) -> None:
-    zero = (0,) * len(generators[0])
-    try:
-        solve_rational(generators, zero)
-    except ValueError:
-        raise ValueError("generators not linearly independent") from None
+    if not has_full_column_rank(generators):
+        raise ValueError("generators not linearly independent")
+
+
+def _canonical_cone(
+    generators: IntMat, apex: RatVec, openness: tuple[int, ...], forward: bool = False
+) -> tuple[int, SymbolicCone]:
+    """Build a canonical cone from columns already known to be good.
+
+    The caller guarantees primitive, linearly independent integer columns
+    and a Fraction apex; nothing is checked here. With ``forward`` every
+    backward generator is reversed and its openness bit toggled first, as
+    in ``flip``. Returns ``(sign, cone)`` with sign = (-1)^(number of
+    reversed generators), always 1 without ``forward``.
+    """
+    sign = 1
+    pairs = []
+    for g, bit in zip(generators, openness):
+        if forward and not is_forward(g):
+            sign = -sign
+            g, bit = tuple(-x for x in g), 1 - bit
+        pairs.append((g, bit))
+    pairs.sort()
+    out = object.__new__(SymbolicCone)
+    out.__dict__.update(
+        generators=tuple(g for g, _ in pairs),
+        apex=apex,
+        openness=tuple(bit for _, bit in pairs),
+        _canonical=True,
+        _hash=None,
+    )
+    return sign, out
 
 
 def canonicalize(c: SymbolicCone) -> SymbolicCone:
@@ -115,19 +157,16 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
     the same point set with the same openness pattern exactly when their
     canonical forms agree field by field. Raises on zero or linearly
     dependent columns.
+
+    This is the validating entry point for cones built from outside the
+    package. Cones the package builds itself (elimination outputs, Barvinok
+    leaves) are canonical by construction and skip the validation.
     """
     if c._canonical:
         return c
     prims = tuple(prim(g) for g in c.generators)
-    if len(set(prims)) != len(prims):
-        raise ValueError("generators not linearly independent")
     _assert_independent(prims)
-    pairs = sorted(zip(prims, c.openness))
-    out = SymbolicCone(
-        tuple(g for g, _ in pairs), c.apex, tuple(bit for _, bit in pairs)
-    )
-    object.__setattr__(out, "_canonical", True)
-    return out
+    return _canonical_cone(prims, c.apex, c.openness)[1]
 
 
 def flip(c: SymbolicCone) -> tuple[int, SymbolicCone]:

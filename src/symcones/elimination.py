@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .cones import ConeCombination, SymbolicCone, canonicalize, flip
+from .cones import (
+    ConeCombination,
+    SymbolicCone,
+    _assert_independent,
+    _canonical_cone,
+    canonicalize,
+)
 from .exactmath import IntVec, prim
 
 
@@ -111,6 +117,17 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     recorded as multiplicity, plus the cone itself when its apex already
     lies on or above the hyperplane. Empty when the cone lies strictly
     below. The identity holds exactly, not merely modulo lines.
+
+    Output cones are built in canonical form directly, skipping the
+    independence check of ``canonicalize``: one integer rank test of the
+    projected columns V' (V without its last row) covers all of them.
+    V' independent means that V is independent and that dropping x_n is
+    injective on span(V). The projected cone has the columns of V'. The
+    vertex cone of generator j has, before dropping x_n and up to sign
+    and positive scaling, the columns v_j and last[i] v_j - last[j] v_i
+    for i != j. Since last[j] != 0 they are an invertible transform of V,
+    so they are independent and lie in span(V), where dropping x_n keeps
+    them independent.
     """
     k, n = c.dim, c.ambient_dim
     v = c.generators
@@ -120,8 +137,12 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     sg = 1 if q_n >= 0 else -1
 
     crossing = [j for j in range(k) if (last[j] < 0 if q_n >= 0 else last[j] > 0)]
+    out = ConeCombination()
+    if not crossing and q_n < 0:
+        return out
+    proj = tuple(prim(g[:-1]) for g in v)
+    _assert_independent(proj)
 
-    raw: list[SymbolicCone] = []
     for j in crossing:
         # apex: the ray through generator j meets the hyperplane here
         ratio = q_n / last[j]
@@ -136,15 +157,11 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
                 )
             cols.append(prim(col))
         bits = tuple(0 if i == j else c.openness[i] for i in range(k))
-        raw.append(SymbolicCone(tuple(cols), apex, bits))
+        sign, vertex = _canonical_cone(tuple(cols), apex, bits, forward=True)
+        out.add(vertex, sign)
     if q_n >= 0:
-        proj = tuple(prim(g[:-1]) for g in v)
-        raw.append(SymbolicCone(proj, q[:-1], c.openness))
-
-    out = ConeCombination()
-    for candidate in raw:
-        sign, forward = flip(candidate)
-        out.add(canonicalize(forward), sign)
+        sign, projected = _canonical_cone(proj, q[:-1], c.openness, forward=True)
+        out.add(projected, sign)
     return out
 
 

@@ -108,28 +108,49 @@ def _check_columns(m: IntMat) -> tuple[int, int]:
     return n, len(m)
 
 
-def det(m: IntMat) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+def _bareiss_minor(m: IntMat) -> int:
+    """Signed k x k minor of an n x k matrix (k <= n), 0 iff its columns
+    are dependent.
+
+    Bareiss fraction-free elimination, pivoting on the first non-zero entry
+    at or below the diagonal: every division is exact, so all entries stay
+    integers bounded by minors of ``m``. For square ``m`` this is det(m).
+    """
     n, k = _check_columns(m)
-    if n != k:
-        raise ValueError(f"determinant requires a square matrix, got {n}x{k}")
     # row-major working copy
-    a = [[m[j][i] for j in range(n)] for i in range(n)]
+    a = [[m[j][i] for j in range(k)] for i in range(n)]
     sign = 1
     prev = 1
-    for t in range(n - 1):
+    for t in range(k):
         if a[t][t] == 0:
             pivot_row = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
             if pivot_row is None:
                 return 0
             a[t], a[pivot_row] = a[pivot_row], a[t]
             sign = -sign
+        top = a[t]
+        piv = top[t]
         for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            f = row[t]
+            for j in range(t + 1, k):
+                row[j] = (row[j] * piv - f * top[j]) // prev
+        prev = piv
+    return sign * prev
+
+
+def det(m: IntMat) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    n, k = _check_columns(m)
+    if n != k:
+        raise ValueError(f"determinant requires a square matrix, got {n}x{k}")
+    return _bareiss_minor(m)
+
+
+def has_full_column_rank(m: IntMat) -> bool:
+    """True iff the columns of ``m`` are linearly independent."""
+    n, k = _check_columns(m)
+    return k <= n and _bareiss_minor(m) != 0
 
 
 def solve_rational(m: IntMat | RatMat, x: Sequence[Scalar]) -> RatVec | None:

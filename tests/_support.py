@@ -10,8 +10,8 @@ from fractions import Fraction
 from itertools import product
 import random
 
-from symcones import LDSystem, Relation, SymbolicCone, cone, solve_rational
-from symcones.exactmath import IntMat, det
+from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone, solve_rational
+from symcones.exactmath import IntMat, det, has_full_column_rank
 
 
 def cols_from_rows(rows) -> IntMat:
@@ -75,6 +75,26 @@ def random_system(rng: random.Random, dim: int, num_rows: int, entry_bound: int 
     )
     rhs = tuple(rng.randint(-entry_bound, entry_bound) for _ in range(num_rows))
     return LDSystem(rows, (Relation.GEQ,) * num_rows, rhs)
+
+
+def table_system(row_sums, col_sums) -> LDSystem:
+    """Contingency table over row-major cells: every row sum and all but
+    the last (implied) column sum as equations."""
+    r, c = len(row_sums), len(col_sums)
+    rows = [tuple(1 if k // c == i else 0 for k in range(r * c)) for i in range(r)]
+    rows += [tuple(1 if k % c == j else 0 for k in range(r * c)) for j in range(c - 1)]
+    rhs = tuple(row_sums) + tuple(col_sums[:-1])
+    return LDSystem(tuple(rows), (Relation.EQ,) * len(rows), rhs)
+
+
+def assert_canonical_by_construction(c: SymbolicCone) -> None:
+    """A cone the solver built without validation equals its validated form."""
+    assert all(type(x) is int for g in c.generators for x in g)
+    assert all(type(a) is Fraction for a in c.apex)
+    rebuilt = canonicalize(SymbolicCone(c.generators, c.apex, c.openness))
+    assert rebuilt == c
+    assert hash(rebuilt) == hash(c)
+    assert has_full_column_rank(c.generators)
 
 
 def box_points(dim: int, lo: int, hi: int):

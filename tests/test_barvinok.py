@@ -15,7 +15,7 @@ from symcones import (
 )
 from symcones.barvinok import _shortest_exchange_vector, decompose_combination
 from symcones.exactmath import det
-from _support import random_full_dim_cone
+from _support import assert_canonical_by_construction, random_full_dim_cone
 
 
 def signed_box_check(original, decomposition, lo, hi):
@@ -71,6 +71,7 @@ def test_random_exactness_and_unimodularity():
         for leaf, mult in result.items():
             assert index(leaf) == 1
             assert leaf.apex == c.apex
+            assert_canonical_by_construction(leaf)
         lo = tuple(int(q) - 3 for q in c.apex)
         hi = tuple(int(q) + 4 for q in c.apex)
         signed_box_check(c, result, lo, hi)
@@ -80,6 +81,8 @@ def test_index_threshold_stops_early():
     c = cone([(1, 0), (11, 13)])
     result = barvinok_decompose(c, index_threshold=3)
     assert all(index(leaf) <= 3 for leaf in result)
+    for leaf in result:
+        assert_canonical_by_construction(leaf)
     signed_box_check(c, result, (-2, -2), (8, 8))
 
 

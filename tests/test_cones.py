@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from symcones import (
     ConeCombination,
+    SymbolicCone,
     canonicalize,
     cone,
     contains,
@@ -91,6 +92,22 @@ def test_canonicalize_is_a_normal_form():
         )
         bits = tuple(base.openness[j] for j in order)
         assert canonicalize(cone(scaled, base.apex, bits)) == canonical
+
+
+def test_canonical_flag_is_not_a_constructor_argument():
+    gens, apex = ((1, 2), (2, 4)), (Fraction(0), Fraction(0))
+    with pytest.raises(TypeError):
+        SymbolicCone(gens, apex, (0, 0), True)
+    with pytest.raises(TypeError):
+        SymbolicCone(gens, apex, (0, 0), _canonical=True)
+
+
+def test_combination_add_validates_user_built_cones():
+    dependent = SymbolicCone(((1, 2), (2, 4)), (Fraction(0), Fraction(0)), (0, 0))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        ConeCombination().add(dependent)
+    with pytest.raises(ValueError, match="not linearly independent"):
+        cone([(1, 2), (2, 4)])
 
 
 # --- flip ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from symcones import (
     ConeCombination,
     LDSystem,
     Relation,
+    SymbolicCone,
     canonicalize,
     cone,
     contains,
@@ -22,7 +23,7 @@ from symcones import (
 )
 from symcones.elimination import elimination_rounds, expand_equalities
 from symcones.exactmath import is_forward, mat_vec, prim, solve_rational
-from _support import box_points, random_system
+from _support import assert_canonical_by_construction, box_points, random_system, table_system
 
 
 # --- lifting ---------------------------------------------------------------------
@@ -212,5 +213,25 @@ def test_lawrence_varchenko_exactness_small_sample():
         m = rng.randint(1, 4)
         sys_ = random_system(rng, d, m)
         comb = solve(sys_)
+        for c in comb:
+            assert_canonical_by_construction(c)
         for x in box_points(d, 0, 5):
             assert eval_combination(comb, x) == (1 if sys_.satisfies(x) else 0)
+
+
+@pytest.mark.parametrize(
+    "row_sums, col_sums",
+    [((2, 4), (2, 2, 2)), ((3, 3), (1, 2, 3)), ((1, 2, 3), (2, 2, 2))],
+)
+def test_table_solutions_are_canonical_by_construction(row_sums, col_sums):
+    comb = solve(table_system(row_sums, col_sums))
+    assert len(comb) > 0
+    for c in comb:
+        assert_canonical_by_construction(c)
+
+
+def test_eliminate_last_coordinate_rejects_dependent_projection():
+    # e_3 lies in the span, so dropping x_3 is not injective on the cone
+    c = SymbolicCone(((1, 0, 0), (1, 0, 1)), (Fraction(0),) * 3, (0, 0))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        eliminate_last_coordinate(c)

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symcones.exactmath import (
     det,
+    has_full_column_rank,
     identity,
     invert_rational,
     lll_reduce,
@@ -136,6 +137,47 @@ def test_det_against_cofactor_and_snf():
 
 
 # --- rational solving --------------------------------------------------------------
+
+def _independent_by_solve(cols) -> bool:
+    try:
+        solve_rational(cols, (0,) * len(cols[0]))
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def column_sets(draw):
+    """n <= 6 rows, entries in [-3, 3]; about 30% made rank-deficient by
+    replacing one column with an integer combination of the others."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    entry = st.integers(-3, 3)
+    cols = [tuple(draw(entry) for _ in range(n)) for _ in range(k)]
+    if draw(st.integers(0, 9)) < 3:
+        target = draw(st.integers(0, k - 1))
+        coeffs = [draw(entry) for _ in range(k)]
+        cols[target] = tuple(
+            sum(coeffs[j] * cols[j][i] for j in range(k) if j != target)
+            for i in range(n)
+        )
+    return tuple(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_sets())
+def test_rank_test_agrees_with_rational_solve(cols):
+    assert has_full_column_rank(cols) == _independent_by_solve(cols)
+
+
+def test_rank_test_examples():
+    assert has_full_column_rank(((1, 0, 0), (0, 1, 0)))
+    assert not has_full_column_rank(((1, 2), (2, 4)))
+    assert not has_full_column_rank(((0, 0),))
+    assert not has_full_column_rank(((1, 0), (0, 1), (1, 1)))
+    # the first pivot position is zero and needs a row swap
+    assert has_full_column_rank(((0, 2, 1), (3, 1, 0)))
+
 
 def test_solve_rational_examples():
     v = cols_from_rows([[1, 1], [0, 3]])
