@@ -24,16 +24,7 @@ import random
 from typing import Iterable
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
-from .exactmath import (
-    IntMat,
-    IntVec,
-    det,
-    lll_reduce,
-    mat_vec,
-    prim,
-    scaled_inverse,
-    solve_rational,
-)
+from .exactmath import IntMat, IntVec, _bareiss, det, lll_reduce, mat_vec, prim, scaled_inverse
 
 
 class _DegenerateDirection(Exception):
@@ -51,14 +42,16 @@ def _openness_from_direction(generators: IntMat, xi: IntVec) -> tuple[int, ...]:
     """Closure rule: facet j is closed iff its inner normal sees xi positively.
 
     The inner normal of facet j is row j of V^-1 (up to positive scale), so
-    the signs of V^-1 @ xi decide every bit at once.
+    the signs of V^-1 @ xi decide every bit at once. ``generators`` is
+    square and non-singular, so V @ y = d * xi has an integer solution y and
+    V^-1 @ xi has the signs of d * y.
     """
-    coeffs = solve_rational(generators, xi)
+    d, (y,) = _bareiss(generators, (xi,))
     bits = []
-    for value in coeffs:
+    for value in y:
         if value == 0:
             raise _DegenerateDirection
-        bits.append(0 if value > 0 else 1)
+        bits.append(0 if value * d > 0 else 1)
     return tuple(bits)
 
 
@@ -104,11 +97,16 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
 def _decompose_with_direction(
     c: SymbolicCone, xi: IntVec, index_threshold: int
 ) -> ConeCombination:
+    """Depth-first exchange recursion; every stack entry carries det(gens).
+
+    Replacing generator i by w = V @ alpha_scaled / d multiplies the
+    determinant by alpha_scaled_i / d, so det(child_i) == alpha_scaled_i.
+    Each child is pushed with that value, and ``det`` runs for the root only.
+    """
     out = ConeCombination()
-    stack: list[tuple[IntMat, int]] = [(c.generators, 1)]
+    stack: list[tuple[IntMat, int, int]] = [(c.generators, det(c.generators), 1)]
     while stack:
-        gens, sign = stack.pop()
-        d = det(gens)
+        gens, d, sign = stack.pop()
         if abs(d) <= index_threshold:
             # d != 0 (every child has index |alpha_i| > 0), so the columns
             # are independent and the leaf needs no validation
@@ -130,7 +128,7 @@ def _decompose_with_direction(
                 raise AssertionError("child index did not decrease")
             child = tuple(w if j == i else gens[j] for j in range(len(gens)))
             child_sign = 1 if a * sign_d > 0 else -1
-            stack.append((child, sign * child_sign))
+            stack.append((child, a, sign * child_sign))
     return out
 
 

@@ -40,7 +40,6 @@ class RunConfig:
     box: int = 8
     assert_bounded: bool = False
     index_threshold: int = 1
-    threads: int = 1
     verbose: bool = False
     vector_exponents: bool = False
 
@@ -112,8 +111,6 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
 
 def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     """Execute one subcommand; returns (status, output, diagnostic lines)."""
-    if config.threads < 1:
-        raise ParseError("--threads must be at least 1")
     if config.verbose:
         combination, trace = solve_with_trace(sys_)
         diagnostics = trace.format_lines(sys_.num_variables)
@@ -162,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--box", type=int, default=8)
         p.add_argument("--assert-bounded", action="store_true")
         p.add_argument("--index-threshold", type=int, default=1)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--verbose", action="store_true")
         p.add_argument(
             "--vector-exponents",
@@ -183,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         box=args.box,
         assert_bounded=args.assert_bounded,
         index_threshold=args.index_threshold,
-        threads=args.threads,
         verbose=args.verbose,
         vector_exponents=args.vector_exponents,
     )

@@ -1,8 +1,11 @@
 """Exact integer and rational linear algebra on plain tuples.
 
-Vectors are tuples; matrices are tuples of *columns* (column-major). All
-arithmetic uses Python's arbitrary-precision ``int`` and ``fractions.Fraction``
-so nothing in this package ever touches floating point. Values are immutable
+Vectors are tuples; matrices are tuples of *columns* (column-major). The
+linear algebra is fraction-free: determinants, rank tests, adjugates and
+solves share one Bareiss elimination over Python's arbitrary-precision
+``int``, and ``fractions.Fraction`` appears only in ``as_fractions``, in the
+vector ``solve_rational`` returns and in ``lll_reduce``'s Gram-Schmidt.
+Nothing in this package ever touches floating point. Values are immutable
 and every function is pure, so everything here is safe to share between
 threads without coordination.
 """
@@ -108,49 +111,69 @@ def _check_columns(m: IntMat) -> tuple[int, int]:
     return n, len(m)
 
 
-def _bareiss_minor(m: IntMat) -> int:
-    """Signed k x k minor of an n x k matrix (k <= n), 0 iff its columns
-    are dependent.
+def _bareiss(m: IntMat, rhs: Sequence[Sequence[int]] = ()) -> tuple[int, IntMat | None]:
+    """Fraction-free Gauss-Jordan elimination of an n x k matrix (k <= n).
 
-    Bareiss fraction-free elimination, pivoting on the first non-zero entry
-    at or below the diagonal: every division is exact, so all entries stay
-    integers bounded by minors of ``m``. For square ``m`` this is det(m).
+    Returns ``(d, y)``. ``d`` is the signed k x k pivot minor, 0 iff the
+    columns are dependent (always 0 when k > n); for square ``m`` it is
+    det(m). ``y`` holds one integer column per ``rhs`` column with
+    ``m @ y_c == d * rhs_c``, and is ``None`` when d == 0 or some rhs
+    column lies outside the column span.
+
+    Bareiss elimination, pivoting on the first non-zero entry at or below
+    the diagonal: every division is exact, so all entries stay integers
+    bounded by minors of ``[m | rhs]``. Rows above the pivot are eliminated
+    only when there is a right-hand side, so ``det`` and the rank test pay
+    for forward elimination alone.
     """
     n, k = _check_columns(m)
-    # row-major working copy
-    a = [[m[j][i] for j in range(k)] for i in range(n)]
+    if k > n:
+        return 0, None
+    cols = (*m, *rhs)
+    width = len(cols)
+    # row-major working copy of [m | rhs]
+    a = [[col[i] for col in cols] for i in range(n)]
     sign = 1
     prev = 1
     for t in range(k):
         if a[t][t] == 0:
             pivot_row = next((i for i in range(t + 1, n) if a[i][t] != 0), None)
             if pivot_row is None:
-                return 0
+                return 0, None
             a[t], a[pivot_row] = a[pivot_row], a[t]
             sign = -sign
         top = a[t]
         piv = top[t]
-        for i in range(t + 1, n):
+        for i in range(0 if rhs else t + 1, n):
+            if i == t:
+                continue
             row = a[i]
             f = row[t]
-            for j in range(t + 1, k):
+            for j in range(t + 1, width):
                 row[j] = (row[j] * piv - f * top[j]) // prev
         prev = piv
-    return sign * prev
+    # rows below k now hold the bordered (k+1)-minors of each rhs column
+    if any(a[i][j] for i in range(k, n) for j in range(k, width)):
+        return sign * prev, None
+    return sign * prev, tuple(tuple(sign * a[i][j] for i in range(k)) for j in range(k, width))
+
+
+def _check_square(m: IntMat) -> int:
+    n, k = _check_columns(m)
+    if n != k:
+        raise ValueError(f"square matrix required, got {n}x{k}")
+    return n
 
 
 def det(m: IntMat) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
-    n, k = _check_columns(m)
-    if n != k:
-        raise ValueError(f"determinant requires a square matrix, got {n}x{k}")
-    return _bareiss_minor(m)
+    _check_square(m)
+    return _bareiss(m)[0]
 
 
 def has_full_column_rank(m: IntMat) -> bool:
     """True iff the columns of ``m`` are linearly independent."""
-    n, k = _check_columns(m)
-    return k <= n and _bareiss_minor(m) != 0
+    return _bareiss(m)[0] != 0
 
 
 def solve_rational(m: IntMat | RatMat, x: Sequence[Scalar]) -> RatVec | None:
@@ -160,41 +183,18 @@ def solve_rational(m: IntMat | RatMat, x: Sequence[Scalar]) -> RatVec | None:
     and ``None`` otherwise. Raises ``ValueError`` when the columns are
     linearly dependent.
     """
-    n, k = _check_columns(m)
+    n, _ = _check_columns(m)
     if len(x) != n:
         raise ValueError(f"dimension mismatch: matrix has {n} rows, vector has {len(x)}")
-    aug = [[Fraction(m[j][i]) for j in range(k)] + [Fraction(x[i])] for i in range(n)]
-    row = 0
-    for col in range(k):
-        pivot = next((i for i in range(row, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("generators not linearly independent")
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        aug[row] = [a / pv for a in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        row += 1
-    for i in range(row, n):
-        if aug[i][k] != 0:
-            return None
-    return tuple(aug[i][k] for i in range(k))
-
-
-def invert_rational(m: IntMat | RatMat) -> RatMat:
-    """Exact inverse of a square matrix with independent columns."""
-    n, k = _check_columns(m)
-    if n != k:
-        raise ValueError(f"inverse requires a square matrix, got {n}x{k}")
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        col = solve_rational(m, e)
-        assert col is not None
-        cols.append(col)
-    return tuple(cols)
+    # scaling m and x by one common denominator leaves lam unchanged
+    denom = math.lcm(*(v.denominator for col in (*m, x) for v in col))
+    *m, x = ([int(v * denom) for v in col] for col in (*m, x))
+    d, y = _bareiss(m, (x,))
+    if d == 0:
+        raise ValueError("generators not linearly independent")
+    if y is None:
+        return None
+    return tuple(Fraction(v, d) for v in y[0])
 
 
 def scaled_inverse(m: IntMat) -> tuple[IntMat, int]:
@@ -202,11 +202,9 @@ def scaled_inverse(m: IntMat) -> tuple[IntMat, int]:
 
     Raises ``ValueError`` if ``m`` is singular or not square.
     """
-    d = det(m)
+    d, adj = _bareiss(m, identity(_check_square(m)))
     if d == 0:
         raise ValueError("generators not linearly independent")
-    inv = invert_rational(m)
-    adj = tuple(tuple(int(d * inv[j][i]) for i in range(len(inv))) for j in range(len(inv)))
     return adj, d
 
 

@@ -94,8 +94,13 @@ def test_exchange_vector_strictly_reduces_index():
         parent = abs(det(c.generators))
         if parent == 1:
             continue
-        _, alpha_scaled, dd = _shortest_exchange_vector(c.generators)
+        w, alpha_scaled, dd = _shortest_exchange_vector(c.generators)
         assert max(abs(a) for a in alpha_scaled) < parent
+        # the decomposition carries det(child_i) as alpha_scaled_i
+        for i, a in enumerate(alpha_scaled):
+            if a != 0:
+                child = tuple(w if j == i else g for j, g in enumerate(c.generators))
+                assert det(child) == a
 
 
 def test_output_size_within_envelope():

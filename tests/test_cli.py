@@ -161,11 +161,6 @@ def test_run_solve_infeasible_keeps_dimension():
     assert json.loads(output)["dimension"] == 2
 
 
-def test_run_rejects_bad_threads():
-    with pytest.raises(ParseError, match="threads"):
-        run(RunConfig("check", threads=0), parse_system("1 >= 0"))
-
-
 # --- main() entry point -------------------------------------------------------
 
 def test_main_reads_stdin(monkeypatch, capsys):

@@ -8,11 +8,11 @@ from symcones.exactmath import (
     det,
     has_full_column_rank,
     identity,
-    invert_rational,
     lll_reduce,
     mat_mul,
     mat_vec,
     prim,
+    scaled_inverse,
     snf,
     solve_rational,
 )
@@ -136,14 +136,12 @@ def test_det_against_cofactor_and_snf():
             assert d == det(dec.U) * det(dec.W) * prod
 
 
-# --- rational solving --------------------------------------------------------------
+# --- rank test, solving, adjugate ----------------------------------------------------
 
-def _independent_by_solve(cols) -> bool:
-    try:
-        solve_rational(cols, (0,) * len(cols[0]))
-    except ValueError:
-        return False
-    return True
+def gram_det(cols) -> int:
+    """det(V^T V) by cofactor expansion: non-zero iff the columns are
+    independent, and shares no code with the Bareiss core."""
+    return cofactor_det([[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols])
 
 
 @st.composite
@@ -167,7 +165,7 @@ def column_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(column_sets())
 def test_rank_test_agrees_with_rational_solve(cols):
-    assert has_full_column_rank(cols) == _independent_by_solve(cols)
+    assert has_full_column_rank(cols) == (gram_det(cols) != 0)
 
 
 def test_rank_test_examples():
@@ -185,6 +183,8 @@ def test_solve_rational_examples():
     assert solve_rational(((1, 1),), (1, 2)) is None
     v2 = cols_from_rows([[2, 6], [-2, 2]])
     assert solve_rational(v2, (1, 1)) == (Fraction(-1, 4), Fraction(1, 4))
+    v3 = ((Fraction(1, 2), 0), (1, Fraction(2, 3)))
+    assert solve_rational(v3, (Fraction(5, 2), Fraction(1, 3))) == (Fraction(4), Fraction(1, 2))
 
 
 def test_solve_rational_dependent_columns():
@@ -209,14 +209,43 @@ def test_solve_rational_roundtrip():
         lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k))
         x = mat_vec(cols, lam)
         assert solve_rational(cols, x) == lam
+        y = tuple(rng.randint(-6, 6) for _ in range(n))
+        got = solve_rational(cols, y)
+        if gram_det(cols + (y,)) == 0:
+            assert mat_vec(cols, got) == y
+        else:
+            assert got is None
 
 
-def test_invert_rational():
-    v = cols_from_rows([[2, 6], [-2, 2]])
-    inv = invert_rational(v)
-    assert mat_mul(v, inv) == tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(2)) for j in range(2)
-    )
+def test_scaled_inverse_against_cofactor_det():
+    rng = random.Random(31)
+    signs = set()
+    for trial in range(120):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            rows[0][0] = 0  # the first pivot needs a row swap
+        d = cofactor_det(rows)
+        if d == 0:
+            continue
+        signs.add(d > 0)
+        m = cols_from_rows(rows)
+        adj, dd = scaled_inverse(m)
+        assert dd == d
+        assert all(type(x) is int for col in adj for x in col)
+        assert mat_mul(m, adj) == tuple(
+            tuple(d if i == j else 0 for i in range(n)) for j in range(n)
+        )
+    assert signs == {True, False}
+
+
+def test_scaled_inverse_rejects_singular_and_non_square():
+    with pytest.raises(ValueError, match="not linearly independent"):
+        scaled_inverse(cols_from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        scaled_inverse(cols_from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 6]]))
+    with pytest.raises(ValueError, match="square"):
+        scaled_inverse(((1, 0, 0), (0, 1, 0)))
 
 
 # --- LLL -------------------------------------------------------------------------
