@@ -1,13 +1,13 @@
 """Exact integer and rational linear algebra on plain tuples.
 
 Vectors are tuples; matrices are tuples of *columns* (column-major). The
-linear algebra is fraction-free: determinants, rank tests, adjugates and
-solves share one Bareiss elimination over Python's arbitrary-precision
-``int``, and ``fractions.Fraction`` appears only in ``as_fractions``, in the
-vector ``solve_rational`` returns and in ``lll_reduce``'s Gram-Schmidt.
-Nothing in this package ever touches floating point. Values are immutable
-and every function is pure, so everything here is safe to share between
-threads without coordination.
+linear algebra is fraction-free over Python's arbitrary-precision ``int``:
+determinants, rank tests, adjugates and solves share one Bareiss
+elimination, and ``lll_reduce`` keeps integral Gram-Schmidt data.
+``fractions.Fraction`` appears only in ``as_fractions`` and in the vector
+``solve_rational`` returns. Nothing in this package ever touches floating
+point. Values are immutable and every function is pure, so everything here
+is safe to share between threads without coordination.
 """
 
 from __future__ import annotations
@@ -340,53 +340,66 @@ def snf(m: IntMat) -> SmithDecomposition:
 # ---------------------------------------------------------------------------
 # lattice basis reduction
 
-_DELTA = Fraction(3, 4)
-
-
-def lll_reduce(basis: IntMat, numerator_scale: int = 1) -> IntMat:
+def lll_reduce(basis: IntMat) -> IntMat:
     """LLL-reduce an integer lattice basis (delta = 3/4), exactly.
 
-    The columns of ``basis`` are interpreted as ``(1/numerator_scale)``
-    times the stored integers, which lets callers feed rational lattices in
-    integer form. Reducedness is invariant under uniform scaling, so the
-    scale only matters for the caller's bookkeeping; the returned columns
-    are stored at the same scale as the input and span the same lattice.
+    Integral LLL (Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7, after de Weger): instead of the rational
+    Gram-Schmidt data it keeps the Gram determinants ``d[0] = 1``,
+    ``d[j + 1] = d[j] * |b*_j|^2`` and ``lam[i][j] = d[j + 1] * mu_ij`` as
+    integers, computes them once from the Gram matrix and updates them in
+    O(k) per size-reduction and swap, where every division is exact.
 
-    Raises ``ValueError`` for dependent columns or a non-positive scale.
+    The order of operations is fixed to that of the classical rational LLL
+    with delta = 3/4: ``b_i`` is fully size-reduced against ``b_{i-1}, ...,
+    b_0`` (by ``round(mu) = floor(mu + 1/2)``, also when ``|mu| = 1/2``)
+    before the Lovasz test, and a swap steps back to ``max(i - 1, 1)``. The
+    returned basis is therefore the one that algorithm returns, column for
+    column. It spans the same lattice as ``basis``.
+
+    Raises ``ValueError`` for dependent columns.
     """
-    n, k = _check_columns(basis)
-    if numerator_scale <= 0:
-        raise ValueError("numerator_scale must be positive")
+    _, k = _check_columns(basis)
     b = [list(col) for col in basis]
-
-    def gram_schmidt() -> tuple[list[list[Fraction]], list[Fraction]]:
-        star: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * k for _ in range(k)]
-        norms: list[Fraction] = []
-        for i in range(k):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / norms[j]
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            nv = sum(x * x for x in v)
-            if nv == 0:
+    d = [1] * (k + 1)
+    lam = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1):
+            u = vec_dot(b[i], b[j])
+            for l in range(j):
+                u = (d[l + 1] * u - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = u
+            elif u == 0:
                 raise ValueError("generators not linearly independent")
-            star.append(v)
-            norms.append(nv)
-        return mu, norms
+            else:
+                d[i + 1] = u
 
-    mu, norms = gram_schmidt()
     i = 1
     while i < k:
+        lam_i = lam[i]
         for j in range(i - 1, -1, -1):
-            c = (mu[i][j] + Fraction(1, 2)).__floor__()
+            dj = d[j + 1]
+            c = (2 * lam_i[j] + dj) // (2 * dj)
             if c:
                 b[i] = [x - c * y for x, y in zip(b[i], b[j])]
-                mu, norms = gram_schmidt()
-        if norms[i] >= (_DELTA - mu[i][i - 1] ** 2) * norms[i - 1]:
+                lam_i[j] -= c * dj
+                lam_j = lam[j]
+                for l in range(j):
+                    lam_i[l] -= c * lam_j[l]
+        t = lam_i[i - 1]
+        if 4 * d[i + 1] * d[i - 1] >= 3 * d[i] * d[i] - 4 * t * t:
             i += 1
-        else:
-            b[i], b[i - 1] = b[i - 1], b[i]
-            mu, norms = gram_schmidt()
-            i = max(i - 1, 1)
+            continue
+        # swap b_{i-1} and b_i; lam[i][i-1] and every d but d[i] are unchanged
+        b[i], b[i - 1] = b[i - 1], b[i]
+        lam[i][:i - 1], lam[i - 1][:i - 1] = lam[i - 1][:i - 1], lam[i][:i - 1]
+        new_d = (d[i - 1] * d[i + 1] + t * t) // d[i]
+        for r in range(i + 1, k):
+            lam_r = lam[r]
+            old = lam_r[i]
+            lam_r[i] = (d[i + 1] * lam_r[i - 1] - t * old) // d[i]
+            lam_r[i - 1] = (new_d * old + t * lam_r[i]) // d[i + 1]
+        d[i] = new_d
+        i = max(i - 1, 1)
     return tuple(tuple(col) for col in b)

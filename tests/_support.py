@@ -2,15 +2,17 @@
 
 Everything here is deliberately independent of the solver's internals:
 membership by brute inequality checks, determinants by cofactor expansion,
-semigroup membership by exact coefficient solves. These are the second
-route that the package's formulas are checked against.
+semigroup membership by Cramer's rule over those determinants, and LLL by
+the classical rational Gram-Schmidt algorithm. These are the second route
+that the package's formulas are checked against.
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 import random
 
-from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone, solve_rational
+from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone
 from symcones.exactmath import IntMat, det, has_full_column_rank
 
 
@@ -32,6 +34,91 @@ def cofactor_det(rows) -> int:
         minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+@lru_cache(maxsize=256)
+def _cramer_minor(generators):
+    """The first k x k row minor with a non-zero ``cofactor_det``, as
+    ``(rows, d, cof)``: Cramer's rule gives ``lam_j = sum_t cof[j][t] *
+    x[rows[t]] / d``, ``cof[j][t]`` being the determinant of the minor with
+    column j replaced by the t-th unit vector."""
+    k = len(generators)
+    for picked in combinations(range(len(generators[0])), k):
+        minor = [[g[i] for g in generators] for i in picked]
+        d = cofactor_det(minor)
+        if d != 0:
+            break
+    else:
+        raise ValueError("generators not linearly independent")
+    cof = tuple(
+        tuple(
+            cofactor_det([r[:j] + [int(s == t)] + r[j + 1:] for s, r in enumerate(minor)])
+            for t in range(k)
+        )
+        for j in range(k)
+    )
+    return picked, d, cof
+
+
+def cramer_solve(generators, x):
+    """Solve ``sum_j lam_j * generators[j] == x`` by Cramer's rule.
+
+    Solves on the first k x k row minor of the n x k generator matrix with
+    a non-zero ``cofactor_det`` and checks the remaining rows. Returns the
+    ``Fraction`` coefficients, or ``None`` when ``x`` is outside the column
+    span; raises ``ValueError`` for dependent generators.
+    """
+    picked, d, cof = _cramer_minor(tuple(map(tuple, generators)))
+    num = [sum(c * x[i] for c, i in zip(row, picked)) for row in cof]
+    for i in range(len(x)):
+        if sum(g[i] * c for g, c in zip(generators, num)) != d * x[i]:
+            return None
+    return tuple(Fraction(c, d) for c in num)
+
+
+def reference_lll(basis) -> IntMat:
+    """The classical rational LLL (delta = 3/4) that ``lll_reduce`` must equal.
+
+    Fully size-reduces ``b_i`` against ``b_{i-1}, ..., b_0`` before the
+    Lovasz test, steps back to ``max(i - 1, 1)`` after a swap, and
+    recomputes the whole ``Fraction`` Gram-Schmidt after every change.
+    Raises ``ValueError`` for dependent columns.
+    """
+    delta = Fraction(3, 4)
+    k = len(basis)
+    b = [list(col) for col in basis]
+
+    def gram_schmidt() -> tuple[list[list[Fraction]], list[Fraction]]:
+        star: list[list[Fraction]] = []
+        mu = [[Fraction(0)] * k for _ in range(k)]
+        norms: list[Fraction] = []
+        for i in range(k):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            nv = sum(x * x for x in v)
+            if nv == 0:
+                raise ValueError("generators not linearly independent")
+            star.append(v)
+            norms.append(nv)
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    i = 1
+    while i < k:
+        for j in range(i - 1, -1, -1):
+            c = (mu[i][j] + Fraction(1, 2)).__floor__()
+            if c:
+                b[i] = [x - c * y for x, y in zip(b[i], b[j])]
+                mu, norms = gram_schmidt()
+        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+            i += 1
+        else:
+            b[i], b[i - 1] = b[i - 1], b[i]
+            mu, norms = gram_schmidt()
+            i = max(i - 1, 1)
+    return tuple(tuple(col) for col in b)
 
 
 def random_full_dim_cone(
@@ -110,7 +197,7 @@ def brute_force_solutions(system: LDSystem, bound: int) -> set[tuple[int, ...]]:
 
 def in_discrete_cone(generators: IntMat, base, x) -> bool:
     """Is x in base + non-negative *integer* combinations of the generators?"""
-    coeffs = solve_rational(generators, tuple(a - b for a, b in zip(x, base)))
+    coeffs = cramer_solve(generators, tuple(a - b for a, b in zip(x, base)))
     if coeffs is None:
         return False
     return all(c.denominator == 1 and c >= 0 for c in coeffs)
@@ -118,7 +205,7 @@ def in_discrete_cone(generators: IntMat, base, x) -> bool:
 
 def in_half_open_parallelepiped(c: SymbolicCone, x) -> bool:
     """Direct membership in the half-open fundamental parallelepiped."""
-    coeffs = solve_rational(
+    coeffs = cramer_solve(
         c.generators, tuple(Fraction(a) - b for a, b in zip(x, c.apex))
     )
     if coeffs is None:

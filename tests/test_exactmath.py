@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcones.exactmath import (
     det,
@@ -16,7 +16,13 @@ from symcones.exactmath import (
     snf,
     solve_rational,
 )
-from _support import cofactor_det, cols_from_rows
+from _support import (
+    cofactor_det,
+    cols_from_rows,
+    cramer_solve,
+    random_full_dim_cone,
+    reference_lll,
+)
 
 
 # --- prim --------------------------------------------------------------------
@@ -177,6 +183,14 @@ def test_rank_test_examples():
     assert has_full_column_rank(((0, 2, 1), (3, 1, 0)))
 
 
+def _outcome(func, *args):
+    """``func(*args)``, or ``ValueError`` if it raised one."""
+    try:
+        return func(*args)
+    except ValueError:
+        return ValueError
+
+
 def test_solve_rational_examples():
     v = cols_from_rows([[1, 1], [0, 3]])
     assert solve_rational(v, (2, 3)) == (Fraction(1), Fraction(1))
@@ -215,6 +229,19 @@ def test_solve_rational_roundtrip():
             assert mat_vec(cols, got) == y
         else:
             assert got is None
+
+
+def test_solve_rational_against_cramer():
+    # square, tall and wide, dependent included; half the targets in the span
+    rng = random.Random(8)
+    for _ in range(300):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        cols = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+        if rng.random() < 0.5:
+            x = mat_vec(cols, [rng.randint(-3, 3) for _ in range(k)])
+        else:
+            x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
+        assert _outcome(solve_rational, cols, x) == _outcome(cramer_solve, cols, x)
 
 
 def test_scaled_inverse_against_cofactor_det():
@@ -334,13 +361,36 @@ def test_lll_random_span_preservation():
         assert same_lattice(out, cols)
 
 
-def test_lll_rejects_dependent_and_bad_scale():
-    with pytest.raises(ValueError):
+def test_lll_rejects_dependent_columns():
+    with pytest.raises(ValueError, match="not linearly independent"):
         lll_reduce(((1, 2), (2, 4)))
-    with pytest.raises(ValueError, match="numerator_scale"):
-        lll_reduce(identity(2), 0)
 
 
-def test_lll_scale_does_not_change_reduction():
-    basis = cols_from_rows([[1, 100], [0, 1]])
-    assert lll_reduce(basis, 7) == lll_reduce(basis, 1)
+@st.composite
+def lll_bases(draw):
+    """Square and tall (k < n) integer bases, n <= 6, entries in [-30, 30];
+    dependent ones included."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    col = st.tuples(*[st.integers(-30, 30)] * n)
+    return tuple(draw(st.lists(col, min_size=k, max_size=k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lll_bases())
+@example(((2, 0), (1, 5)))  # mu = 1/2 exactly: rounds up and is reduced
+@example(((2, 0), (-1, 5)))  # mu = -1/2 exactly: rounds to 0
+@example(((1, 0), (0, 1), (1, 1)))  # more columns than rows
+@example(((1, 2, 3), (2, 4, 6)))  # tall and dependent
+@example(((1, 1, 1), (0, -2, -2), (-1, 0, -2)))  # a Lovasz test holds with equality
+def test_lll_matches_rational_reference(basis):
+    assert _outcome(lll_reduce, basis) == _outcome(reference_lll, basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32))
+def test_lll_matches_rational_reference_on_adjugates(dim, seed):
+    # Barvinok reduces det(V) * V^-1 of each cone it decomposes
+    c = random_full_dim_cone(random.Random(seed), dim, 10, max_det=10**6)
+    adj, _ = scaled_inverse(c.generators)
+    assert lll_reduce(adj) == reference_lll(adj)
