@@ -19,14 +19,12 @@ from .cones import (
     lattice_points_in_box,
 )
 from .elimination import (
-    EliminationTrace,
     LDSystem,
     Relation,
     eliminate,
     eliminate_last_coordinate,
     macmahon_lift,
     solve,
-    solve_with_trace,
     system,
 )
 from .exactmath import (
@@ -49,7 +47,6 @@ from .ratfun import (
 
 __all__ = [
     "ConeCombination",
-    "EliminationTrace",
     "LDSystem",
     "RatFunExpr",
     "RatFunTerm",
@@ -80,7 +77,6 @@ __all__ = [
     "snf",
     "solve",
     "solve_rational",
-    "solve_with_trace",
     "system",
 ]
 

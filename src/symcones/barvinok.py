@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
 from .exactmath import IntMat, IntVec, _bareiss, det, lll_reduce, mat_vec, prim, scaled_inverse
@@ -167,15 +166,14 @@ def barvinok_decompose(
 
 
 def decompose_combination(
-    combination: ConeCombination | Iterable[tuple[SymbolicCone, int]],
+    combination: ConeCombination,
     index_threshold: int = 1,
     rng: random.Random | None = None,
 ) -> ConeCombination:
     """Decompose every cone of a combination and collect the results."""
     rng = rng if rng is not None else random.Random(0)
-    items = combination.items() if isinstance(combination, ConeCombination) else combination
     out = ConeCombination()
-    for c, mult in items:
+    for c, mult in combination.items():
         for leaf, sign in barvinok_decompose(c, index_threshold, rng).items():
             out.add(leaf, mult * sign)
     return out

@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
 
 from .cones import ConeCombination, eval_combination
-from .elimination import LDSystem, Relation, solve, solve_with_trace
+from .elimination import LDSystem, Relation, elimination_rounds, expand_equalities, macmahon_lift
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
@@ -111,11 +112,22 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
 
 def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     """Execute one subcommand; returns (status, output, diagnostic lines)."""
-    if config.verbose:
-        combination, trace = solve_with_trace(sys_)
-        diagnostics = trace.format_lines(sys_.num_variables)
-    else:
-        combination, diagnostics = solve(sys_), []
+    d = sys_.num_variables
+    rows, rhs = expand_equalities(sys_)
+    diagnostics = []
+    # the rounds of solve(sys_); a system has at least one row, so there is
+    # at least one round and ``combination`` is always bound
+    rounds = elimination_rounds(macmahon_lift(rows, rhs), len(rows))
+    for i, combination in enumerate(rounds, start=1):
+        if config.verbose:
+            bits = max(
+                (abs(x).bit_length() for c in combination for g in c.generators for x in g),
+                default=0,
+            )
+            diagnostics.append(
+                f"iteration {i}: {len(combination)} cones "
+                f"(bound {math.comb(d + i, d)}), max generator entry {bits} bits"
+            )
     rng = random.Random(config.seed)
     if config.subcommand == "solve":
         return 0, combination_to_json(combination, sys_.num_variables), diagnostics

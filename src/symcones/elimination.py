@@ -8,12 +8,15 @@ and projects that coordinate away. Both steps have closed-form effects on
 symbolic cones, so the set of solutions comes out as an exact signed sum
 of half-open simplicial cones in R^d - no triangulation, no rational
 function arithmetic along the way.
+
+``elimination_rounds`` is the only loop over the rounds. ``eliminate`` and
+``solve`` return its last combination, and the CLI walks the same rounds
+to print one ``--verbose`` line per round.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -165,39 +168,15 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     return out
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    cone_count: int
-    max_entry_bits: int
-
-
-@dataclass(frozen=True)
-class EliminationTrace:
-    rows: tuple[TraceRow, ...]
-
-    def format_lines(self, d: int) -> list[str]:
-        lines = []
-        for r in self.rows:
-            bound = math.comb(d + r.iteration, d)
-            lines.append(
-                f"iteration {r.iteration}: {r.cone_count} cones "
-                f"(bound {bound}), max generator entry {r.max_entry_bits} bits"
-            )
-        return lines
-
-
-def _max_entry_bits(combination: ConeCombination) -> int:
-    bits = 0
-    for c in combination:
-        for g in c.generators:
-            for x in g:
-                bits = max(bits, abs(x).bit_length())
-    return bits
-
-
 def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
-    """Yield the collected combination after each elimination round."""
+    """Yield the collected combination after each elimination round.
+
+    This is the one elimination loop: ``eliminate`` and ``solve`` keep its
+    last combination, and the CLI's ``--verbose`` lines describe each one.
+    Multiplicities are collected by canonical cone after every round;
+    cancellation between rounds is what keeps intermediate combinations
+    small, so this is not an optional optimization.
+    """
     current = ConeCombination({canonicalize(c): 1})
     for _ in range(rounds):
         current = current.map_cones(eliminate_last_coordinate)
@@ -207,23 +186,13 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
 def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
     """Apply ``eliminate_last_coordinate`` the given number of times.
 
-    Multiplicities are collected by canonical cone after every round;
-    cancellation between rounds is what keeps intermediate combinations
-    small, so this is not an optional optimization.
+    Returns the last combination of ``elimination_rounds``, or the
+    canonical input cone with multiplicity 1 when ``rounds`` is 0.
     """
-    current = ConeCombination({canonicalize(c): 1})
-    for _ in range(rounds):
-        current = current.map_cones(eliminate_last_coordinate)
-    return current
-
-
-def eliminate_with_trace(c: SymbolicCone, rounds: int) -> tuple[ConeCombination, EliminationTrace]:
-    current = ConeCombination({canonicalize(c): 1})
-    trace = []
-    for i, step in enumerate(elimination_rounds(c, rounds), start=1):
-        current = step
-        trace.append(TraceRow(i, len(current), _max_entry_bits(current)))
-    return current, EliminationTrace(tuple(trace))
+    combination = None
+    for combination in elimination_rounds(c, rounds):
+        pass
+    return ConeCombination({canonicalize(c): 1}) if combination is None else combination
 
 
 def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
@@ -248,8 +217,3 @@ def solve(sys: LDSystem) -> ConeCombination:
     """
     rows, rhs = expand_equalities(sys)
     return eliminate(macmahon_lift(rows, rhs), len(rows))
-
-
-def solve_with_trace(sys: LDSystem) -> tuple[ConeCombination, EliminationTrace]:
-    rows, rhs = expand_equalities(sys)
-    return eliminate_with_trace(macmahon_lift(rows, rhs), len(rows))

@@ -27,16 +27,8 @@ Scalar = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # vectors
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> tuple:
-    return tuple(c * a for a in v)
 
 
 def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -45,10 +37,6 @@ def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
 
 def as_fractions(v: Sequence[Scalar]) -> RatVec:
     return tuple(Fraction(a) for a in v)
-
-
-def is_zero_vector(v: Sequence[Scalar]) -> bool:
-    return all(a == 0 for a in v)
 
 
 def prim(v: Sequence[int]) -> IntVec:
@@ -80,14 +68,6 @@ def is_forward(v: Sequence[Scalar]) -> bool:
 
 def identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
-
-
-def num_rows(m: IntMat | RatMat) -> int:
-    return len(m[0])
-
-
-def num_cols(m: IntMat | RatMat) -> int:
-    return len(m)
 
 
 def mat_vec(m: IntMat | RatMat, x: Sequence[Scalar]) -> tuple:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the solver's internals:
 membership by brute inequality checks, determinants by cofactor expansion,
-semigroup membership by Cramer's rule over those determinants, and LLL by
-the classical rational Gram-Schmidt algorithm. These are the second route
-that the package's formulas are checked against.
+semigroup membership by Cramer's rule over those determinants, rank by
+``Fraction`` Gaussian elimination, and LLL by the classical rational
+Gram-Schmidt algorithm. These are the second route that the package's
+formulas are checked against.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from itertools import combinations, product
 import random
 
 from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone
-from symcones.exactmath import IntMat, det, has_full_column_rank
+from symcones.exactmath import IntMat, det
 
 
 def cols_from_rows(rows) -> IntMat:
@@ -58,6 +59,22 @@ def _cramer_minor(generators):
         for j in range(k)
     )
     return picked, d, cof
+
+
+def gauss_rank(columns) -> int:
+    """Independent rank oracle: ``Fraction`` Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in zip(*columns)]
+    rank = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][j] / rows[rank][j]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def cramer_solve(generators, x):
@@ -181,7 +198,7 @@ def assert_canonical_by_construction(c: SymbolicCone) -> None:
     rebuilt = canonicalize(SymbolicCone(c.generators, c.apex, c.openness))
     assert rebuilt == c
     assert hash(rebuilt) == hash(c)
-    assert has_full_column_rank(c.generators)
+    assert gauss_rank(c.generators) == len(c.generators)
 
 
 def box_points(dim: int, lo: int, hi: int):

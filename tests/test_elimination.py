@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,9 @@ from symcones import (
     eval_combination,
     macmahon_lift,
     solve,
-    solve_with_trace,
     system,
 )
+from symcones.cli import RunConfig, run
 from symcones.elimination import elimination_rounds, expand_equalities
 from symcones.exactmath import is_forward, mat_vec, prim, solve_rational
 from _support import assert_canonical_by_construction, box_points, random_system, table_system
@@ -197,13 +198,16 @@ def test_projection_is_injective_on_intermediate_cones():
 
 def test_trace_counts_and_bits():
     sys_ = system([(2, 3), (1, -1)], [">=", ">="], [5, 0])
-    comb, trace = solve_with_trace(sys_)
-    assert len(trace.rows) == 2
-    assert [r.iteration for r in trace.rows] == [1, 2]
-    assert trace.rows[-1].cone_count == len(comb)
-    assert all(r.max_entry_bits >= 1 for r in trace.rows)
-    lines = trace.format_lines(2)
-    assert len(lines) == 2 and "bound" in lines[0]
+    status, output, lines = run(RunConfig("solve", verbose=True), sys_)
+    assert (status, output, []) == run(RunConfig("solve"), sys_)
+    line_re = re.compile(
+        r"iteration (\d+): (\d+) cones \(bound (\d+)\), max generator entry (\d+) bits"
+    )
+    rows = [tuple(map(int, line_re.fullmatch(line).groups())) for line in lines]
+    assert [r[0] for r in rows] == [1, 2]
+    assert rows[-1][1] == len(solve(sys_))
+    assert all(bound == math.comb(2 + i, 2) for i, _, bound, _ in rows)
+    assert all(bits >= 1 for *_, bits in rows)
 
 
 def test_lawrence_varchenko_exactness_small_sample():

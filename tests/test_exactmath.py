@@ -20,6 +20,7 @@ from _support import (
     cofactor_det,
     cols_from_rows,
     cramer_solve,
+    gauss_rank,
     random_full_dim_cone,
     reference_lll,
 )
@@ -171,7 +172,9 @@ def column_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(column_sets())
 def test_rank_test_agrees_with_rational_solve(cols):
-    assert has_full_column_rank(cols) == (gram_det(cols) != 0)
+    full = gram_det(cols) != 0
+    assert has_full_column_rank(cols) == full
+    assert (gauss_rank(cols) == len(cols)) == full
 
 
 def test_rank_test_examples():

@@ -94,8 +94,10 @@ def test_fp_expression_of_equality_system():
     expr = combination_to_ratfun(comb)
     max_index = max(abs(det(c.generators)) for c in comb)
     assert sum(len(t.numerator) for t in expr.terms) <= len(comb) * max_index
-    # per-term semigroup sums reproduce the indicator from the combination
-    for x in itertools.product(range(0, 110, 7), repeat=2):
+    # per-term semigroup sums reproduce the indicator from the combination;
+    # step 5 puts solutions of x1 + x2 = 100 on the grid
+    wants = []
+    for x in itertools.product(range(0, 110, 5), repeat=2):
         want = eval_combination(comb, x)
         got = sum(
             t.mult
@@ -104,6 +106,8 @@ def test_fp_expression_of_equality_system():
             if in_discrete_cone(t.denominator, u, x)
         )
         assert got == want
+        wants.append(want)
+    assert 1 in wants
 
 
 def test_barvinok_expression_denominators_forward_and_single_monomial():
