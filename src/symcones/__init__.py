@@ -15,7 +15,6 @@ from .cones import (
     contains,
     enum_fundpar,
     eval_combination,
-    flip,
     lattice_points_in_box,
 )
 from .elimination import (
@@ -66,7 +65,6 @@ __all__ = [
     "eliminate_last_coordinate",
     "enum_fundpar",
     "eval_combination",
-    "flip",
     "index",
     "lattice_points_in_box",
     "lll_reduce",

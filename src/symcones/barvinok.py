@@ -110,7 +110,7 @@ def _decompose_with_direction(
             # d != 0 (every child has index |alpha_i| > 0), so the columns
             # are independent and the leaf needs no validation
             bits = _openness_from_direction(gens, xi)
-            _, leaf = _canonical_cone(tuple(prim(g) for g in gens), c.apex, bits)
+            _, leaf = _canonical_cone(tuple(prim(g) for g in gens), c.num, c.den, bits)
             out.add(leaf, sign)
             continue
         w, alpha_scaled, d = _shortest_exchange_vector(gens)

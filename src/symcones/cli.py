@@ -10,7 +10,8 @@ from the first constraint. Subcommands::
     count   emit the number of solutions (requires --assert-bounded)
     check   compare the solver against the direct inequality oracle on a box
 
-Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors.
+Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
+refused input, such as ``count`` on an infinite solution set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .cones import ConeCombination, eval_combination
 from .elimination import LDSystem, Relation, elimination_rounds, expand_equalities, macmahon_lift
-from .ratfun import combination_to_ratfun, count_lattice_points, render
+from .ratfun import InfiniteSetError, combination_to_ratfun, count_lattice_points, render
 
 
 class ParseError(ValueError):
@@ -92,7 +93,8 @@ def combination_to_json(combination: ConeCombination, dimension: int | None = No
                 "mult": str(mult),
                 "generators": [list(g) for g in c.generators],
                 "apex": [
-                    {"num": str(a.numerator), "den": str(a.denominator)} for a in c.apex
+                    {"num": str(a // g), "den": str(c.den // g)}
+                    for a, g in ((a, math.gcd(a, c.den)) for a in c.num)
                 ],
                 "open": list(c.openness),
             }
@@ -202,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = handle.read()
         sys_ = parse_system(text)
         status, output, diagnostics = run(config, sys_)
-    except (ParseError, OSError) as exc:
+    except (ParseError, InfiniteSetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in diagnostics:

@@ -7,7 +7,9 @@ facet where it vanishes is excluded. The point set is
 
     { q + V @ lam : lam_i >= 0 where o_i = 0, lam_i > 0 where o_i = 1 }.
 
-Cones are immutable and hashable so that signed combinations can live in a
+The apex is stored as integer numerators over one positive common
+denominator in lowest terms, so a cone holds nothing but ints. Cones are
+immutable and hashable so that signed combinations can live in a
 dictionary keyed by the canonical form (primitive, lexicographically sorted
 generators), which is unique per point set and openness pattern.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -26,7 +28,6 @@ from .exactmath import (
     IntVec,
     RatVec,
     Scalar,
-    as_fractions,
     has_full_column_rank,
     is_forward,
     mat_vec,
@@ -34,51 +35,67 @@ from .exactmath import (
     scaled_inverse,
     snf,
     solve_rational,
-    vec_sub,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymbolicCone:
-    """Half-open simplicial cone (generators, apex, openness)."""
+    """Half-open simplicial cone (generators, apex, openness).
+
+    The apex, given as ints and ``Fraction``s, is stored as ``num / den``
+    with ``den > 0`` and gcd(den, *num) = 1, so equal cones have equal int
+    fields. ``apex`` is a rational view, rebuilt on every access.
+    """
 
     generators: IntMat
-    apex: RatVec
+    num: IntVec
+    den: int
     openness: tuple[int, ...]
     # set only by _canonical_cone, never by callers
-    _canonical: bool = field(default=False, init=False, compare=False, repr=False)
-    # hashing the Fraction apex is costly and cones are dict keys, so the
-    # hash is computed once, on first use
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+    _canonical = False
+    # cones are dict keys in every elimination round, so the hash is
+    # computed once, on first use
+    _hash = None
 
-    def __post_init__(self):
-        k = len(self.generators)
+    def __init__(self, generators: IntMat, apex: Sequence[Scalar], openness: tuple[int, ...]):
+        k = len(generators)
         if k == 0:
             raise ValueError("cone needs at least one generator")
-        n = len(self.generators[0])
-        if any(len(g) != n for g in self.generators):
+        n = len(generators[0])
+        if any(len(g) != n for g in generators):
             raise ValueError("generator columns must have equal length")
-        if any(type(x) is not int for g in self.generators for x in g):
+        if any(type(x) is not int for g in generators for x in g):
             raise TypeError("generator entries must be exact integers")
-        if len(self.apex) != n:
-            raise ValueError(f"apex has length {len(self.apex)}, expected {n}")
-        if any(not isinstance(a, (int, Fraction)) for a in self.apex):
+        if len(apex) != n:
+            raise ValueError(f"apex has length {len(apex)}, expected {n}")
+        if any(not isinstance(a, (int, Fraction)) for a in apex):
             raise TypeError("apex entries must be exact rationals")
-        if any(type(a) is not Fraction for a in self.apex):
-            object.__setattr__(self, "apex", as_fractions(self.apex))
         if k > n:
             raise ValueError(f"{k} generators cannot be independent in dimension {n}")
-        if len(self.openness) != k:
+        if len(openness) != k:
             raise ValueError("openness needs one bit per generator")
-        if any(bit not in (0, 1) for bit in self.openness):
+        if any(bit not in (0, 1) for bit in openness):
             raise ValueError("openness bits must be 0 or 1")
+        # every entry is in lowest terms, so scaling to the lcm of the
+        # denominators leaves no common factor
+        den = math.lcm(*(a.denominator for a in apex))
+        self.__dict__.update(
+            generators=generators,
+            num=tuple(a.numerator * (den // a.denominator) for a in apex),
+            den=den,
+            openness=openness,
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.generators, self.apex, self.openness))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.generators, self.num, self.den, self.openness))
+            self.__dict__["_hash"] = h
         return h
+
+    @property
+    def apex(self) -> RatVec:
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @property
     def dim(self) -> int:
@@ -88,10 +105,13 @@ class SymbolicCone:
     @property
     def ambient_dim(self) -> int:
         """Dimension n of the surrounding space."""
-        return len(self.apex)
+        return len(self.num)
 
-    def sort_key(self):
-        return (self.generators, self.apex, self.openness)
+    def sort_key(self, den: int):
+        """Order by generators, apex value, openness; ``den`` is a common
+        multiple of the ``den`` of every cone compared."""
+        scale = den // self.den
+        return (self.generators, tuple(a * scale for a in self.num), self.openness)
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -103,14 +123,14 @@ def cone(
     apex: Sequence[Scalar] | None = None,
     openness: Sequence[int] | None = None,
 ) -> SymbolicCone:
-    """Convenience constructor coercing plain ints/Fractions; raises on
-    linearly dependent generators."""
+    """Convenience constructor coercing generator entries and bits to int;
+    raises on linearly dependent generators."""
     gens = tuple(tuple(int(x) for x in g) for g in generators)
     if apex is None:
         apex = (0,) * len(gens[0])
     if openness is None:
         openness = (0,) * len(gens)
-    out = SymbolicCone(gens, as_fractions(apex), tuple(int(b) for b in openness))
+    out = SymbolicCone(gens, tuple(apex), tuple(int(b) for b in openness))
     _assert_independent(out.generators)
     return out
 
@@ -121,15 +141,16 @@ def _assert_independent(generators: IntMat) -> None:
 
 
 def _canonical_cone(
-    generators: IntMat, apex: RatVec, openness: tuple[int, ...], forward: bool = False
+    generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...], forward: bool = False
 ) -> tuple[int, SymbolicCone]:
     """Build a canonical cone from columns already known to be good.
 
     The caller guarantees primitive, linearly independent integer columns
-    and a Fraction apex; nothing is checked here. With ``forward`` every
-    backward generator is reversed and its openness bit toggled first, as
-    in ``flip``. Returns ``(sign, cone)`` with sign = (-1)^(number of
-    reversed generators), always 1 without ``forward``.
+    and an apex ``num / den`` in lowest terms with ``den > 0``; nothing is
+    checked here. With ``forward`` every backward generator is reversed and
+    its openness bit toggled first (sign * [cone] equals the input modulo
+    polyhedra that contain lines). Returns ``(sign, cone)`` with sign =
+    (-1)^(number of reversed generators), always 1 without ``forward``.
     """
     sign = 1
     pairs = []
@@ -142,10 +163,10 @@ def _canonical_cone(
     out = object.__new__(SymbolicCone)
     out.__dict__.update(
         generators=tuple(g for g, _ in pairs),
-        apex=apex,
+        num=num,
+        den=den,
         openness=tuple(bit for _, bit in pairs),
         _canonical=True,
-        _hash=None,
     )
     return sign, out
 
@@ -166,39 +187,13 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
         return c
     prims = tuple(prim(g) for g in c.generators)
     _assert_independent(prims)
-    return _canonical_cone(prims, c.apex, c.openness)[1]
-
-
-def flip(c: SymbolicCone) -> tuple[int, SymbolicCone]:
-    """Reverse all backward generators, toggling their openness bits.
-
-    Returns ``(sign, flipped)`` with sign = (-1)^(number of reversed
-    generators). The flipped cone is forward and satisfies
-    sign * [flipped] = [c] modulo polyhedra that contain lines; generator
-    order is preserved (no canonical sort here).
-    """
-    backward = tuple(not is_forward(g) for g in c.generators)
-    sign = -1 if sum(backward) % 2 else 1
-    gens = tuple(
-        tuple(-x for x in g) if back else g for g, back in zip(c.generators, backward)
-    )
-    bits = tuple(1 - b if back else b for b, back in zip(c.openness, backward))
-    return sign, SymbolicCone(gens, c.apex, bits)
+    return _canonical_cone(prims, c.num, c.den, c.openness)[1]
 
 
 # --- membership ------------------------------------------------------------
 
-@lru_cache(maxsize=8192)
-def _membership_data(generators: IntMat, apex: RatVec):
-    """Precomputed integer data for fast full-dimensional membership tests.
-
-    Returns (adj, s, q_nums, denom) with adj = det * V^-1 and s = denom * det,
-    so that lam_j = (adj @ (denom*x - q_nums))_j / s for integer points x.
-    """
-    adj, d = scaled_inverse(generators)
-    denom = math.lcm(*(a.denominator for a in apex))
-    q_nums = tuple(int(a * denom) for a in apex)
-    return adj, denom * d, q_nums, denom
+# (adj, d) with adj = d * V^-1, d = det V, kept for repeated membership tests
+_membership_data = lru_cache(maxsize=8192)(scaled_inverse)
 
 
 def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
@@ -206,15 +201,18 @@ def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
     k, n = c.dim, c.ambient_dim
+    num, den = c.num, c.den
     if k == n and all(isinstance(v, int) for v in x):
-        adj, s, q_nums, denom = _membership_data(c.generators, c.apex)
-        sgn = 1 if s > 0 else -1
+        # lam_j = (adj @ (den*x - num))_j / (den * d), and den > 0
+        adj, d = _membership_data(c.generators)
+        sgn = 1 if d > 0 else -1
         for j in range(k):
-            t = sgn * sum(adj[i][j] * (denom * x[i] - q_nums[i]) for i in range(n))
+            t = sgn * sum(adj[i][j] * (den * x[i] - num[i]) for i in range(n))
             if t < 0 or (t == 0 and c.openness[j]):
                 return False
         return True
-    lam = solve_rational(c.generators, vec_sub(as_fractions(x), c.apex))
+    # den * lam, which has the signs of lam
+    lam = solve_rational(c.generators, tuple(den * a - b for a, b in zip(x, num)))
     if lam is None:
         return False
     for value, bit in zip(lam, c.openness):
@@ -289,7 +287,8 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         return out
 
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
-        return sorted(self._entries.items(), key=lambda item: item[0].sort_key())
+        den = math.lcm(*(c.den for c in self._entries))
+        return sorted(self._entries.items(), key=lambda item: item[0].sort_key(den))
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:
@@ -313,13 +312,12 @@ def _affine_hull_lattice_point(c: SymbolicCone, dec) -> IntVec | None:
     With V = U S W the hull is q + U {y : y_i = 0 for i > k}, so a lattice
     point exists iff the last n-k coordinates of U^-1 q are integers.
     """
-    n, k = c.ambient_dim, c.dim
-    coords = mat_vec(dec.U_inv, c.apex)
-    for i in range(k, n):
-        if coords[i].denominator != 1:
-            return None
-    y = [0] * k + [int(coords[i]) for i in range(k, n)]
-    return tuple(int(v) for v in mat_vec(dec.U, y))
+    n, k, den = c.ambient_dim, c.dim, c.den
+    coords = mat_vec(dec.U_inv, c.num)  # den * U^-1 q
+    if any(coords[i] % den for i in range(k, n)):
+        return None
+    y = [0] * k + [coords[i] // den for i in range(k, n)]
+    return mat_vec(dec.U, y)
 
 
 def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
@@ -336,9 +334,12 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     s_k on coordinates that are open and still meet the lattice. The final
     division is exact; integrality is asserted. Returns [] when the affine
     hull of the cone contains no lattice point (only possible for k < n).
+    qt and the shift V qt_frac + s_k q are kept as integer numerators over
+    the apex denominator.
     """
     k, n = c.dim, c.ambient_dim
     v = c.generators
+    num, den = c.num, c.den
     dec = snf(v)
     diag = dec.diagonal()
     if any(s <= 0 for s in diag):
@@ -352,24 +353,24 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     else:
         p = (0,) * n
 
-    q_hat = mat_vec(dec.U_inv, vec_sub(c.apex, p))
+    q_hat = mat_vec(dec.U_inv, tuple(a - den * b for a, b in zip(num, p)))
     s_prime = [s_k // s for s in diag]
     # t_mat = W^-1 * diag(s'), acting on the first k coordinates
     t_mat = tuple(
         tuple(dec.W_inv[j][i] * s_prime[j] for i in range(k)) for j in range(k)
     )
     q_trans = tuple(-val for val in mat_vec(t_mat, q_hat[:k]))
-    q_int = tuple(math.floor(val) for val in q_trans)
-    q_frac = tuple(a - b for a, b in zip(q_trans, q_int))
+    q_int = tuple(val // den for val in q_trans)
+    q_frac = tuple(val % den for val in q_trans)
     strictness = tuple(
         c.openness[j] if q_frac[j] == 0 else 0 for j in range(k)
     )
-    shift = tuple(
-        s_k * c.apex[i] + sum(v[j][i] * q_frac[j] for j in range(k)) for i in range(n)
-    )
-    if any(val.denominator != 1 for val in shift):
-        raise AssertionError("parallelepiped shift is not integral")
-    shift = tuple(int(val) for val in shift)
+    shift = []
+    for i in range(n):
+        val = s_k * num[i] + sum(v[j][i] * q_frac[j] for j in range(k))
+        if val % den:
+            raise AssertionError("parallelepiped shift is not integral")
+        shift.append(val // den)
 
     points: list[IntVec] = []
     for x in itertools.product(*(range(s) for s in diag)):
@@ -379,10 +380,10 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
         ]
         point = []
         for i in range(n):
-            num = sum(v[j][i] * residues[j] for j in range(k)) + shift[i]
-            if num % s_k:
+            total = sum(v[j][i] * residues[j] for j in range(k)) + shift[i]
+            if total % s_k:
                 raise AssertionError("parallelepiped point is not integral")
-            point.append(num // s_k)
+            point.append(total // s_k)
         points.append(tuple(point))
     return points
 

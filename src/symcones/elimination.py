@@ -17,8 +17,8 @@ to print one ``--verbose`` line per round.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .cones import (
@@ -28,7 +28,7 @@ from .cones import (
     _canonical_cone,
     canonicalize,
 )
-from .exactmath import IntVec, prim
+from .exactmath import IntVec, has_full_column_rank, prim
 
 
 class Relation(enum.Enum):
@@ -106,7 +106,7 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
         tuple(1 if i == j else 0 for i in range(d)) + tuple(int(rows[i][j]) for i in range(m))
         for j in range(d)
     )
-    apex = tuple(Fraction(0) for _ in range(d)) + tuple(Fraction(-int(b)) for b in rhs)
+    apex = (0,) * d + tuple(-int(b) for b in rhs)
     return SymbolicCone(gens, apex, (0,) * d)
 
 
@@ -123,47 +123,60 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
 
     Output cones are built in canonical form directly, skipping the
     independence check of ``canonicalize``: one integer rank test of the
-    projected columns V' (V without its last row) covers all of them.
-    V' independent means that V is independent and that dropping x_n is
-    injective on span(V). The projected cone has the columns of V'. The
-    vertex cone of generator j has, before dropping x_n and up to sign
-    and positive scaling, the columns v_j and last[i] v_j - last[j] v_i
-    for i != j. Since last[j] != 0 they are an invertible transform of V,
-    so they are independent and lie in span(V), where dropping x_n keeps
-    them independent.
+    projected columns V' (V without its last row), run whenever the output
+    is not empty, covers all of them. V' independent means that V is
+    independent and that dropping x_n is injective on span(V). The
+    projected cone has the columns of V'. The vertex cone of generator j
+    has, before dropping x_n and up to sign and positive scaling, the
+    columns v_j and last[i] v_j - last[j] v_i for i != j. Since last[j] != 0
+    they are an invertible transform of V, so they are independent and lie
+    in span(V), where dropping x_n keeps them independent.
     """
-    k, n = c.dim, c.ambient_dim
+    if c.num[-1] >= 0 or any(g[-1] > 0 for g in c.generators):
+        _assert_independent(tuple(prim(g[:-1]) for g in c.generators))
+    return _eliminate(c)
+
+
+def _eliminate(c: SymbolicCone) -> ConeCombination:
+    """``eliminate_last_coordinate`` without its rank test. The vertex apex
+    q - (q_n / last[j]) v_j is (num_i last[j] - num_n v_j[i]) / (den last[j])
+    without x_n, brought to lowest terms by one gcd."""
+    k = c.dim
     v = c.generators
-    q = c.apex
-    q_n = q[-1]
+    num, den = c.num, c.den
+    q_n = num[-1]
+    m = len(num) - 1
     last = tuple(g[-1] for g in v)
     sg = 1 if q_n >= 0 else -1
 
-    crossing = [j for j in range(k) if (last[j] < 0 if q_n >= 0 else last[j] > 0)]
+    crossing = [j for j in range(k) if last[j] * sg < 0]
     out = ConeCombination()
     if not crossing and q_n < 0:
         return out
-    proj = tuple(prim(g[:-1]) for g in v)
-    _assert_independent(proj)
 
     for j in crossing:
-        # apex: the ray through generator j meets the hyperplane here
-        ratio = q_n / last[j]
-        apex = tuple(q[i] - ratio * v[j][i] for i in range(n - 1))
+        vj, lj = v[j], last[j]
+        apex = [num[i] * lj - q_n * vj[i] for i in range(m)]
+        # divide by the gcd, taking the sign of den * last[j] along
+        f = math.gcd(den * lj, *apex) if lj > 0 else -math.gcd(den * lj, *apex)
         cols = []
         for i in range(k):
             if i == j:
-                col = tuple(-sg * x for x in v[j][:-1])
+                col = tuple(-sg * x for x in vj[:-1])
             else:
-                col = tuple(
-                    sg * (last[i] * v[j][r] - last[j] * v[i][r]) for r in range(n - 1)
-                )
+                col = tuple(sg * (last[i] * vj[r] - lj * v[i][r]) for r in range(m))
             cols.append(prim(col))
         bits = tuple(0 if i == j else c.openness[i] for i in range(k))
-        sign, vertex = _canonical_cone(tuple(cols), apex, bits, forward=True)
+        sign, vertex = _canonical_cone(
+            tuple(cols), tuple(a // f for a in apex), den * lj // f, bits, forward=True
+        )
         out.add(vertex, sign)
     if q_n >= 0:
-        sign, projected = _canonical_cone(proj, q[:-1], c.openness, forward=True)
+        f = math.gcd(den, *num[:-1])
+        proj = tuple(prim(g[:-1]) for g in v)
+        sign, projected = _canonical_cone(
+            proj, tuple(a // f for a in num[:-1]), den // f, c.openness, forward=True
+        )
         out.add(projected, sign)
     return out
 
@@ -176,10 +189,27 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     Multiplicities are collected by canonical cone after every round;
     cancellation between rounds is what keeps intermediate combinations
     small, so this is not an optional optimization.
+
+    One rank test covers the whole run. Every cone of round r has k
+    generators in the projection of span(V0), V0 being the input
+    generators, that drops the last r coordinates (see
+    ``eliminate_last_coordinate``). If the first n - rounds rows of V0 have
+    full column rank, the last projection is injective on span(V0), hence
+    so is every earlier one, and by induction every round's V' is
+    independent: the rounds can skip the check. For ``macmahon_lift`` those
+    rows are the identity. If the test fails, every round runs the checked
+    step, so a dependent projection raises exactly where it did before.
     """
-    current = ConeCombination({canonicalize(c): 1})
+    keep = c.ambient_dim - rounds
+    if rounds and keep >= c.dim and has_full_column_rank(tuple(g[:keep] for g in c.generators)):
+        # V0 is independent, which covers canonicalize's own check
+        c = _canonical_cone(tuple(map(prim, c.generators)), c.num, c.den, c.openness)[1]
+        step = _eliminate
+    else:
+        c, step = canonicalize(c), eliminate_last_coordinate
+    current = ConeCombination({c: 1})
     for _ in range(rounds):
-        current = current.map_cones(eliminate_last_coordinate)
+        current = current.map_cones(step)
         yield current
 
 

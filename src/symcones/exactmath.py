@@ -4,10 +4,10 @@ Vectors are tuples; matrices are tuples of *columns* (column-major). The
 linear algebra is fraction-free over Python's arbitrary-precision ``int``:
 determinants, rank tests, adjugates and solves share one Bareiss
 elimination, and ``lll_reduce`` keeps integral Gram-Schmidt data.
-``fractions.Fraction`` appears only in ``as_fractions`` and in the vector
-``solve_rational`` returns. Nothing in this package ever touches floating
-point. Values are immutable and every function is pure, so everything here
-is safe to share between threads without coordination.
+``fractions.Fraction`` appears only in the vector ``solve_rational``
+returns. Nothing in this package ever touches floating point. Values are
+immutable and every function is pure, so everything here is safe to share
+between threads without coordination.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
 
 def vec_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def as_fractions(v: Sequence[Scalar]) -> RatVec:
-    return tuple(Fraction(a) for a in v)
 
 
 def prim(v: Sequence[int]) -> IntVec:

@@ -9,9 +9,10 @@ and a signed combination of cones turns into the matching signed sum of
 such terms. Nothing here attempts cross-term normalization; expressions
 are structured sums, rendered as-is.
 
-Counting substitutes z_i -> exp(lam_i t) for an integer direction lam that
-is non-orthogonal to every denominator exponent and reads off the constant
-Laurent coefficient at t = 0 with exact rational series arithmetic.
+Counting substitutes z_i -> exp(lam_i t) for a positive integer direction
+lam non-orthogonal to every denominator exponent and expands the sum at
+t = 0 with exact rational series arithmetic: the constant coefficient is
+the count, and a non-zero principal part refuses an infinite set.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .exactmath import IntVec, is_forward, vec_dot, vec_sub
 
 FP = "fp"
 BARVINOK = "barvinok"
+
+
+class InfiniteSetError(ValueError):
+    """Raised when asked to count a set that is infinite."""
 
 
 @dataclass(frozen=True)
@@ -177,46 +182,54 @@ def _series_expm1_over_x(b: int, order: int) -> list[Fraction]:
     return out
 
 
-def _term_constant_coefficient(term: RatFunTerm, direction: IntVec) -> Fraction:
-    """Constant Laurent coefficient of the term under z_i -> e^{lam_i t}."""
-    d = len(term.denominator)
-    dots = [int(vec_dot(direction, v)) for v in term.denominator]
+def _term_laurent(term: RatFunTerm, direction: IntVec) -> list[Fraction]:
+    """Laurent coefficients of orders t^-k .. t^0 of the term under
+    z_i -> e^{lam_i t}, for a term with k denominator factors."""
+    k = len(term.denominator)
+    dots = [vec_dot(direction, v) for v in term.denominator]
     if any(b == 0 for b in dots):
         raise ValueError("direction is orthogonal to a denominator exponent")
-    series = [Fraction(1)] + [Fraction(0)] * d
+    series = [Fraction(1)] + [Fraction(0)] * k
     for b in dots:
-        series = _series_mul(series, _series_inv(_series_expm1_over_x(b, d), d), d)
-    total = Fraction(0)
+        series = _series_mul(series, _series_inv(_series_expm1_over_x(b, k), k), k)
+    exps = [Fraction(0)] * (k + 1)
     for u in term.numerator:
-        a = int(vec_dot(direction, u))
-        total += _series_mul(series, _series_exp(a, d), d)[d]
-    lead = Fraction((-1) ** d, 1)
+        for i, coeff in enumerate(_series_exp(vec_dot(direction, u), k)):
+            exps[i] += coeff
+    lead = Fraction(term.mult * (-1) ** k)
     for b in dots:
         lead /= b
-    return term.mult * lead * total
+    return [lead * coeff for coeff in _series_mul(series, exps, k)]
 
 
 def evaluate_count(expr: RatFunExpr, direction: IntVec) -> int:
-    """Sum of constant Laurent coefficients; must come out an integer."""
-    total = sum(
-        (_term_constant_coefficient(t, direction) for t in expr.terms), Fraction(0)
-    )
-    if total.denominator != 1:
-        raise RuntimeError(f"evaluation inconsistency: non-integer total {total}")
-    return int(total)
+    """Constant Laurent coefficient of the summed expression at t = 0.
+
+    A finite set sums to a Laurent polynomial, analytic at t = 0, so a
+    non-zero summed principal part raises ``InfiniteSetError`` (for a
+    positive direction the converse holds too). Raises ``RuntimeError`` if
+    the constant coefficient is not an integer.
+    """
+    order = max((len(t.denominator) for t in expr.terms), default=0)
+    total = [Fraction(0)] * (order + 1)
+    for t in expr.terms:
+        coeffs = _term_laurent(t, direction)
+        offset = order + 1 - len(coeffs)
+        for i, coeff in enumerate(coeffs):
+            total[offset + i] += coeff
+    if any(total[:-1]):
+        raise InfiniteSetError("the solution set is infinite, so it has no count")
+    if total[-1].denominator != 1:
+        raise RuntimeError(f"evaluation inconsistency: non-integer total {total[-1]}")
+    return int(total[-1])
 
 
-def _pick_direction(
-    dens: Iterable[IntVec], dimension: int, rng: random.Random
-) -> IntVec:
-    vectors = list(dens)
-    for _ in range(100000):
-        lam = tuple(rng.randint(-7, 7) for _ in range(dimension))
-        if all(x == 0 for x in lam):
-            continue
-        if all(vec_dot(lam, v) != 0 for v in vectors):
-            return lam
-    raise RuntimeError("could not find a direction avoiding all denominators")
+def _pick_direction(dens: Iterable[IntVec], dimension: int) -> IntVec:
+    """lam = (1, s, ..., s^(d-1)) with s = 1 + the largest |entry| of any
+    denominator: positive, and v . lam = sum_i v_i s^i != 0 for v != 0, as
+    the lowest non-zero v_i would be a multiple of s but 0 < |v_i| < s."""
+    s = 1 + max((abs(x) for v in dens for x in v), default=0)
+    return tuple(s**i for i in range(dimension))
 
 
 def count_lattice_points(
@@ -227,10 +240,10 @@ def count_lattice_points(
 ) -> int:
     """Number of lattice points of the set represented by the combination.
 
-    The caller must assert that the represented solution set is finite by
-    passing ``assert_bounded=True``; for an unbounded set the result is
-    meaningless. Each cone is first decomposed into unimodular terms so
-    every Laurent expansion has pole order exactly the ambient dimension.
+    The caller must pass ``assert_bounded=True``; an infinite set raises
+    ``InfiniteSetError``. Each cone is first decomposed into unimodular
+    terms so every Laurent expansion has pole order exactly the ambient
+    dimension.
     """
     if not assert_bounded:
         raise ValueError("count requires the caller to assert boundedness")
@@ -241,7 +254,7 @@ def count_lattice_points(
     if not expr.terms:
         return 0
     dens = [v for t in expr.terms for v in t.denominator]
-    direction = _pick_direction(dens, expr.dimension, rng)
+    direction = _pick_direction(dens, expr.dimension)
     return evaluate_count(expr, direction)
 
 

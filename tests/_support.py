@@ -11,6 +11,7 @@ formulas are checked against.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 import random
 
 from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone
@@ -194,11 +195,30 @@ def table_system(row_sums, col_sums) -> LDSystem:
 def assert_canonical_by_construction(c: SymbolicCone) -> None:
     """A cone the solver built without validation equals its validated form."""
     assert all(type(x) is int for g in c.generators for x in g)
-    assert all(type(a) is Fraction for a in c.apex)
+    assert all(type(a) is int for a in c.num) and type(c.den) is int
+    assert c.den > 0 and gcd(c.den, *c.num) == 1
     rebuilt = canonicalize(SymbolicCone(c.generators, c.apex, c.openness))
     assert rebuilt == c
     assert hash(rebuilt) == hash(c)
     assert gauss_rank(c.generators) == len(c.generators)
+
+
+def reference_elimination_apexes(c: SymbolicCone) -> list[tuple[Fraction, ...]]:
+    """The apexes one elimination step can give ``c``, by ``Fraction``
+    arithmetic: for each generator v_j crossing {x_n = 0}, the point
+    q - (q_n / v_jn) v_j where its ray meets that hyperplane, and q itself
+    when q_n >= 0; all without their last coordinate."""
+    q = c.apex
+    if q[-1] >= 0:
+        crossing = [v for v in c.generators if v[-1] < 0]
+        out = [q[:-1]]
+    else:
+        crossing = [v for v in c.generators if v[-1] > 0]
+        out = []
+    for v in crossing:
+        ratio = q[-1] / v[-1]
+        out.append(tuple(a - ratio * b for a, b in zip(q[:-1], v)))
+    return out
 
 
 def box_points(dim: int, lo: int, hi: int):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from symcones import ConeCombination, Relation, solve
 from symcones.cli import ParseError, RunConfig, combination_to_json, main, parse_system, run
-from _support import random_system
+from _support import random_system, table_system
 
 
 # --- parsing ----------------------------------------------------------------
@@ -192,6 +193,18 @@ def test_main_count_without_flag_exits_2(monkeypatch, capsys):
     assert main(["count", "-"]) == 2
 
 
+def test_main_refuses_infinite_count(monkeypatch, capsys):
+    # x1 is unbounded; this used to print 14
+    text = "0 -1 -1 >= -4\n0 -4 1 >= -1\n4 -4 -2 >= -2\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["count", "--assert-bounded", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "infinite" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_main_verbose_trace_goes_to_stderr(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2 3 >= 5\n1 -1 >= 0\n"))
     assert main(["solve", "--verbose", "-"]) == 0
@@ -211,3 +224,24 @@ def test_console_invocation_round_trip(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "101"
+
+
+# sha256 of outputs recorded before the apex became integer numerators over
+# one denominator; the JSON must not change by a byte
+GOLDEN_SHA256 = [
+    (RunConfig("solve"), table_system((2, 4, 6), (4, 4, 4)),
+     "23f56e85b3986304ae60c4f0c662b0e58f7d1e9a9d60eb6da02fc5399edb9222"),
+    (RunConfig("solve"), table_system((3, 6), (3, 3, 3)),
+     "f576b2e7bd4f477bf22e6ac710ec611b5b30c534ec93b66bd9185b79b84ebc57"),
+    # apex denominators up to 25
+    (RunConfig("solve"), random_system(random.Random(12), 3, 3),
+     "55543a6a178df88183b8fd20e53bbbb435779d6fe368f5d02d0ed5c81a3c044b"),
+    (RunConfig("ratfun", method="barvinok", fmt="json"), random_system(random.Random(1), 3, 3),
+     "8162633eb603f1d17fc4f96f1ddd6b75076beea1b55e2d20fde4c31c1078c6ba"),
+]
+
+
+@pytest.mark.parametrize("config, sys_, digest", GOLDEN_SHA256)
+def test_output_matches_recorded_sha256(config, sys_, digest):
+    _, output, _ = run(config, sys_)
+    assert hashlib.sha256(output.encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from symcones import (
     contains,
     enum_fundpar,
     eval_combination,
-    flip,
     lattice_points_in_box,
     solve,
     system,
@@ -102,6 +102,33 @@ def test_canonical_flag_is_not_a_constructor_argument():
         SymbolicCone(gens, apex, (0, 0), _canonical=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apex_forms_give_equal_cones(data):
+    n = data.draw(st.integers(1, 4))
+    nums = data.draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))
+    dens = data.draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    scale = data.draw(st.integers(2, 6))
+    gens = (tuple(1 if i == 0 else 0 for i in range(n)),)
+    value = tuple(Fraction(p, q) for p, q in zip(nums, dens))
+    forms = (
+        value,
+        # the same numbers, integers as int, as Fraction(2k, 2), or entered
+        # with a common factor in numerator and denominator
+        tuple(int(a) if a.denominator == 1 else a for a in value),
+        tuple(Fraction(2 * int(a), 2) if a.denominator == 1 else a for a in value),
+        tuple(Fraction(p * scale, q * scale) for p, q in zip(nums, dens)),
+    )
+    cones = [SymbolicCone(gens, apex, (0,)) for apex in forms]
+    for c in cones:
+        assert c == cones[0] and hash(c) == hash(cones[0])
+        assert all(type(a) is int for a in c.num) and type(c.den) is int
+        assert c.den > 0 and math.gcd(c.den, *c.num) == 1
+        assert c.apex == value
+    moved = SymbolicCone(gens, value[:-1] + (value[-1] + Fraction(1, 13),), (0,))
+    assert moved != cones[0]
+
+
 def test_combination_add_validates_user_built_cones():
     dependent = SymbolicCone(((1, 2), (2, 4)), (Fraction(0), Fraction(0)), (0, 0))
     with pytest.raises(ValueError, match="not linearly independent"):
@@ -110,31 +137,9 @@ def test_combination_add_validates_user_built_cones():
         cone([(1, 2), (2, 4)])
 
 
-# --- flip ----------------------------------------------------------------------
+# --- membership -----------------------------------------------------------------
 
-def test_flip_forward_cone_unchanged():
-    c = cone([(1, 0), (0, 1)])
-    sign, flipped = flip(c)
-    assert sign == 1 and flipped == c
-
-
-def test_flip_single_backward_generator():
-    c = cone([(0, -1, 3), (3, 1, 0)])
-    sign, flipped = flip(c)
-    assert sign == -1
-    assert flipped.generators == ((0, 1, -3), (3, 1, 0))
-    assert flipped.openness == (1, 0)
-
-
-def test_flip_two_backward_generators():
-    c = cone([(-1, 2), (0, -5)], openness=(0, 1))
-    sign, flipped = flip(c)
-    assert sign == 1
-    assert flipped.generators == ((1, -2), (0, 5))
-    assert flipped.openness == (1, 0)
-
-
-def test_flip_one_dimensional_ray_identity():
+def test_closed_ray_and_reversed_open_ray_tile_the_line():
     # [closed ray along v](x) + [open ray along -v](x) = 1 on the whole line;
     # stepping by the primitive direction visits every lattice point on it
     from symcones.exactmath import prim
@@ -152,8 +157,6 @@ def test_flip_one_dimensional_ray_identity():
             x = tuple(qi + t * si for qi, si in zip(q, step))
             assert contains(closed, x) + contains(open_rev, x) == 1
 
-
-# --- membership -----------------------------------------------------------------
 
 def test_contains_examples():
     c = cone([(1, 0), (1, 3)])
@@ -197,6 +200,15 @@ def test_combination_rejects_mixed_dimensions():
     comb = ConeCombination({cone([(1, 0), (0, 1)]): 1})
     with pytest.raises(ValueError, match="mixed ambient dimensions"):
         comb.add(cone([(1,)]), 1)
+
+
+def test_sorted_items_order_apexes_by_value():
+    # same generators: the apex decides, by rational value, not by numerator
+    gens = [(1, 0), (0, 1)]
+    apexes = [(Fraction(1, 2), 0), (Fraction(2, 5), 0), (Fraction(-3, 4), 7), (1, 0)]
+    comb = ConeCombination({cone(gens, a): 1 for a in apexes})
+    got = [c.apex for c, _ in comb.sorted_items()]
+    assert got == sorted(tuple(Fraction(x) for x in a) for a in apexes)
 
 
 # --- fundamental parallelepipeds --------------------------------------------------

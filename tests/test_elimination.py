@@ -24,7 +24,13 @@ from symcones import (
 from symcones.cli import RunConfig, run
 from symcones.elimination import elimination_rounds, expand_equalities
 from symcones.exactmath import is_forward, mat_vec, prim, solve_rational
-from _support import assert_canonical_by_construction, box_points, random_system, table_system
+from _support import (
+    assert_canonical_by_construction,
+    box_points,
+    random_system,
+    reference_elimination_apexes,
+    table_system,
+)
 
 
 # --- lifting ---------------------------------------------------------------------
@@ -80,6 +86,16 @@ def test_eliminate_last_coordinate_apex_below():
 def test_eliminate_last_coordinate_empty_branch():
     c = cone([(1, 0, -1)], (0, 0, -1))
     assert len(eliminate_last_coordinate(c)) == 0
+
+
+def test_projected_apex_is_in_lowest_terms():
+    # the common denominator 6 of (1/2, 1/3) comes partly from the dropped
+    # coordinate, so the projected apex 1/2 must be reduced again
+    c = canonicalize(cone([(1, 1)], (Fraction(1, 2), Fraction(1, 3))))
+    out = eliminate_last_coordinate(c)
+    assert [c2.apex for c2 in out] == [(Fraction(1, 2),)]
+    for c2 in out:
+        assert_canonical_by_construction(c2)
 
 
 def test_eliminate_zero_rounds():
@@ -239,3 +255,59 @@ def test_eliminate_last_coordinate_rejects_dependent_projection():
     c = SymbolicCone(((1, 0, 0), (1, 0, 1)), (Fraction(0),) * 3, (0, 0))
     with pytest.raises(ValueError, match="not linearly independent"):
         eliminate_last_coordinate(c)
+
+
+def test_vertex_apexes_match_fraction_recomputation():
+    # every round of random lifted systems, apexes rechecked with Fractions
+    rng = random.Random(8)
+    rational = 0
+    for _ in range(25):
+        sys_ = random_system(rng, rng.randint(2, 3), rng.randint(2, 3))
+        rows, rhs = expand_equalities(sys_)
+        current = [canonicalize(macmahon_lift(rows, rhs))]
+        for _ in range(len(rows)):
+            collected = ConeCombination()
+            for c in current:
+                out = eliminate_last_coordinate(c)
+                want = reference_elimination_apexes(c)
+                got = [c2.apex for c2 in out]
+                assert set(got) <= set(want)
+                if len(got) == len(want):
+                    assert sorted(got) == sorted(want)
+                for c2, mult in out.items():
+                    assert_canonical_by_construction(c2)
+                    rational += c2.den > 1
+                    collected.add(c2, mult)
+            current = list(collected)
+    assert rational > 0
+
+
+def test_solve_runs_one_rank_test(monkeypatch):
+    # the bench 3x3 table: one test in elimination_rounds, none per round
+    # and none in canonicalize
+    import symcones.cones
+    import symcones.elimination
+
+    calls = []
+    for module in (symcones.elimination, symcones.cones):
+        real = module.has_full_column_rank
+
+        def counted(m, real=real, name=module.__name__):
+            calls.append(name)
+            return real(m)
+
+        monkeypatch.setattr(module, "has_full_column_rank", counted)
+    comb = solve(table_system((2, 4, 6), (4, 4, 4)))
+    assert len(comb) > 0
+    assert calls == ["symcones.elimination"]
+
+
+def test_eliminate_keeps_checked_rounds_when_the_run_test_fails():
+    # same error as before from the round that meets the dependent projection
+    c = SymbolicCone(((1, 0, 0), (1, 0, 1)), (0, 0, 0), (0, 0))
+    with pytest.raises(ValueError, match="not linearly independent"):
+        eliminate(c, 1)
+    # dropping two coordinates cannot be injective for two generators, but
+    # the first round is already empty, so nothing raises
+    c = cone([(1, 0, -1), (0, 1, 0)], (0, 0, -5))
+    assert eliminate(c, 2) == ConeCombination()

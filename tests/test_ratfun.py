@@ -20,7 +20,7 @@ from symcones import (
     system,
 )
 from symcones.exactmath import det
-from symcones.ratfun import RatFunExpr, RatFunTerm, evaluate_count
+from symcones.ratfun import InfiniteSetError, RatFunExpr, RatFunTerm, evaluate_count
 from _support import in_discrete_cone, random_full_dim_cone
 
 
@@ -191,7 +191,7 @@ def test_count_agrees_between_fp_and_unimodular_routes():
                                               rng=random.Random(trial))
         fp_expr = combination_to_ratfun(comb)
         dens = [v for t in fp_expr.terms for v in t.denominator]
-        lam = _pick_direction(dens, d, random.Random(trial + 1))
+        lam = _pick_direction(dens, d)
         assert evaluate_count(fp_expr, lam) == via_unimodular
 
 
@@ -202,10 +202,67 @@ def test_evaluate_count_rejects_orthogonal_direction():
 
 
 def test_evaluate_count_flags_non_integer_totals():
-    # a lone half-line: the constant coefficient of 1/(1-e^t) is -1/2
-    expr = RatFunExpr((RatFunTerm(1, ((0,),), ((1,),)),))
+    # 2/(1-z^2) - 1/(1-z) = 1/(1+z): the poles cancel, so the principal part
+    # vanishes, but the value at z = 1 is 1/2
+    expr = RatFunExpr((RatFunTerm(2, ((0,),), ((2,),)), RatFunTerm(-1, ((0,),), ((1,),))))
     with pytest.raises(RuntimeError, match="evaluation inconsistency"):
         evaluate_count(expr, (1,))
+
+
+def test_evaluate_count_refuses_infinite_sets():
+    # a lone half-line: 1/(1-e^t) = -1/t + 1/2 + ..., a non-zero principal part
+    expr = RatFunExpr((RatFunTerm(1, ((0,),), ((1,),)),))
+    with pytest.raises(InfiniteSetError, match="infinite"):
+        evaluate_count(expr, (1,))
+    # the quadrant: 1/((1-z1)(1-z2)) has a double pole
+    expr = RatFunExpr((RatFunTerm(1, ((0, 0),), ((1, 0), (0, 1))),))
+    with pytest.raises(InfiniteSetError, match="infinite"):
+        evaluate_count(expr, (1, 2))
+
+
+def test_pick_direction_is_positive_and_avoids_denominators():
+    from symcones.ratfun import _pick_direction
+
+    rng = random.Random(5)
+    for _ in range(200):
+        d = rng.randint(1, 5)
+        dens = [
+            tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(rng.randint(1, 12))
+        ]
+        dens = [v for v in dens if any(v)]
+        lam = _pick_direction(dens, d)
+        assert len(lam) == d and all(x > 0 for x in lam)
+        assert all(sum(a * b for a, b in zip(lam, v)) != 0 for v in dens)
+
+
+def test_count_refuses_unbounded_systems():
+    # x1 is unbounded here; this system used to count as 14
+    found = system([(0, -1, -1), (0, -4, 1), (4, -4, -2)], [">="] * 3, [-4, -1, -2])
+    with pytest.raises(ValueError, match="infinite"):
+        count_lattice_points(solve(found), assert_bounded=True)
+    # random d = 2 systems against a box scan: with entries in [-3, 3] and
+    # right-hand sides in [-4, 4] every vertex lies in [0, 24]^2, so a
+    # solution outside [0, 30]^2 means a recession direction, and a bounded
+    # set lies inside that box
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        rows = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(m)]
+        rhs = [rng.randint(-4, 4) for _ in range(m)]
+        sys_ = system(rows, [">="] * m, rhs)
+        inside = sum(1 for x in itertools.product(range(31), repeat=2) if sys_.satisfies(x))
+        unbounded = any(
+            sys_.satisfies(x) for x in itertools.product(range(61), repeat=2) if max(x) > 30
+        )
+        seen[unbounded] += 1
+        comb = solve(sys_)
+        if unbounded:
+            with pytest.raises(ValueError, match="infinite"):
+                count_lattice_points(comb, assert_bounded=True)
+        else:
+            assert count_lattice_points(comb, assert_bounded=True) == inside
+    assert seen[True] >= 10 and seen[False] >= 10
 
 
 # --- rendering --------------------------------------------------------------------
