@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, ItemsView, Iterator, Mapping, Sequence, ValuesView
 
 from .exactmath import (
     IntMat,
     IntVec,
     RatVec,
     Scalar,
+    _bareiss,
     has_full_column_rank,
     is_forward,
     mat_vec,
@@ -56,6 +58,8 @@ class SymbolicCone:
     # cones are dict keys in every elimination round, so the hash is
     # computed once, on first use
     _hash = None
+    # contains's per-generator (row, offset, bit), built on first use
+    _membership = None
 
     def __init__(self, generators: IntMat, apex: Sequence[Scalar], openness: tuple[int, ...]):
         k = len(generators)
@@ -200,18 +204,25 @@ def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     """Exact membership of a rational point in the half-open cone."""
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
-    k, n = c.dim, c.ambient_dim
-    num, den = c.num, c.den
-    if k == n and all(isinstance(v, int) for v in x):
-        # lam_j = (adj @ (den*x - num))_j / (den * d), and den > 0
-        adj, d = _membership_data(c.generators)
-        sgn = 1 if d > 0 else -1
-        for j in range(k):
-            t = sgn * sum(adj[i][j] * (den * x[i] - num[i]) for i in range(n))
-            if t < 0 or (t == 0 and c.openness[j]):
+    if c.dim == c.ambient_dim and all(isinstance(v, int) for v in x):
+        rows = c._membership
+        if rows is None:
+            # lam_j = (adj @ (den*x - num))_j / (den * d) with den > 0, so
+            # row . x - offset below is lam_j times den * |d| > 0
+            adj, d = _membership_data(c.generators)
+            sgn = 1 if d > 0 else -1
+            rows = c.__dict__["_membership"] = tuple(
+                (tuple(sgn * c.den * a for a in row),
+                 sgn * sum(map(operator.mul, row, c.num)), bit)
+                for row, bit in zip(zip(*adj), c.openness)
+            )
+        for row, offset, bit in rows:
+            t = sum(map(operator.mul, row, x)) - offset
+            if t < 0 or (t == 0 and bit):
                 return False
         return True
     # den * lam, which has the signs of lam
+    num, den = c.num, c.den
     lam = solve_rational(c.generators, tuple(den * a - b for a, b in zip(x, num)))
     if lam is None:
         return False
@@ -258,6 +269,13 @@ class ConeCombination(Mapping[SymbolicCone, int]):
 
     def __getitem__(self, c: SymbolicCone) -> int:
         return self._entries[canonicalize(c)]
+
+    # Mapping's defaults would canonicalize every key again in __getitem__
+    def items(self) -> ItemsView[SymbolicCone, int]:
+        return self._entries.items()
+
+    def values(self) -> ValuesView[int]:
+        return self._entries.values()
 
     def __iter__(self) -> Iterator[SymbolicCone]:
         return iter(self._entries)
@@ -386,6 +404,26 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
             point.append(total // s_k)
         points.append(tuple(point))
     return points
+
+
+def unimodular_point(c: SymbolicCone) -> IntVec:
+    """The one lattice point of the fundamental parallelepiped of a
+    full-dimensional cone with |det V| = 1, found without a Smith form.
+
+    The point is V @ m with m_j = ceil((V^-1 q)_j), plus 1 where (V^-1 q)_j
+    is an integer and generator j is open: then m - V^-1 q lies in [0,1) on
+    closed and (0,1] on open coordinates. Raises ``ValueError`` unless the
+    cone is full-dimensional and unimodular.
+    """
+    # V @ y = d * num, so V^-1 q = d * y / den
+    d, y = _bareiss(c.generators, (c.num,))
+    if c.dim != c.ambient_dim or d not in (1, -1):
+        raise ValueError("unimodular_point requires a full-dimensional cone of index 1")
+    m = []
+    for value, bit in zip(y[0], c.openness):
+        t = d * value
+        m.append(-(-t // c.den) + (bit if t % c.den == 0 else 0))
+    return mat_vec(c.generators, m)
 
 
 def lattice_points_in_box(

@@ -7,24 +7,27 @@ points u_1..u_N has the generating function
 
 and a signed combination of cones turns into the matching signed sum of
 such terms. Nothing here attempts cross-term normalization; expressions
-are structured sums, rendered as-is.
+are structured sums, rendered as-is. A unimodular Barvinok leaf gets its
+one numerator point from ``unimodular_point``, without a Smith form.
 
 Counting substitutes z_i -> exp(lam_i t) for a positive integer direction
 lam non-orthogonal to every denominator exponent and expands the sum at
-t = 0 with exact rational series arithmetic: the constant coefficient is
-the count, and a non-zero principal part refuses an infinite set.
+t = 0 with exact series arithmetic, once per set of denominator dots
+lam . v: the constant coefficient is the count, and a non-zero principal
+part refuses an infinite set.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, SymbolicCone, enum_fundpar
+from .cones import ConeCombination, SymbolicCone, enum_fundpar, unimodular_point
 from .exactmath import IntVec, is_forward, vec_dot, vec_sub
 
 FP = "fp"
@@ -121,102 +124,99 @@ def combination_to_ratfun(
     ``barvinok`` first rewrites each cone as a signed sum of cones with
     index at most ``index_threshold`` (unimodular by default), giving one
     short term per output cone, with backward denominator factors flipped
-    forward. Zero terms are dropped.
+    forward; at the default threshold each leaf's one numerator point comes
+    from ``unimodular_point``. Zero terms are dropped.
     """
     if method not in (FP, BARVINOK):
         raise ValueError(f"unknown conversion method: {method!r}")
     if method == BARVINOK:
         combination = decompose_combination(combination, index_threshold, rng)
+    unimodular = method == BARVINOK and index_threshold == 1
     terms = []
     for c, mult in combination.sorted_items():
-        base = cone_to_term_fp(c)
-        if base.is_zero:
+        nums = (unimodular_point(c),) if unimodular else cone_to_term_fp(c).numerator
+        if not nums:
             continue
-        m, nums, dens = mult * base.mult, base.numerator, base.denominator
+        dens = c.generators
         if method == BARVINOK:
-            m, nums, dens = _forward_normalized(m, nums, dens)
-        terms.append(RatFunTerm(m, nums, dens))
+            mult, nums, dens = _forward_normalized(mult, nums, dens)
+        terms.append(RatFunTerm(mult, nums, dens))
     return RatFunExpr(tuple(terms))
 
 
 # --- counting ---------------------------------------------------------------
 
-def _series_mul(f: list[Fraction], g: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+def _series_mul(f: list[int], g: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
     for i, a in enumerate(f):
         if a == 0:
             continue
-        for j in range(min(order - i, len(g) - 1) + 1):
+        for j in range(order - i + 1):
             out[i + j] += a * g[j]
     return out
 
 
-def _series_inv(f: list[Fraction], order: int) -> list[Fraction]:
-    inv0 = 1 / f[0]
-    out = [inv0]
+def _todd_scale(order: int) -> tuple[int, list[int]]:
+    """(L, c) with x/(e^x - 1) = sum_j c_j x^j / L up to x^order, all ints:
+    c_j / L = B_j / j!, by the recurrence that makes the product with
+    (e^x - 1)/x = sum_i x^i / (i+1)! equal to 1."""
+    beta = [Fraction(1)]
     for m in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            if j < len(f):
-                acc += f[j] * out[m - j]
-        out.append(-inv0 * acc)
-    return out
+        beta.append(-sum(beta[j] / math.factorial(m - j + 1) for j in range(m)))
+    scale = math.lcm(*(x.denominator for x in beta))
+    return scale, [x.numerator * (scale // x.denominator) for x in beta]
 
 
-def _series_exp(a: int, order: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for j in range(1, order + 1):
-        out.append(out[-1] * a / j)
-    return out
+def _summed_laurent(expr: RatFunExpr, direction: IntVec) -> list[Fraction]:
+    """Laurent coefficients of orders t^-k .. t^0 of the summed expression
+    under z_i -> e^{lam_i t}, k being the most denominator factors of a term.
 
-
-def _series_expm1_over_x(b: int, order: int) -> list[Fraction]:
-    """(e^{bx} - 1)/(bx) truncated: sum of (bx)^j / (j+1)!."""
-    out = [Fraction(1)]
-    power = Fraction(1)
-    fact = 1
-    for j in range(1, order + 1):
-        power *= b
-        fact *= j + 1
-        out.append(power / fact)
-    return out
-
-
-def _term_laurent(term: RatFunTerm, direction: IntVec) -> list[Fraction]:
-    """Laurent coefficients of orders t^-k .. t^0 of the term under
-    z_i -> e^{lam_i t}, for a term with k denominator factors."""
-    k = len(term.denominator)
-    dots = [vec_dot(direction, v) for v in term.denominator]
-    if any(b == 0 for b in dots):
-        raise ValueError("direction is orthogonal to a denominator exponent")
-    series = [Fraction(1)] + [Fraction(0)] * k
-    for b in dots:
-        series = _series_mul(series, _series_inv(_series_expm1_over_x(b, k), k), k)
-    exps = [Fraction(0)] * (k + 1)
-    for u in term.numerator:
-        for i, coeff in enumerate(_series_exp(vec_dot(direction, u), k)):
-            exps[i] += coeff
-    lead = Fraction(term.mult * (-1) ** k)
-    for b in dots:
-        lead /= b
-    return [lead * coeff for coeff in _series_mul(series, exps, k)]
+    With dots b = lam . v of the denominators and a = lam . u of the
+    numerator points, a term is mult * (-1)^k / (prod b * t^k) *
+    prod_b bt/(e^{bt} - 1) * sum_u e^{at}. Terms with the same sorted dots
+    b share the product, so each such group sums its numerators into one
+    weight map a -> sum of mult and takes one series product, in ints over
+    L^k * k! (L from ``_todd_scale``).
+    """
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for t in expr.terms:
+        dots = tuple(sorted(vec_dot(direction, v) for v in t.denominator))
+        if 0 in dots:
+            raise ValueError("direction is orthogonal to a denominator exponent")
+        weights = groups.setdefault(dots, {})
+        for u in t.numerator:
+            a = vec_dot(direction, u)
+            weights[a] = weights.get(a, 0) + t.mult
+    order = max(map(len, groups), default=0)
+    scale, coeffs = _todd_scale(order)
+    factors: dict[int, list[int]] = {}
+    total = [Fraction(0)] * (order + 1)
+    for dots, weights in groups.items():
+        k = len(dots)
+        series = [1]
+        for b in dots:
+            if b not in factors:
+                factors[b] = [c * b**j for j, c in enumerate(coeffs)]
+            series = _series_mul(series, factors[b], k)
+        # k! * sum_a w e^{at}: coefficient j is k!/j! * sum_a w a^j
+        exps = [math.perm(k, k - j) * sum(w * a**j for a, w in weights.items())
+                for j in range(k + 1)]
+        denom = (-1) ** k * math.prod(dots) * scale**k * math.factorial(k)
+        for i, coeff in enumerate(_series_mul(series, exps, k)):
+            total[order - k + i] += Fraction(coeff, denom)
+    return total
 
 
 def evaluate_count(expr: RatFunExpr, direction: IntVec) -> int:
     """Constant Laurent coefficient of the summed expression at t = 0.
 
-    A finite set sums to a Laurent polynomial, analytic at t = 0, so a
-    non-zero summed principal part raises ``InfiniteSetError`` (for a
-    positive direction the converse holds too). Raises ``RuntimeError`` if
-    the constant coefficient is not an integer.
+    The expansion takes one series product per denominator set (see
+    ``_summed_laurent``). A finite set sums to a Laurent polynomial,
+    analytic at t = 0, so a non-zero summed principal part raises
+    ``InfiniteSetError`` (for a positive direction the converse holds too).
+    Raises ``RuntimeError`` if the constant coefficient is not an integer.
     """
-    order = max((len(t.denominator) for t in expr.terms), default=0)
-    total = [Fraction(0)] * (order + 1)
-    for t in expr.terms:
-        coeffs = _term_laurent(t, direction)
-        offset = order + 1 - len(coeffs)
-        for i, coeff in enumerate(coeffs):
-            total[offset + i] += coeff
+    total = _summed_laurent(expr, direction)
     if any(total[:-1]):
         raise InfiniteSetError("the solution set is infinite, so it has no count")
     if total[-1].denominator != 1:

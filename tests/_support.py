@@ -3,15 +3,16 @@
 Everything here is deliberately independent of the solver's internals:
 membership by brute inequality checks, determinants by cofactor expansion,
 semigroup membership by Cramer's rule over those determinants, rank by
-``Fraction`` Gaussian elimination, and LLL by the classical rational
-Gram-Schmidt algorithm. These are the second route that the package's
-formulas are checked against.
+``Fraction`` Gaussian elimination, LLL by the classical rational
+Gram-Schmidt algorithm, and Laurent expansions by per-term ``Fraction``
+series. These are the second route that the package's formulas are checked
+against.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import factorial, gcd
 import random
 
 from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone
@@ -137,6 +138,56 @@ def reference_lll(basis) -> IntMat:
             mu, norms = gram_schmidt()
             i = max(i - 1, 1)
     return tuple(tuple(col) for col in b)
+
+
+def _series_mul(f, g, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, a in enumerate(f):
+        for j in range(order - i + 1):
+            out[i + j] += a * g[j]
+    return out
+
+
+def reference_term_laurent(term, direction) -> list[Fraction]:
+    """Laurent coefficients of orders t^-k .. t^0 of one rational-function
+    term under z_i -> e^{lam_i t}, k its number of denominator factors.
+
+    Expands mult * sum_u e^{a_u t} * prod_b 1/(1 - e^{bt}) term by term in
+    ``Fraction`` series: 1/(1 - e^{bt}) = -1/(bt) * 1/f_b(t) with
+    f_b = (e^{bt} - 1)/(bt) = sum_j (bt)^j/(j+1)!, inverted by the
+    recurrence of a series reciprocal.
+    """
+    k = len(term.denominator)
+    dots = [sum(a * b for a, b in zip(direction, v)) for v in term.denominator]
+    if any(b == 0 for b in dots):
+        raise ValueError("direction is orthogonal to a denominator exponent")
+    series = [Fraction(1)] + [Fraction(0)] * k
+    for b in dots:
+        f = [Fraction(b**j, factorial(j + 1)) for j in range(k + 1)]
+        inv = [Fraction(1)]
+        for m in range(1, k + 1):
+            inv.append(-sum(f[j] * inv[m - j] for j in range(1, m + 1)))
+        series = _series_mul(series, inv, k)
+    exps = [Fraction(0)] * (k + 1)
+    for u in term.numerator:
+        a = sum(x * y for x, y in zip(direction, u))
+        for j in range(k + 1):
+            exps[j] += Fraction(a**j, factorial(j))
+    lead = Fraction(term.mult * (-1) ** k)
+    for b in dots:
+        lead /= b
+    return [lead * coeff for coeff in _series_mul(series, exps, k)]
+
+
+def reference_summed_laurent(expr, direction) -> list[Fraction]:
+    """``reference_term_laurent`` summed over the terms, aligned at t^0."""
+    order = max((len(t.denominator) for t in expr.terms), default=0)
+    total = [Fraction(0)] * (order + 1)
+    for t in expr.terms:
+        coeffs = reference_term_laurent(t, direction)
+        for i, coeff in enumerate(coeffs):
+            total[order + 1 - len(coeffs) + i] += coeff
+    return total
 
 
 def random_full_dim_cone(

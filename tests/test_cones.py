@@ -18,7 +18,8 @@ from symcones import (
     solve,
     system,
 )
-from symcones.exactmath import det, mat_vec
+from symcones.cones import unimodular_point
+from symcones.exactmath import det, identity, mat_vec
 from _support import (
     box_points,
     in_discrete_cone,
@@ -179,6 +180,16 @@ def test_eval_combination_basics():
     assert eval_combination(comb, (2, 5)) == 1
 
 
+def test_eval_combination_does_not_canonicalize_its_keys(monkeypatch):
+    comb = solve(system([(2, 3), (1, -1)], [">=", ">="], [5, -3]))
+    assert list(comb.values()) == [comb[c] for c in comb]
+    calls = []
+    monkeypatch.setattr("symcones.cones.canonicalize", lambda c: calls.append(c) or c)
+    for x in box_points(2, 0, 4):
+        eval_combination(comb, x)
+    assert calls == []
+
+
 def test_eval_combination_matches_box_oracle():
     sys_ = system([(2, 3)], [">="], [5])
     comb = solve(sys_)
@@ -279,6 +290,57 @@ def test_enum_fundpar_counting_law_and_tiling():
         # disjointness: each covered point has exactly one base point
         for x in direct:
             assert sum(1 for p in pts if in_discrete_cone(c.generators, p, x)) == 1
+
+
+@st.composite
+def unimodular_cones(draw):
+    """A unimodular V as a product of elementary integer matrices, and an
+    apex q = V @ r with r_j of denominator at most 12, integral on about
+    half the coordinates, so often on an open one."""
+    d = draw(st.integers(1, 6))
+    cols = [list(col) for col in identity(d)]
+    for _ in range(draw(st.integers(0, 3 * d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i == j:
+            cols[i] = [-x for x in cols[i]]
+        else:
+            f = draw(st.integers(-3, 3))
+            cols[i] = [a + f * b for a, b in zip(cols[i], cols[j])]
+    gens = tuple(map(tuple, cols))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)))
+    r = []
+    for bit in bits:
+        den = 1 if draw(st.booleans()) else draw(st.integers(1, 12))
+        r.append(Fraction(draw(st.integers(-30, 30)), den))
+    return cone(gens, mat_vec(gens, r), bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unimodular_cones())
+def test_unimodular_point_is_the_parallelepiped_point(c):
+    p = unimodular_point(c)
+    assert enum_fundpar(c) == [p]
+    assert in_half_open_parallelepiped(c, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular_cones(), st.integers(2, 5), st.data())
+def test_unimodular_point_rejects_larger_index(c, factor, data):
+    j = data.draw(st.integers(0, c.dim - 1))
+    gens = tuple(tuple(factor * x for x in g) if i == j else g
+                 for i, g in enumerate(c.generators))
+    with pytest.raises(ValueError, match="index 1"):
+        unimodular_point(cone(gens, c.apex, c.openness))
+
+
+def test_unimodular_point_examples():
+    assert unimodular_point(cone([(1,)], (0,), (0,))) == (0,)
+    assert unimodular_point(cone([(1,)], (0,), (1,))) == (1,)
+    assert unimodular_point(cone([(-1,)], (Fraction(5, 2),), (0,))) == (2,)
+    with pytest.raises(ValueError, match="full-dimensional"):
+        unimodular_point(cone([(1, 1)], (0, 0)))
+    with pytest.raises(ValueError, match="full-dimensional"):
+        unimodular_point(cone([(1, 0, 0), (0, 1, 0)], (0, 0, Fraction(1, 2))))
 
 
 # --- box scans ---------------------------------------------------------------------

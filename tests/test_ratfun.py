@@ -21,7 +21,12 @@ from symcones import (
 )
 from symcones.exactmath import det
 from symcones.ratfun import InfiniteSetError, RatFunExpr, RatFunTerm, evaluate_count
-from _support import in_discrete_cone, random_full_dim_cone
+from _support import (
+    in_discrete_cone,
+    random_full_dim_cone,
+    random_system,
+    reference_summed_laurent,
+)
 
 
 # --- per-cone terms ----------------------------------------------------------
@@ -218,6 +223,53 @@ def test_evaluate_count_refuses_infinite_sets():
     expr = RatFunExpr((RatFunTerm(1, ((0, 0),), ((1, 0), (0, 1))),))
     with pytest.raises(InfiniteSetError, match="infinite"):
         evaluate_count(expr, (1, 2))
+
+
+def test_grouped_laurent_matches_per_term_reference():
+    # the grouped evaluation must give the summed per-term Laurent vector,
+    # principal part included, on bounded and unbounded Barvinok expressions
+    from symcones.ratfun import _pick_direction, _summed_laurent
+
+    seen = {True: 0, False: 0}
+    shared = 0
+    for s in range(30):
+        rng = random.Random(s)
+        sys_ = random_system(rng, rng.randint(2, 3), rng.randint(2, 3), entry_bound=3)
+        expr = combination_to_ratfun(solve(sys_), "barvinok", rng=random.Random(s))
+        if not expr.terms:
+            continue
+        lam = _pick_direction([v for t in expr.terms for v in t.denominator], expr.dimension)
+        want = reference_summed_laurent(expr, lam)
+        assert _summed_laurent(expr, lam) == want
+        seen[any(want[:-1])] += 1
+        shared += len(expr) - len({tuple(sorted(t.denominator)) for t in expr.terms})
+    assert seen[True] >= 5 and seen[False] >= 5
+    assert shared > 0
+
+
+def test_grouped_laurent_matches_reference_on_fp_expressions():
+    # multi-point numerators, repeated denominator sets and terms with
+    # fewer denominator factors than the ambient dimension
+    from symcones.ratfun import _pick_direction, _summed_laurent
+
+    rng = random.Random(3)
+    multi_point = 0
+    for _ in range(40):
+        d = rng.randint(2, 3)
+        comb = ConeCombination()
+        for _ in range(rng.randint(1, 4)):
+            c = canonicalize(random_full_dim_cone(rng, d, 3, max_det=8, rational_apex=True,
+                                                  random_openness=True))
+            comb.add(c, rng.choice((-2, -1, 1, 3)))
+            # the same generators at another apex: a repeated denominator set
+            comb.add(cone(c.generators, tuple(a + 1 for a in c.apex), c.openness), 1)
+        ray = tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (1,)
+        comb.add(cone([ray], (0,) * d), rng.choice((-1, 1)))
+        expr = combination_to_ratfun(comb)
+        multi_point += any(len(t.numerator) > 1 for t in expr.terms)
+        lam = _pick_direction([v for t in expr.terms for v in t.denominator], d)
+        assert _summed_laurent(expr, lam) == reference_summed_laurent(expr, lam)
+    assert multi_point >= 20
 
 
 def test_pick_direction_is_positive_and_avoids_denominators():
