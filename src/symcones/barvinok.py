@@ -19,7 +19,6 @@ the apex of C.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
@@ -58,35 +57,31 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
     """Return (w, alpha_scaled, d) with w = V @ alpha_scaled / d integral.
 
     alpha_scaled is the sup-norm shortest column of the LLL-reduced basis of
-    d * V^-1 Z^n (ties broken lexicographically); |alpha_scaled_i| is the
-    index of the child that replaces generator i, so max |alpha_scaled_i|
-    must drop below |d| for the recursion to make progress. If the reduced
-    basis misses that bound, small integer recombinations of it are tried
-    before giving up.
+    the lattice L = d * V^-1 Z^n (ties broken lexicographically);
+    |alpha_scaled_i| is the index of the child that replaces generator i, so
+    max |alpha_scaled_i| must drop below |d| for the recursion to make
+    progress. If no reduced column does, alpha_scaled is the sup-shortest
+    centred residue mod |d| (entries in (-|d|/2, |d|/2]) of the reduced
+    columns that are non-zero mod d. The residue lies in L, as L contains
+    d * V^-1 (V Z^n) = dZ^n; such a column exists, as dZ^n has index |d|
+    in L and |d| > 1 here. Every child index is then at most |d|/2.
     """
     adj, d = scaled_inverse(generators)
     reduced = lll_reduce(adj)
     target = abs(d)
 
-    def sup(v: IntVec) -> int:
-        return max(abs(x) for x in v)
+    def key(v: IntVec) -> tuple[int, IntVec]:
+        return max(abs(x) for x in v), v
 
-    candidates = sorted(reduced, key=lambda v: (sup(v), v))
-    best = candidates[0]
-    if sup(best) >= target:
-        # LLL's worst-case factor can miss strict descent on tiny indices;
-        # scan +-2 recombinations of the reduced basis before declaring a bug.
-        n = len(reduced)
-        for coeffs in itertools.product((-2, -1, 0, 1, 2), repeat=n):
-            if all(c == 0 for c in coeffs):
-                continue
-            v = tuple(
-                sum(coeffs[t] * reduced[t][i] for t in range(n)) for i in range(n)
-            )
-            if sup(v) < sup(best) or (sup(v) == sup(best) and v < best):
-                best = v
-        if sup(best) >= target:
-            raise AssertionError("lattice reduction failed to reduce the cone index")
+    best = min(reduced, key=key)
+    if key(best)[0] >= target:
+        # LLL's worst-case factor can miss strict descent on tiny indices
+        half = target // 2
+        best = min(
+            (tuple(half - (half - x) % target for x in v)
+             for v in reduced if any(x % target for x in v)),
+            key=key,
+        )
     w = mat_vec(generators, best)
     if any(x % d for x in w):
         raise AssertionError("exchange vector is not integral")
@@ -94,16 +89,16 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
 
 
 def _decompose_with_direction(
-    c: SymbolicCone, xi: IntVec, index_threshold: int
+    c: SymbolicCone, root_det: int, xi: IntVec, index_threshold: int
 ) -> ConeCombination:
     """Depth-first exchange recursion; every stack entry carries det(gens).
 
     Replacing generator i by w = V @ alpha_scaled / d multiplies the
     determinant by alpha_scaled_i / d, so det(child_i) == alpha_scaled_i.
-    Each child is pushed with that value, and ``det`` runs for the root only.
+    Each child is pushed with that value; ``root_det`` is det(c.generators).
     """
     out = ConeCombination()
-    stack: list[tuple[IntMat, int, int]] = [(c.generators, det(c.generators), 1)]
+    stack: list[tuple[IntMat, int, int]] = [(c.generators, root_det, 1)]
     while stack:
         gens, d, sign = stack.pop()
         if abs(d) <= index_threshold:
@@ -150,7 +145,8 @@ def barvinok_decompose(
     if index_threshold < 1:
         raise ValueError("index_threshold must be at least 1")
     c = canonicalize(c)
-    if index(c) <= index_threshold:
+    root_det = det(c.generators)
+    if abs(root_det) <= index_threshold:
         return ConeCombination({c: 1})
     rng = rng if rng is not None else random.Random(0)
     for _ in range(64):
@@ -159,7 +155,7 @@ def barvinok_decompose(
         )
         xi = mat_vec(c.generators, weights)
         try:
-            return _decompose_with_direction(c, xi, index_threshold)
+            return _decompose_with_direction(c, root_det, xi, index_threshold)
         except _DegenerateDirection:
             continue
     raise AssertionError("could not find a generic reference direction")

@@ -159,43 +159,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact solver for linear Diophantine systems over non-negative integers.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("solve", "emit the signed symbolic-cone combination as JSON"),
-        ("ratfun", "emit a rational-function expression"),
-        ("count", "count solutions (finite sets only)"),
-        ("check", "verify the solver against the direct oracle on a box"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", default="-", help="input file, '-' for stdin")
-        p.add_argument("--method", choices=["fp", "barvinok"], default="fp")
-        p.add_argument("--format", dest="fmt", choices=["json", "plain", "latex"], default="plain")
+    # each subcommand accepts only the flags that ``run`` reads for it
+    solve_p = sub.add_parser("solve", help="emit the signed symbolic-cone combination as JSON")
+    ratfun_p = sub.add_parser("ratfun", help="emit a rational-function expression")
+    ratfun_p.add_argument("--method", choices=["fp", "barvinok"], default="fp")
+    ratfun_p.add_argument("--format", dest="fmt", choices=["json", "plain", "latex"],
+                          default="plain")
+    ratfun_p.add_argument("--index-threshold", type=int, default=1)
+    ratfun_p.add_argument(
+        "--vector-exponents",
+        action="store_true",
+        help="LaTeX output uses z^{(a,b,...)} instead of expanded variables",
+    )
+    count_p = sub.add_parser("count", help="count solutions (finite sets only)")
+    count_p.add_argument("--assert-bounded", action="store_true")
+    check_p = sub.add_parser("check", help="verify the solver against the direct oracle on a box")
+    check_p.add_argument("--box", type=int, default=8)
+    for p in (ratfun_p, count_p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--box", type=int, default=8)
-        p.add_argument("--assert-bounded", action="store_true")
-        p.add_argument("--index-threshold", type=int, default=1)
+    for p in (solve_p, ratfun_p, count_p, check_p):
+        p.add_argument("input", nargs="?", default="-", help="input file, '-' for stdin")
         p.add_argument("--verbose", action="store_true")
-        p.add_argument(
-            "--vector-exponents",
-            action="store_true",
-            help="LaTeX output uses z^{(a,b,...)} instead of expanded variables",
-        )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        method=args.method,
-        fmt=args.fmt,
-        seed=args.seed,
-        box=args.box,
-        assert_bounded=args.assert_bounded,
-        index_threshold=args.index_threshold,
-        verbose=args.verbose,
-        vector_exponents=args.vector_exponents,
-    )
+    # RunConfig's defaults stand in for the flags a subcommand does not take
+    config = RunConfig(**{k: v for k, v in vars(args).items() if k != "input"})
     try:
         if args.input == "-":
             text = sys.stdin.read()

@@ -12,6 +12,11 @@ denominator in lowest terms, so a cone holds nothing but ints. Cones are
 immutable and hashable so that signed combinations can live in a
 dictionary keyed by the canonical form (primitive, lexicographically sorted
 generators), which is unique per point set and openness pattern.
+
+``enum_fundpar`` lists the lattice points of a cone's half-open
+fundamental parallelepiped, the numerator of its generating function. It
+picks its route from the cone itself: a closed form for a full-dimensional
+cone of index |det V| = 1, the Smith normal form for every other cone.
 """
 
 from __future__ import annotations
@@ -342,9 +347,15 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     """All lattice points of the half-open fundamental parallelepiped.
 
     The parallelepiped is q + { V @ lam } with lam_i in [0,1) on closed and
-    (0,1] on open coordinates. Points are produced directly from the Smith
-    normal form V = U S W: with s'_i = s_k/s_i and qt = -W^-1 S' U^-1 (q-p)
-    split into integer and fractional parts, every point is
+    (0,1] on open coordinates. A full-dimensional cone first solves
+    V @ y = d * num, which gives d = det V. At index |d| = 1 the one point
+    is V @ m with m_j = ceil((V^-1 q)_j), plus 1 where (V^-1 q)_j is an
+    integer and generator j is open: then m - V^-1 q lies in [0,1) on
+    closed and (0,1] on open coordinates.
+
+    Every other cone takes its points from the Smith normal form
+    V = U S W: with s'_i = s_k/s_i and qt = -W^-1 S' U^-1 (q-p) split into
+    integer and fractional parts, every point is
 
         ( V ((W^-1 S' x + qt_int) mod' s_k) + V qt_frac + s_k q ) / s_k
 
@@ -358,6 +369,15 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     k, n = c.dim, c.ambient_dim
     v = c.generators
     num, den = c.num, c.den
+    if k == n:
+        # V^-1 q = d * y / den
+        d, y = _bareiss(v, (num,))
+        if d in (1, -1):
+            m = []
+            for value, bit in zip(y[0], c.openness):
+                t = d * value
+                m.append(-(-t // den) + (bit if t % den == 0 else 0))
+            return [mat_vec(v, m)]
     dec = snf(v)
     diag = dec.diagonal()
     if any(s <= 0 for s in diag):
@@ -404,26 +424,6 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
             point.append(total // s_k)
         points.append(tuple(point))
     return points
-
-
-def unimodular_point(c: SymbolicCone) -> IntVec:
-    """The one lattice point of the fundamental parallelepiped of a
-    full-dimensional cone with |det V| = 1, found without a Smith form.
-
-    The point is V @ m with m_j = ceil((V^-1 q)_j), plus 1 where (V^-1 q)_j
-    is an integer and generator j is open: then m - V^-1 q lies in [0,1) on
-    closed and (0,1] on open coordinates. Raises ``ValueError`` unless the
-    cone is full-dimensional and unimodular.
-    """
-    # V @ y = d * num, so V^-1 q = d * y / den
-    d, y = _bareiss(c.generators, (c.num,))
-    if c.dim != c.ambient_dim or d not in (1, -1):
-        raise ValueError("unimodular_point requires a full-dimensional cone of index 1")
-    m = []
-    for value, bit in zip(y[0], c.openness):
-        t = d * value
-        m.append(-(-t // c.den) + (bit if t % c.den == 0 else 0))
-    return mat_vec(c.generators, m)
 
 
 def lattice_points_in_box(

@@ -7,8 +7,9 @@ points u_1..u_N has the generating function
 
 and a signed combination of cones turns into the matching signed sum of
 such terms. Nothing here attempts cross-term normalization; expressions
-are structured sums, rendered as-is. A unimodular Barvinok leaf gets its
-one numerator point from ``unimodular_point``, without a Smith form.
+are structured sums, rendered as-is. Every term's numerator comes from
+``enum_fundpar``, which gives a cone of index 1 its one point in closed
+form, whatever the method or index threshold.
 
 Counting substitutes z_i -> exp(lam_i t) for a positive integer direction
 lam non-orthogonal to every denominator exponent and expands the sum at
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, SymbolicCone, enum_fundpar, unimodular_point
+from .cones import ConeCombination, SymbolicCone, enum_fundpar
 from .exactmath import IntVec, is_forward, vec_dot, vec_sub
 
 FP = "fp"
@@ -124,17 +125,16 @@ def combination_to_ratfun(
     ``barvinok`` first rewrites each cone as a signed sum of cones with
     index at most ``index_threshold`` (unimodular by default), giving one
     short term per output cone, with backward denominator factors flipped
-    forward; at the default threshold each leaf's one numerator point comes
-    from ``unimodular_point``. Zero terms are dropped.
+    forward. Either way the numerator is that of ``cone_to_term_fp``. Zero
+    terms are dropped.
     """
     if method not in (FP, BARVINOK):
         raise ValueError(f"unknown conversion method: {method!r}")
     if method == BARVINOK:
         combination = decompose_combination(combination, index_threshold, rng)
-    unimodular = method == BARVINOK and index_threshold == 1
     terms = []
     for c, mult in combination.sorted_items():
-        nums = (unimodular_point(c),) if unimodular else cone_to_term_fp(c).numerator
+        nums = cone_to_term_fp(c).numerator
         if not nums:
             continue
         dens = c.generators

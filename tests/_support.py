@@ -12,7 +12,7 @@ against.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial, gcd
+from math import ceil, factorial, floor, gcd
 import random
 
 from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone
@@ -304,3 +304,14 @@ def in_half_open_parallelepiped(c: SymbolicCone, x) -> bool:
         if bit == 1 and not 0 < value <= 1:
             return False
     return True
+
+
+def half_open_parallelepiped_points(c: SymbolicCone) -> list[tuple[int, ...]]:
+    """Sorted lattice points of the half-open fundamental parallelepiped of
+    a full-dimensional cone, by scanning its bounding box."""
+    ranges = []
+    for i, a in enumerate(c.apex):
+        lo = a + sum(min(0, g[i]) for g in c.generators)
+        hi = a + sum(max(0, g[i]) for g in c.generators)
+        ranges.append(range(floor(lo), ceil(hi) + 1))
+    return [x for x in product(*ranges) if in_half_open_parallelepiped(c, x)]

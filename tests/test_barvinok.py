@@ -13,6 +13,7 @@ from symcones import (
     eval_combination,
     index,
 )
+from symcones import barvinok
 from symcones.barvinok import _shortest_exchange_vector, decompose_combination
 from symcones.exactmath import det
 from _support import assert_canonical_by_construction, random_full_dim_cone
@@ -101,6 +102,37 @@ def test_exchange_vector_strictly_reduces_index():
             if a != 0:
                 child = tuple(w if j == i else g for j, g in enumerate(c.generators))
                 assert det(child) == a
+
+
+def test_residue_fallback_when_lll_misses_the_bound(monkeypatch):
+    # shifting an entry by a multiple of det(adj) = d^(n-1), a multiple of
+    # d, keeps every column in the lattice but makes none of them short
+    real_lll = barvinok.lll_reduce
+    real_exchange = barvinok._shortest_exchange_vector
+    calls = []
+
+    def long_lll(basis):
+        big = 10**6 * det(basis)
+        return tuple((g[0] + big,) + g[1:] for g in real_lll(basis))
+
+    def checked_exchange(generators):
+        w, alpha_scaled, d = real_exchange(generators)
+        assert 2 * max(abs(a) for a in alpha_scaled) <= abs(d)
+        calls.append(d)
+        return w, alpha_scaled, d
+
+    monkeypatch.setattr(barvinok, "lll_reduce", long_lll)
+    monkeypatch.setattr(barvinok, "_shortest_exchange_vector", checked_exchange)
+    rng = random.Random(31)
+    for _ in range(12):
+        c = canonicalize(random_full_dim_cone(rng, rng.randint(2, 3), 9, max_det=200,
+                                              rational_apex=True, random_openness=True))
+        result = barvinok_decompose(c, rng=random.Random(rng.randint(0, 10**6)))
+        assert all(index(leaf) == 1 for leaf in result)
+        lo = tuple(int(q) - 3 for q in c.apex)
+        hi = tuple(int(q) + 4 for q in c.apex)
+        signed_box_check(c, result, lo, hi)
+    assert len(calls) > 12
 
 
 def test_output_size_within_envelope():

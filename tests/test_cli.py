@@ -8,7 +8,15 @@ import sys
 import pytest
 
 from symcones import ConeCombination, Relation, solve
-from symcones.cli import ParseError, RunConfig, combination_to_json, main, parse_system, run
+from symcones.cli import (
+    ParseError,
+    RunConfig,
+    _build_parser,
+    combination_to_json,
+    main,
+    parse_system,
+    run,
+)
 from _support import random_system, table_system
 
 
@@ -188,6 +196,41 @@ def test_main_missing_file_exits_2(capsys):
     assert main(["solve", "/nonexistent/file.txt"]) == 2
 
 
+def test_main_rejects_a_flag_the_subcommand_ignores(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--method", "barvinok", "-"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+FLAGS = {
+    "--method": ["barvinok"], "--format": ["json"], "--seed": ["5"], "--box": ["3"],
+    "--assert-bounded": [], "--index-threshold": ["2"], "--verbose": [],
+    "--vector-exponents": [],
+}
+ACCEPTED = {
+    "solve": {"--verbose"},
+    "check": {"--box", "--verbose"},
+    "ratfun": {"--method", "--format", "--seed", "--index-threshold", "--vector-exponents",
+               "--verbose"},
+    "count": {"--seed", "--assert-bounded", "--verbose"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(ACCEPTED))
+def test_each_subcommand_takes_only_the_flags_it_reads(subcommand, capsys):
+    parser = _build_parser()
+    for flag, values in FLAGS.items():
+        argv = [subcommand, flag, *values, "-"]
+        if flag in ACCEPTED[subcommand]:
+            parser.parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2
+
+
 def test_main_count_without_flag_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
     assert main(["count", "-"]) == 2
@@ -238,6 +281,13 @@ GOLDEN_SHA256 = [
      "55543a6a178df88183b8fd20e53bbbb435779d6fe368f5d02d0ed5c81a3c044b"),
     (RunConfig("ratfun", method="barvinok", fmt="json"), random_system(random.Random(1), 3, 3),
      "8162633eb603f1d17fc4f96f1ddd6b75076beea1b55e2d20fde4c31c1078c6ba"),
+    # recorded while index-1 cones took their point from a separate closed
+    # form on the Barvinok route and from a Smith form on the fp route
+    (RunConfig("ratfun", method="fp", fmt="json"), table_system((6, 6, 6), (6, 6, 6)),
+     "a0a1becc09138c54207f2f8bf079b1703e77a7c7321df13cf99c6c9f6781118f"),
+    (RunConfig("ratfun", method="barvinok", fmt="json", index_threshold=3),
+     random_system(random.Random(1), 3, 3),
+     "068f0cd6544fc01c5414a03fea0f114a3a3c0160e2390645a709ef73ae6a945e"),
 ]
 
 

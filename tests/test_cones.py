@@ -18,10 +18,10 @@ from symcones import (
     solve,
     system,
 )
-from symcones.cones import unimodular_point
-from symcones.exactmath import det, identity, mat_vec
+from symcones.exactmath import det
 from _support import (
     box_points,
+    half_open_parallelepiped_points,
     in_discrete_cone,
     in_half_open_parallelepiped,
     random_full_dim_cone,
@@ -293,54 +293,50 @@ def test_enum_fundpar_counting_law_and_tiling():
 
 
 @st.composite
-def unimodular_cones(draw):
-    """A unimodular V as a product of elementary integer matrices, and an
-    apex q = V @ r with r_j of denominator at most 12, integral on about
-    half the coordinates, so often on an open one."""
-    d = draw(st.integers(1, 6))
-    cols = [list(col) for col in identity(d)]
-    for _ in range(draw(st.integers(0, 3 * d))):
-        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
-        if i == j:
-            cols[i] = [-x for x in cols[i]]
-        else:
-            f = draw(st.integers(-3, 3))
-            cols[i] = [a + f * b for a, b in zip(cols[i], cols[j])]
+def small_full_dim_cones(draw):
+    """V = U S W with S diagonal (entries 1, 2 or 3, all 1 in about 40% of
+    draws) and U, W products of a few elementary integer matrices; apex
+    q = V @ r with r_j of denominator at most 6, integral on about half the
+    coordinates, so often on a facet of the parallelepiped."""
+    n = draw(st.integers(1, 3))
+    cols = [[draw(st.sampled_from((1, 1, 1, 2, 3))) if i == j else 0 for i in range(n)]
+            for j in range(n)]
+    for _ in range(draw(st.integers(0, n + 1))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        f = draw(st.integers(-2, 2))
+        if draw(st.booleans()):
+            # column operation (W)
+            if i == j:
+                cols[i] = [-x for x in cols[i]]
+            else:
+                cols[i] = [a + f * b for a, b in zip(cols[i], cols[j])]
+        elif i != j:
+            # row operation (U)
+            for col in cols:
+                col[i] += f * col[j]
     gens = tuple(map(tuple, cols))
-    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     r = []
-    for bit in bits:
-        den = 1 if draw(st.booleans()) else draw(st.integers(1, 12))
-        r.append(Fraction(draw(st.integers(-30, 30)), den))
-    return cone(gens, mat_vec(gens, r), bits)
+    for _ in range(n):
+        den = 1 if draw(st.booleans()) else draw(st.integers(1, 6))
+        r.append(Fraction(draw(st.integers(-12, 12)), den))
+    apex = tuple(sum(g[i] * x for g, x in zip(gens, r)) for i in range(n))
+    return cone(gens, apex, bits)
 
 
 @settings(max_examples=300, deadline=None)
-@given(unimodular_cones())
-def test_unimodular_point_is_the_parallelepiped_point(c):
-    p = unimodular_point(c)
-    assert enum_fundpar(c) == [p]
-    assert in_half_open_parallelepiped(c, p)
+@given(small_full_dim_cones())
+def test_enum_fundpar_matches_brute_force_scan(c):
+    assert sorted(enum_fundpar(c)) == half_open_parallelepiped_points(c)
 
 
-@settings(max_examples=100, deadline=None)
-@given(unimodular_cones(), st.integers(2, 5), st.data())
-def test_unimodular_point_rejects_larger_index(c, factor, data):
-    j = data.draw(st.integers(0, c.dim - 1))
-    gens = tuple(tuple(factor * x for x in g) if i == j else g
-                 for i, g in enumerate(c.generators))
-    with pytest.raises(ValueError, match="index 1"):
-        unimodular_point(cone(gens, c.apex, c.openness))
-
-
-def test_unimodular_point_examples():
-    assert unimodular_point(cone([(1,)], (0,), (0,))) == (0,)
-    assert unimodular_point(cone([(1,)], (0,), (1,))) == (1,)
-    assert unimodular_point(cone([(-1,)], (Fraction(5, 2),), (0,))) == (2,)
-    with pytest.raises(ValueError, match="full-dimensional"):
-        unimodular_point(cone([(1, 1)], (0, 0)))
-    with pytest.raises(ValueError, match="full-dimensional"):
-        unimodular_point(cone([(1, 0, 0), (0, 1, 0)], (0, 0, Fraction(1, 2))))
+def test_enum_fundpar_index_one_examples():
+    assert enum_fundpar(cone([(1,)], (0,), (0,))) == [(0,)]
+    assert enum_fundpar(cone([(1,)], (0,), (1,))) == [(1,)]
+    assert enum_fundpar(cone([(-1,)], (Fraction(5, 2),), (0,))) == [(2,)]
+    # lower-dimensional cones of index 1 take the Smith-form route
+    assert enum_fundpar(cone([(1, 1)], (0, 0))) == [(0, 0)]
+    assert enum_fundpar(cone([(1, 0, 0), (0, 1, 0)], (0, 0, Fraction(1, 2)))) == []
 
 
 # --- box scans ---------------------------------------------------------------------
