@@ -14,7 +14,8 @@ reference direction xi: a facet stays closed exactly when its inner normal
 has positive inner product with xi. Choosing xi so that its pattern on the
 input cone's facets reproduces the input openness makes the final signed
 sum equal to [C] pointwise, with every output cone unimodular and sharing
-the apex of C.
+the apex of C. Where xi lies on a facet hyperplane, a lexicographic
+perturbation of xi decides the facet, so one xi serves every input.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ import random
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
 from .exactmath import IntMat, IntVec, _bareiss, det, lll_reduce, mat_vec, prim, scaled_inverse
-
-
-class _DegenerateDirection(Exception):
-    """Raised when xi lies on a facet hyperplane; caller resamples xi."""
 
 
 def index(c: SymbolicCone) -> int:
@@ -43,12 +40,22 @@ def _openness_from_direction(generators: IntMat, xi: IntVec) -> tuple[int, ...]:
     the signs of V^-1 @ xi decide every bit at once. ``generators`` is
     square and non-singular, so V @ y = d * xi has an integer solution y and
     V^-1 @ xi has the signs of d * y.
+
+    Where (V^-1 @ xi)_j = 0, xi lies on the hyperplane of facet j, and the
+    bit is that of the lexicographic perturbation xi + eps e_1 + eps^2 e_2
+    + ... (Koeppe and Verdoolaege 2008): the sign of the first non-zero
+    entry of row j of V^-1. The perturbation is the same for every cone, so
+    it acts as one generic direction for the whole decomposition.
     """
     d, (y,) = _bareiss(generators, (xi,))
+    adj = None
     bits = []
-    for value in y:
+    for j, value in enumerate(y):
         if value == 0:
-            raise _DegenerateDirection
+            # adj = d * V^-1 scales like y = d * V^-1 @ xi
+            if adj is None:
+                adj, _ = scaled_inverse(generators)
+            value = next(col[j] for col in adj if col[j])
         bits.append(0 if value * d > 0 else 1)
     return tuple(bits)
 
@@ -137,8 +144,9 @@ def barvinok_decompose(
     ``index_threshold`` (1 by default, i.e. fully unimodular). The reference
     direction xi is drawn once per call with its sign pattern on the facets
     of C matching C's own openness, so the input cone needs no separate
-    openness correction; xi is resampled whenever it happens to lie on a
-    facet hyperplane met during the recursion.
+    openness correction. A facet hyperplane met during the recursion that
+    contains xi is settled by a lexicographic perturbation of xi (see
+    ``_openness_from_direction``), so one draw always suffices.
     """
     if c.dim != c.ambient_dim:
         raise ValueError("decomposition requires a full-dimensional cone")
@@ -149,16 +157,8 @@ def barvinok_decompose(
     if abs(root_det) <= index_threshold:
         return ConeCombination({c: 1})
     rng = rng if rng is not None else random.Random(0)
-    for _ in range(64):
-        weights = tuple(
-            rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness
-        )
-        xi = mat_vec(c.generators, weights)
-        try:
-            return _decompose_with_direction(c, root_det, xi, index_threshold)
-        except _DegenerateDirection:
-            continue
-    raise AssertionError("could not find a generic reference direction")
+    weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
+    return _decompose_with_direction(c, root_det, mat_vec(c.generators, weights), index_threshold)
 
 
 def decompose_combination(

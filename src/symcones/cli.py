@@ -11,7 +11,10 @@ from the first constraint. Subcommands::
     check   compare the solver against the direct inequality oracle on a box
 
 Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
-refused input, such as ``count`` on an infinite solution set.
+refused input, each with one ``error:`` line on stderr: ``count`` on an
+infinite solution set, an fp parallelepiped over the enumeration cap, a
+negative ``--box``, or ``--seed``/``--index-threshold`` with ``ratfun
+--method fp``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from .cones import ConeCombination, eval_combination
 from .elimination import LDSystem, Relation, elimination_rounds, expand_equalities, macmahon_lift
-from .ratfun import InfiniteSetError, combination_to_ratfun, count_lattice_points, render
+from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
 class ParseError(ValueError):
@@ -114,6 +117,8 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
 
 def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     """Execute one subcommand; returns (status, output, diagnostic lines)."""
+    if config.box < 0:
+        raise ParseError(f"--box must be at least 0, got {config.box}")
     d = sys_.num_variables
     rows, rhs = expand_equalities(sys_)
     diagnostics = []
@@ -165,7 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ratfun_p.add_argument("--method", choices=["fp", "barvinok"], default="fp")
     ratfun_p.add_argument("--format", dest="fmt", choices=["json", "plain", "latex"],
                           default="plain")
-    ratfun_p.add_argument("--index-threshold", type=int, default=1)
+    # absent unless given, so that main can refuse them with --method fp
+    ratfun_p.add_argument("--index-threshold", type=int, default=argparse.SUPPRESS)
+    ratfun_p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ratfun_p.add_argument(
         "--vector-exponents",
         action="store_true",
@@ -175,8 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count_p.add_argument("--assert-bounded", action="store_true")
     check_p = sub.add_parser("check", help="verify the solver against the direct oracle on a box")
     check_p.add_argument("--box", type=int, default=8)
-    for p in (ratfun_p, count_p):
-        p.add_argument("--seed", type=int, default=0)
+    count_p.add_argument("--seed", type=int, default=0)
     for p in (solve_p, ratfun_p, count_p, check_p):
         p.add_argument("input", nargs="?", default="-", help="input file, '-' for stdin")
         p.add_argument("--verbose", action="store_true")
@@ -187,8 +193,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # RunConfig's defaults stand in for the flags a subcommand does not take
+    # and for ratfun's --seed and --index-threshold when they are not given
     config = RunConfig(**{k: v for k, v in vars(args).items() if k != "input"})
     try:
+        if config.subcommand == "ratfun" and config.method == "fp":
+            for name in ("seed", "index_threshold"):
+                if name in vars(args):
+                    flag = "--" + name.replace("_", "-")
+                    raise ParseError(f"{flag} applies only to --method barvinok")
         if args.input == "-":
             text = sys.stdin.read()
         else:
@@ -196,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
                 text = handle.read()
         sys_ = parse_system(text)
         status, output, diagnostics = run(config, sys_)
-    except (ParseError, InfiniteSetError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in diagnostics:

@@ -14,9 +14,11 @@ dictionary keyed by the canonical form (primitive, lexicographically sorted
 generators), which is unique per point set and openness pattern.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
-fundamental parallelepiped, the numerator of its generating function. It
-picks its route from the cone itself: a closed form for a full-dimensional
-cone of index |det V| = 1, the Smith normal form for every other cone.
+fundamental parallelepiped, the numerator of its generating function, with
+one loop over a Smith normal form of the generators. A full-dimensional
+cone of index |det V| = 1 uses the trivial Smith form V = V I I and is the
+one-point case of that loop. Parallelepipeds of more than
+``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .exactmath import (
     Scalar,
     _bareiss,
     has_full_column_rank,
+    identity,
     is_forward,
     mat_vec,
     prim,
@@ -321,107 +324,80 @@ def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:
 
 # --- fundamental parallelepipeds --------------------------------------------
 
-def _momod(value: int, modulus: int, strict: int) -> int:
-    """Componentwise modulus sending 0 to ``modulus`` on open coordinates."""
-    r = value % modulus
-    if r == 0 and strict:
-        return modulus
-    return r
-
-
-def _affine_hull_lattice_point(c: SymbolicCone, dec) -> IntVec | None:
-    """A lattice point in aff(C), or None if the hull misses the lattice.
-
-    With V = U S W the hull is q + U {y : y_i = 0 for i > k}, so a lattice
-    point exists iff the last n-k coordinates of U^-1 q are integers.
-    """
-    n, k, den = c.ambient_dim, c.dim, c.den
-    coords = mat_vec(dec.U_inv, c.num)  # den * U^-1 q
-    if any(coords[i] % den for i in range(k, n)):
-        return None
-    y = [0] * k + [coords[i] // den for i in range(k, n)]
-    return mat_vec(dec.U, y)
+# Largest parallelepiped enum_fundpar lists, at roughly 10 us per point
+# (about 10 s); larger cones are refused before the loop starts.
+MAX_FUNDPAR_POINTS = 10**6
 
 
 def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     """All lattice points of the half-open fundamental parallelepiped.
 
     The parallelepiped is q + { V @ lam } with lam_i in [0,1) on closed and
-    (0,1] on open coordinates. A full-dimensional cone first solves
-    V @ y = d * num, which gives d = det V. At index |d| = 1 the one point
-    is V @ m with m_j = ceil((V^-1 q)_j), plus 1 where (V^-1 q)_j is an
-    integer and generator j is open: then m - V^-1 q lies in [0,1) on
-    closed and (0,1] on open coordinates.
+    (0,1] on open coordinates. Over a Smith normal form V = U S W with
+    diagonal s_1 | ... | s_k, a point x = q + V @ lam is integral iff
+    U^-1 x is, i.e. iff the last n-k entries of U^-1 q are integers and
 
-    Every other cone takes its points from the Smith normal form
-    V = U S W: with s'_i = s_k/s_i and qt = -W^-1 S' U^-1 (q-p) split into
-    integer and fractional parts, every point is
+        lam = W^-1 mu mod' 1,   mu_i = (j_i - (U^-1 q)_i) / s_i,
 
-        ( V ((W^-1 S' x + qt_int) mod' s_k) + V qt_frac + s_k q ) / s_k
+    for an integer vector j, which only matters modulo s_i. So j ranges over
+    the box prod [0, s_i), one point each, and mod' sends 0 to 1 on open
+    coordinates. A full-dimensional cone first solves V @ y = d * num; at
+    index |d| = 1 its Smith form is the trivial V = V I I, and U^-1 q =
+    V^-1 q comes from that solve. Everything is kept in integers over
+    s_k * den; the final division is exact and asserted.
 
-    for x ranging over the box prod [0, s_i), where mod' sends residue 0 to
-    s_k on coordinates that are open and still meet the lattice. The final
-    division is exact; integrality is asserted. Returns [] when the affine
-    hull of the cone contains no lattice point (only possible for k < n).
-    qt and the shift V qt_frac + s_k q are kept as integer numerators over
-    the apex denominator.
+    Returns [] when the affine hull of the cone misses the lattice (only
+    possible for k < n). Raises ``ValueError`` before enumerating when the
+    parallelepiped holds more than ``MAX_FUNDPAR_POINTS`` points.
     """
     k, n = c.dim, c.ambient_dim
     v = c.generators
     num, den = c.num, c.den
+    d = 0
     if k == n:
-        # V^-1 q = d * y / den
         d, y = _bareiss(v, (num,))
-        if d in (1, -1):
-            m = []
-            for value, bit in zip(y[0], c.openness):
-                t = d * value
-                m.append(-(-t // den) + (bit if t % den == 0 else 0))
-            return [mat_vec(v, m)]
-    dec = snf(v)
-    diag = dec.diagonal()
-    if any(s <= 0 for s in diag):
-        raise ValueError("generators not linearly independent")
-    s_k = diag[-1]
-
-    if k < n:
-        p = _affine_hull_lattice_point(c, dec)
-        if p is None:
-            return []
+    if d in (1, -1):
+        # V^-1 num = y / d = d * y
+        diag, w_inv, coords = (1,) * n, identity(n), tuple(d * t for t in y[0])
     else:
-        p = (0,) * n
-
-    q_hat = mat_vec(dec.U_inv, tuple(a - den * b for a, b in zip(num, p)))
-    s_prime = [s_k // s for s in diag]
-    # t_mat = W^-1 * diag(s'), acting on the first k coordinates
-    t_mat = tuple(
-        tuple(dec.W_inv[j][i] * s_prime[j] for i in range(k)) for j in range(k)
-    )
-    q_trans = tuple(-val for val in mat_vec(t_mat, q_hat[:k]))
-    q_int = tuple(val // den for val in q_trans)
-    q_frac = tuple(val % den for val in q_trans)
-    strictness = tuple(
-        c.openness[j] if q_frac[j] == 0 else 0 for j in range(k)
-    )
-    shift = []
-    for i in range(n):
-        val = s_k * num[i] + sum(v[j][i] * q_frac[j] for j in range(k))
-        if val % den:
-            raise AssertionError("parallelepiped shift is not integral")
-        shift.append(val // den)
+        dec = snf(v)
+        diag = dec.diagonal()
+        if any(s <= 0 for s in diag):
+            raise ValueError("generators not linearly independent")
+        w_inv, coords = dec.W_inv, mat_vec(dec.U_inv, num)  # den * U^-1 q
+        if any(coords[i] % den for i in range(k, n)):
+            return []
+    count = math.prod(diag)
+    if count > MAX_FUNDPAR_POINTS:
+        raise ValueError(
+            f"fundamental parallelepiped has {count} lattice points, over the "
+            f"enumeration cap of {MAX_FUNDPAR_POINTS}; use --method barvinok"
+        )
+    s_k = diag[-1]
+    modulus = s_k * den
+    # modulus * lam = W^-1 m with m_i = (den * j_i - coords_i) * s_k / s_i,
+    # i.e. base + sum of j_i * steps_i
+    scale = [s_k // s for s in diag]
+    base = mat_vec(w_inv, [-t * s for t, s in zip(coords, scale)])
+    steps = [tuple(den * s * x for x in col) for col, s in zip(w_inv, scale)]
+    shift = [s_k * a for a in num]
 
     points: list[IntVec] = []
-    for x in itertools.product(*(range(s) for s in diag)):
-        residues = [
-            _momod(sum(t_mat[i][j] * x[i] for i in range(k)) + q_int[j], s_k, strictness[j])
-            for j in range(k)
-        ]
+    for j in itertools.product(*(range(s) for s in diag)):
+        lam = list(base)
+        for j_i, step in zip(j, steps):
+            if j_i:
+                lam = [a + j_i * b for a, b in zip(lam, step)]
+        residues = []
+        for value, bit in zip(lam, c.openness):
+            r = value % modulus
+            residues.append(modulus if r == 0 and bit else r)
         point = []
         for i in range(n):
-            total = sum(v[j][i] * residues[j] for j in range(k)) + shift[i]
-            if total % s_k:
+            total = sum(v[t][i] * residues[t] for t in range(k)) + shift[i]
+            if total % modulus:
                 raise AssertionError("parallelepiped point is not integral")
-            point.append(total // s_k)
+            point.append(total // modulus)
         points.append(tuple(point))
     return points
 

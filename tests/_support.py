@@ -308,7 +308,7 @@ def in_half_open_parallelepiped(c: SymbolicCone, x) -> bool:
 
 def half_open_parallelepiped_points(c: SymbolicCone) -> list[tuple[int, ...]]:
     """Sorted lattice points of the half-open fundamental parallelepiped of
-    a full-dimensional cone, by scanning its bounding box."""
+    a cone (k <= n generators), by scanning its bounding box."""
     ranges = []
     for i, a in enumerate(c.apex):
         lo = a + sum(min(0, g[i]) for g in c.generators)

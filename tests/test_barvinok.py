@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from symcones import (
     contains,
     eval_combination,
     index,
+    solve_rational,
 )
 from symcones import barvinok
 from symcones.barvinok import _shortest_exchange_vector, decompose_combination
@@ -133,6 +135,45 @@ def test_residue_fallback_when_lll_misses_the_bound(monkeypatch):
         hi = tuple(int(q) + 4 for q in c.apex)
         signed_box_check(c, result, lo, hi)
     assert len(calls) > 12
+
+
+def decompose_along_exchange_vector(gens, apex):
+    """Decompose with xi = w, the root's exchange vector. w is a generator of
+    every child, so it lies on the hyperplane of each child facet that
+    contains w. The root's bits are the signs of V^-1 @ w, as
+    barvinok_decompose would draw them."""
+    w, alpha_scaled, d = _shortest_exchange_vector(gens)
+    assert all(alpha_scaled)
+    bits = tuple(0 if a * d > 0 else 1 for a in alpha_scaled)
+    c = canonicalize(cone(gens, apex, bits))
+    result = barvinok._decompose_with_direction(c, det(c.generators), w, 1)
+    assert all(index(leaf) == 1 for leaf in result)
+    assert any(0 in solve_rational(leaf.generators, w) for leaf in result)
+    return c, result
+
+
+@pytest.mark.parametrize("gens, apex", [
+    (((1, 0), (1, 7)), (Fraction(1, 2), Fraction(-1, 3))),
+    (((0, 3, 1), (1, 0, 5), (2, 1, 0)), (0, Fraction(1, 2), 0)),
+])
+def test_direction_on_a_child_facet_is_perturbed(gens, apex):
+    c, result = decompose_along_exchange_vector(gens, apex)
+    signed_box_check(c, result, (-6,) * len(apex), (8,) * len(apex))
+
+
+def test_direction_on_child_facets_of_random_cones():
+    rng = random.Random(3)
+    checked = 0
+    while checked < 12:
+        c = canonicalize(random_full_dim_cone(rng, rng.randint(2, 3), 9, max_det=200,
+                                              rational_apex=True))
+        if abs(det(c.generators)) == 1 or 0 in _shortest_exchange_vector(c.generators)[1]:
+            continue
+        c, result = decompose_along_exchange_vector(c.generators, c.apex)
+        lo = tuple(int(q) - 4 for q in c.apex)
+        hi = tuple(int(q) + 5 for q in c.apex)
+        signed_box_check(c, result, lo, hi)
+        checked += 1
 
 
 def test_output_size_within_envelope():

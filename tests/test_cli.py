@@ -248,6 +248,27 @@ def test_main_refuses_infinite_count(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ratfun", "--method", "barvinok", "--index-threshold", "0"], "index_threshold"),
+    (["check", "--box", "-1"], "--box"),
+    (["ratfun", "--method", "fp", "--seed", "3"], "--seed"),
+    (["ratfun", "--index-threshold", "2"], "--index-threshold"),
+])
+def test_main_refused_input_prints_one_error_line(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
+    assert main([*argv, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_main_ratfun_barvinok_takes_seed_and_threshold(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
+    argv = ["ratfun", "--method", "barvinok", "--seed", "3", "--index-threshold", "2", "-"]
+    assert main(argv) == 0
+
+
 def test_main_verbose_trace_goes_to_stderr(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("2 3 >= 5\n1 -1 >= 0\n"))
     assert main(["solve", "--verbose", "-"]) == 0
@@ -288,6 +309,11 @@ GOLDEN_SHA256 = [
     (RunConfig("ratfun", method="barvinok", fmt="json", index_threshold=3),
      random_system(random.Random(1), 3, 3),
      "068f0cd6544fc01c5414a03fea0f114a3a3c0160e2390645a709ef73ae6a945e"),
+    # recorded while parallelepipeds of index > 1 were enumerated through an
+    # integer/fractional split of the apex: indices up to 324, apex
+    # denominators up to 25, open generators
+    (RunConfig("ratfun", method="fp", fmt="json"), random_system(random.Random(12), 3, 3),
+     "fd17b613ada37f2d78d690eaaa6df381cd6f3c94fdbd7cb2f6c0a3874090b23d"),
 ]
 
 

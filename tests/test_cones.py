@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from symcones import (
     solve,
     system,
 )
+from symcones import cones
 from symcones.exactmath import det
 from _support import (
     box_points,
@@ -293,11 +295,15 @@ def test_enum_fundpar_counting_law_and_tiling():
 
 
 @st.composite
-def small_full_dim_cones(draw):
-    """V = U S W with S diagonal (entries 1, 2 or 3, all 1 in about 40% of
-    draws) and U, W products of a few elementary integer matrices; apex
-    q = V @ r with r_j of denominator at most 6, integral on about half the
-    coordinates, so often on a facet of the parallelepiped."""
+def small_cones(draw):
+    """The first k of the n columns of V = U S W, with S diagonal (entries
+    1, 2 or 3, all 1 in about 40% of draws), U, W products of a few
+    elementary integer matrices and k < n in about a third of the draws
+    with n > 1. Apex q = V @ r + z with r_j of denominator at most 6,
+    integral on about half the coordinates, so often on a facet of the
+    parallelepiped. z is 0 for k = n; for k < n it is integral (the affine
+    hull meets the lattice) or, in about half the draws, has denominators
+    up to 3 (the hull often misses it)."""
     n = draw(st.integers(1, 3))
     cols = [[draw(st.sampled_from((1, 1, 1, 2, 3))) if i == j else 0 for i in range(n)]
             for j in range(n)]
@@ -314,18 +320,24 @@ def small_full_dim_cones(draw):
             # row operation (U)
             for col in cols:
                 col[i] += f * col[j]
-    gens = tuple(map(tuple, cols))
-    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    k = n if n == 1 or draw(st.integers(0, 2)) else draw(st.integers(1, n - 1))
+    gens = tuple(map(tuple, cols[:k]))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
     r = []
-    for _ in range(n):
+    for _ in range(k):
         den = 1 if draw(st.booleans()) else draw(st.integers(1, 6))
         r.append(Fraction(draw(st.integers(-12, 12)), den))
-    apex = tuple(sum(g[i] * x for g, x in zip(gens, r)) for i in range(n))
+    z = [0] * n
+    if k < n:
+        z = [draw(st.integers(-3, 3)) for _ in range(n)]
+        if draw(st.booleans()):
+            z = [Fraction(x, draw(st.integers(1, 3))) for x in z]
+    apex = tuple(z[i] + sum(g[i] * x for g, x in zip(gens, r)) for i in range(n))
     return cone(gens, apex, bits)
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_full_dim_cones())
+@given(small_cones())
 def test_enum_fundpar_matches_brute_force_scan(c):
     assert sorted(enum_fundpar(c)) == half_open_parallelepiped_points(c)
 
@@ -337,6 +349,27 @@ def test_enum_fundpar_index_one_examples():
     # lower-dimensional cones of index 1 take the Smith-form route
     assert enum_fundpar(cone([(1, 1)], (0, 0))) == [(0, 0)]
     assert enum_fundpar(cone([(1, 0, 0), (0, 1, 0)], (0, 0, Fraction(1, 2)))) == []
+
+
+def test_enum_fundpar_refuses_a_huge_parallelepiped_before_enumerating(monkeypatch):
+    def no_enumeration(*ranges):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cones, "itertools", SimpleNamespace(product=no_enumeration))
+    with pytest.raises(ValueError, match="2000000 lattice points.*--method barvinok"):
+        enum_fundpar(cone([(2 * 10**6,)]))
+
+
+@pytest.mark.parametrize("gens", [((2, 1), (1, 4)), ((2, 4, 0),)])
+def test_enum_fundpar_cap_is_on_the_point_count(monkeypatch, gens):
+    # index 7 (k = n) and Smith diagonal (2,) (k < n)
+    c = cone(gens)
+    count = len(enum_fundpar(c))
+    monkeypatch.setattr(cones, "MAX_FUNDPAR_POINTS", count)
+    assert len(enum_fundpar(c)) == count
+    monkeypatch.setattr(cones, "MAX_FUNDPAR_POINTS", count - 1)
+    with pytest.raises(ValueError, match=f"has {count} lattice points"):
+        enum_fundpar(c)
 
 
 # --- box scans ---------------------------------------------------------------------
