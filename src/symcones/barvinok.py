@@ -16,6 +16,10 @@ input cone's facets reproduces the input openness makes the final signed
 sum equal to [C] pointwise, with every output cone unimodular and sharing
 the apex of C. Where xi lies on a facet hyperplane, a lexicographic
 perturbation of xi decides the facet, so one xi serves every input.
+
+Every node reads ``(adj, d) = (det V * V^-1, det V)`` from
+``exactmath.inverse``; a leaf sorts its primitive generators first, so its
+later ``enum_fundpar`` finds the same matrix there.
 """
 
 from __future__ import annotations
@@ -23,41 +27,33 @@ from __future__ import annotations
 import random
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
-from .exactmath import IntMat, IntVec, _bareiss, det, lll_reduce, mat_vec, prim, scaled_inverse
+from .exactmath import IntMat, IntVec, inverse, lll_reduce, mat_vec, prim, vec_dot
 
 
 def index(c: SymbolicCone) -> int:
     """Number of lattice points in the fundamental parallelepiped, |det V|."""
     if c.dim != c.ambient_dim:
         raise ValueError("index requires a full-dimensional cone")
-    return abs(det(c.generators))
+    return abs(inverse(c.generators)[1])
 
 
 def _openness_from_direction(generators: IntMat, xi: IntVec) -> tuple[int, ...]:
     """Closure rule: facet j is closed iff its inner normal sees xi positively.
 
-    The inner normal of facet j is row j of V^-1 (up to positive scale), so
-    the signs of V^-1 @ xi decide every bit at once. ``generators`` is
-    square and non-singular, so V @ y = d * xi has an integer solution y and
-    V^-1 @ xi has the signs of d * y.
+    The inner normal of facet j is row j of V^-1 (up to positive scale).
+    ``generators`` is square and non-singular, and row j of adj = d * V^-1
+    has the signs of d times that normal, so bit j is read off
+    d * (row_j . xi).
 
-    Where (V^-1 @ xi)_j = 0, xi lies on the hyperplane of facet j, and the
-    bit is that of the lexicographic perturbation xi + eps e_1 + eps^2 e_2
-    + ... (Koeppe and Verdoolaege 2008): the sign of the first non-zero
-    entry of row j of V^-1. The perturbation is the same for every cone, so
-    it acts as one generic direction for the whole decomposition.
+    Where row_j . xi = 0, xi lies on the hyperplane of facet j, and the bit
+    is that of the lexicographic perturbation xi + eps e_1 + eps^2 e_2 + ...
+    (Koeppe and Verdoolaege 2008): the sign of d times the first non-zero
+    entry of row j. The perturbation is the same for every cone, so it acts
+    as one generic direction for the whole decomposition.
     """
-    d, (y,) = _bareiss(generators, (xi,))
-    adj = None
-    bits = []
-    for j, value in enumerate(y):
-        if value == 0:
-            # adj = d * V^-1 scales like y = d * V^-1 @ xi
-            if adj is None:
-                adj, _ = scaled_inverse(generators)
-            value = next(col[j] for col in adj if col[j])
-        bits.append(0 if value * d > 0 else 1)
-    return tuple(bits)
+    adj, d = inverse(generators)
+    values = (vec_dot(row, xi) or next(a for a in row if a) for row in zip(*adj))
+    return tuple(0 if value * d > 0 else 1 for value in values)
 
 
 def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
@@ -73,7 +69,7 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
     d * V^-1 (V Z^n) = dZ^n; such a column exists, as dZ^n has index |d|
     in L and |d| > 1 here. Every child index is then at most |d|/2.
     """
-    adj, d = scaled_inverse(generators)
+    adj, d = inverse(generators)
     reduced = lll_reduce(adj)
     target = abs(d)
 
@@ -110,9 +106,11 @@ def _decompose_with_direction(
         gens, d, sign = stack.pop()
         if abs(d) <= index_threshold:
             # d != 0 (every child has index |alpha_i| > 0), so the columns
-            # are independent and the leaf needs no validation
+            # are independent and the leaf needs no validation; bits
+            # travel with their columns, so sorting first changes none
+            gens = tuple(sorted(prim(g) for g in gens))
             bits = _openness_from_direction(gens, xi)
-            _, leaf = _canonical_cone(tuple(prim(g) for g in gens), c.num, c.den, bits)
+            _, leaf = _canonical_cone(gens, c.num, c.den, bits)
             out.add(leaf, sign)
             continue
         w, alpha_scaled, d = _shortest_exchange_vector(gens)
@@ -153,7 +151,7 @@ def barvinok_decompose(
     if index_threshold < 1:
         raise ValueError("index_threshold must be at least 1")
     c = canonicalize(c)
-    root_det = det(c.generators)
+    root_det = inverse(c.generators)[1]
     if abs(root_det) <= index_threshold:
         return ConeCombination({c: 1})
     rng = rng if rng is not None else random.Random(0)

@@ -13,8 +13,8 @@ from the first constraint. Subcommands::
 Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
 refused input, each with one ``error:`` line on stderr: ``count`` on an
 infinite solution set, an fp parallelepiped over the enumeration cap, a
-negative ``--box``, or ``--seed``/``--index-threshold`` with ``ratfun
---method fp``.
+negative ``--box``, ``--seed``/``--index-threshold`` with ``ratfun
+--method fp``, or ``--vector-exponents`` without ``--format latex``.
 """
 
 from __future__ import annotations
@@ -182,7 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     count_p.add_argument("--assert-bounded", action="store_true")
     check_p = sub.add_parser("check", help="verify the solver against the direct oracle on a box")
     check_p.add_argument("--box", type=int, default=8)
-    count_p.add_argument("--seed", type=int, default=0)
     for p in (solve_p, ratfun_p, count_p, check_p):
         p.add_argument("input", nargs="?", default="-", help="input file, '-' for stdin")
         p.add_argument("--verbose", action="store_true")
@@ -201,6 +200,8 @@ def main(argv: list[str] | None = None) -> int:
                 if name in vars(args):
                     flag = "--" + name.replace("_", "-")
                     raise ParseError(f"{flag} applies only to --method barvinok")
+        if config.vector_exponents and config.fmt != "latex":
+            raise ParseError("--vector-exponents applies only to --format latex")
         if args.input == "-":
             text = sys.stdin.read()
         else:

@@ -18,7 +18,8 @@ fundamental parallelepiped, the numerator of its generating function, with
 one loop over a Smith normal form of the generators. A full-dimensional
 cone of index |det V| = 1 uses the trivial Smith form V = V I I and is the
 one-point case of that loop. Parallelepipeds of more than
-``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
+``MAX_FUNDPAR_POINTS`` points are refused before enumeration. Both
+functions read V^-1 from ``exactmath.inverse``, as Barvinok does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, ItemsView, Iterator, Mapping, Sequence, ValuesView
 
 from .exactmath import (
@@ -36,13 +36,12 @@ from .exactmath import (
     IntVec,
     RatVec,
     Scalar,
-    _bareiss,
     has_full_column_rank,
     identity,
+    inverse,
     is_forward,
     mat_vec,
     prim,
-    scaled_inverse,
     snf,
     solve_rational,
 )
@@ -204,20 +203,16 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
 
 # --- membership ------------------------------------------------------------
 
-# (adj, d) with adj = d * V^-1, d = det V, kept for repeated membership tests
-_membership_data = lru_cache(maxsize=8192)(scaled_inverse)
-
-
 def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     """Exact membership of a rational point in the half-open cone."""
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
-    if c.dim == c.ambient_dim and all(isinstance(v, int) for v in x):
+    if c.dim == c.ambient_dim:
         rows = c._membership
         if rows is None:
             # lam_j = (adj @ (den*x - num))_j / (den * d) with den > 0, so
             # row . x - offset below is lam_j times den * |d| > 0
-            adj, d = _membership_data(c.generators)
+            adj, d = inverse(c.generators)
             sgn = 1 if d > 0 else -1
             rows = c.__dict__["_membership"] = tuple(
                 (tuple(sgn * c.den * a for a in row),
@@ -230,8 +225,7 @@ def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
                 return False
         return True
     # den * lam, which has the signs of lam
-    num, den = c.num, c.den
-    lam = solve_rational(c.generators, tuple(den * a - b for a, b in zip(x, num)))
+    lam = solve_rational(c.generators, tuple(c.den * a - b for a, b in zip(x, c.num)))
     if lam is None:
         return False
     for value, bit in zip(lam, c.openness):
@@ -341,9 +335,9 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
 
     for an integer vector j, which only matters modulo s_i. So j ranges over
     the box prod [0, s_i), one point each, and mod' sends 0 to 1 on open
-    coordinates. A full-dimensional cone first solves V @ y = d * num; at
-    index |d| = 1 its Smith form is the trivial V = V I I, and U^-1 q =
-    V^-1 q comes from that solve. Everything is kept in integers over
+    coordinates. A full-dimensional cone first reads adj = d * V^-1 from
+    ``inverse``; at index |d| = 1 its Smith form is the trivial V = V I I,
+    and U^-1 q = V^-1 q = d * adj @ q. Everything is kept in integers over
     s_k * den; the final division is exact and asserted.
 
     Returns [] when the affine hull of the cone misses the lattice (only
@@ -353,12 +347,10 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     k, n = c.dim, c.ambient_dim
     v = c.generators
     num, den = c.num, c.den
-    d = 0
-    if k == n:
-        d, y = _bareiss(v, (num,))
+    adj, d = inverse(v) if k == n else (None, 0)
     if d in (1, -1):
-        # V^-1 num = y / d = d * y
-        diag, w_inv, coords = (1,) * n, identity(n), tuple(d * t for t in y[0])
+        # V^-1 num = adj @ num / d = d * adj @ num
+        diag, w_inv, coords = (1,) * n, identity(n), tuple(d * t for t in mat_vec(adj, num))
     else:
         dec = snf(v)
         diag = dec.diagonal()

@@ -214,7 +214,7 @@ ACCEPTED = {
     "check": {"--box", "--verbose"},
     "ratfun": {"--method", "--format", "--seed", "--index-threshold", "--vector-exponents",
                "--verbose"},
-    "count": {"--seed", "--assert-bounded", "--verbose"},
+    "count": {"--assert-bounded", "--verbose"},
 }
 
 
@@ -253,6 +253,8 @@ def test_main_refuses_infinite_count(monkeypatch, capsys):
     (["check", "--box", "-1"], "--box"),
     (["ratfun", "--method", "fp", "--seed", "3"], "--seed"),
     (["ratfun", "--index-threshold", "2"], "--index-threshold"),
+    (["ratfun", "--vector-exponents"], "--vector-exponents"),
+    (["ratfun", "--format", "json", "--vector-exponents"], "--vector-exponents"),
 ])
 def test_main_refused_input_prints_one_error_line(monkeypatch, capsys, argv, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))

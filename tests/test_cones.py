@@ -173,6 +173,12 @@ def test_contains_rational_points_and_affine_hull():
     c = cone([(1, 1)], (Fraction(1, 2), Fraction(1, 2)))
     assert contains(c, (Fraction(3, 2), Fraction(3, 2)))
     assert not contains(c, (1, 0))  # off the affine hull
+    # x = a (1, 0) + b (1, 3), with b > 0 required
+    full = cone([(1, 0), (1, 3)], openness=(0, 1))
+    assert contains(full, (Fraction(1, 2), Fraction(1, 2)))  # a = 1/3, b = 1/6
+    assert contains(full, (Fraction(1, 3), 1))  # a = 0 on the closed facet
+    assert not contains(full, (Fraction(1, 2), 0))  # b = 0 on the open facet
+    assert not contains(full, (Fraction(-1, 2), 0))
 
 
 def test_eval_combination_basics():

@@ -181,23 +181,51 @@ def test_count_direction_independent():
         assert first == oracle
 
 
-def test_count_agrees_between_fp_and_unimodular_routes():
-    # the constant Laurent coefficient is route-independent: evaluating the
-    # raw parallelepiped expression must match the unimodular-term count
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_count_agrees_between_fp_and_unimodular_routes(data):
+    # the constant Laurent coefficient is route-independent: the unimodular
+    # count under two seeds, the raw parallelepiped expression and a
+    # Barvinok expression at index threshold 3 all match a box scan
     from symcones.ratfun import _pick_direction
 
-    rng = random.Random(77)
-    for trial in range(10):
-        d = rng.randint(1, 2)
-        w = tuple(rng.randint(1, 5) for _ in range(d))
-        target = rng.randint(0, 20)
-        comb = solve(system([w], ["="], [target]))
-        via_unimodular = count_lattice_points(comb, assert_bounded=True,
-                                              rng=random.Random(trial))
-        fp_expr = combination_to_ratfun(comb)
-        dens = [v for t in fp_expr.terms for v in t.denominator]
-        lam = _pick_direction(dens, d)
-        assert evaluate_count(fp_expr, lam) == via_unimodular
+    d = data.draw(st.integers(1, 3))
+    cap = data.draw(st.integers(0, 6))
+    entry = st.integers(-4, 4)
+    extra = data.draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=3))
+    sys_ = system(
+        [(-1,) * d, *extra],
+        [">=", *(data.draw(st.sampled_from([">=", "="])) for _ in extra)],
+        [-cap, *(data.draw(entry) for _ in extra)],
+    )
+    want = sum(1 for x in itertools.product(range(cap + 1), repeat=d) if sys_.satisfies(x))
+    comb = solve(sys_)
+    for seed in (0, 1):
+        assert count_lattice_points(comb, assert_bounded=True, rng=random.Random(seed)) == want
+    for expr in (combination_to_ratfun(comb),
+                 combination_to_ratfun(comb, "barvinok", index_threshold=3)):
+        assert ratfun_from_json(render(expr, "json")) == expr
+        dens = [v for t in expr.terms for v in t.denominator]
+        assert evaluate_count(expr, _pick_direction(dens, d)) == want
+
+
+def test_count_eliminates_each_generator_matrix_once(monkeypatch):
+    # every V^-1 question about a cone reads exactmath.inverse, so a count
+    # runs at most one Bareiss elimination per distinct matrix
+    from symcones import exactmath
+
+    seen = []
+    bareiss = exactmath._bareiss
+
+    def counting(m, rhs=()):
+        seen.append(m)
+        return bareiss(m, rhs)
+
+    monkeypatch.setattr(exactmath, "_bareiss", counting)
+    exactmath.inverse.cache_clear()
+    comb = solve(system([(1, 2, 3, 4, 5)], ["="], [15]))
+    assert count_lattice_points(comb, assert_bounded=True) == 84
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_evaluate_count_rejects_orthogonal_direction():
