@@ -11,11 +11,13 @@ valid away from finitely many hyperplanes, provided some alpha_i is
 positive (otherwise -w is used). It is turned into an identity of actual
 indicator functions by half-opening every cone with respect to one generic
 reference direction xi: a facet stays closed exactly when its inner normal
-has positive inner product with xi. Choosing xi so that its pattern on the
-input cone's facets reproduces the input openness makes the final signed
-sum equal to [C] pointwise, with every output cone unimodular and sharing
-the apex of C. Where xi lies on a facet hyperplane, a lexicographic
-perturbation of xi decides the facet, so one xi serves every input.
+has positive inner product with xi. Taking xi = V·(±1), +1 on the closed
+and -1 on the open generators of C, reproduces the input openness on C's
+own facets, so the final signed sum equals [C] pointwise, with every output
+cone unimodular and sharing the apex of C. Where xi lies on a facet
+hyperplane, a lexicographic perturbation of xi decides the facet, so this
+one xi serves every input. The decomposition is thus a function of the
+cone alone.
 
 Every node reads ``(adj, d) = (det V * V^-1, det V)`` from
 ``exactmath.inverse``; a leaf sorts its primitive generators first, so its
@@ -23,8 +25,6 @@ later ``enum_fundpar`` finds the same matrix there.
 """
 
 from __future__ import annotations
-
-import random
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
 from .exactmath import IntMat, IntVec, inverse, lll_reduce, mat_vec, prim, vec_dot
@@ -134,17 +134,18 @@ def _decompose_with_direction(
 def barvinok_decompose(
     c: SymbolicCone,
     index_threshold: int = 1,
-    rng: random.Random | None = None,
+    _unused: object = None,  # bench/tracing.py still passes a third argument
 ) -> ConeCombination:
     """Write [C] as an exact signed sum of low-index half-open cones.
 
     Every output cone keeps the apex of C and has |det| at most
     ``index_threshold`` (1 by default, i.e. fully unimodular). The reference
-    direction xi is drawn once per call with its sign pattern on the facets
-    of C matching C's own openness, so the input cone needs no separate
-    openness correction. A facet hyperplane met during the recursion that
-    contains xi is settled by a lexicographic perturbation of xi (see
-    ``_openness_from_direction``), so one draw always suffices.
+    direction is xi = V·(±1), +1 on closed and -1 on open generators: row j
+    of V^-1 sends it to the j-th weight, so its sign pattern on the facets
+    of C is C's own openness and the input cone needs no separate openness
+    correction. A facet hyperplane met during the recursion that contains xi
+    is settled by a lexicographic perturbation of xi (see
+    ``_openness_from_direction``).
     """
     if c.dim != c.ambient_dim:
         raise ValueError("decomposition requires a full-dimensional cone")
@@ -154,20 +155,16 @@ def barvinok_decompose(
     root_det = inverse(c.generators)[1]
     if abs(root_det) <= index_threshold:
         return ConeCombination({c: 1})
-    rng = rng if rng is not None else random.Random(0)
-    weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
+    weights = tuple(1 if bit == 0 else -1 for bit in c.openness)
     return _decompose_with_direction(c, root_det, mat_vec(c.generators, weights), index_threshold)
 
 
 def decompose_combination(
-    combination: ConeCombination,
-    index_threshold: int = 1,
-    rng: random.Random | None = None,
+    combination: ConeCombination, index_threshold: int = 1
 ) -> ConeCombination:
     """Decompose every cone of a combination and collect the results."""
-    rng = rng if rng is not None else random.Random(0)
     out = ConeCombination()
     for c, mult in combination.items():
-        for leaf, sign in barvinok_decompose(c, index_threshold, rng).items():
+        for leaf, sign in barvinok_decompose(c, index_threshold).items():
             out.add(leaf, mult * sign)
     return out

@@ -7,14 +7,17 @@ from the first constraint. Subcommands::
 
     solve   emit the signed cone combination as JSON
     ratfun  emit a rational-function expression (plain, latex or json)
-    count   emit the number of solutions (requires --assert-bounded)
+    count   emit the number of solutions of a finite set
     check   compare the solver against the direct inequality oracle on a box
+
+No choice is random: ``ratfun --method barvinok`` half-opens each cone along
+its own xi = V·(±1), so the same input always gives the same bytes.
 
 Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
 refused input, each with one ``error:`` line on stderr: ``count`` on an
 infinite solution set, an fp parallelepiped over the enumeration cap, a
-negative ``--box``, ``--seed``/``--index-threshold`` with ``ratfun
---method fp``, or ``--vector-exponents`` without ``--format latex``.
+negative ``--box``, ``--index-threshold`` with ``ratfun --method fp``, or
+``--vector-exponents`` without ``--format latex``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import argparse
 import itertools
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 
@@ -41,9 +43,9 @@ class RunConfig:
     subcommand: str
     method: str = "fp"
     fmt: str = "plain"
-    seed: int = 0
+    seed: int = 0  # unused; kept because bench/tracing.py reads config.seed
     box: int = 8
-    assert_bounded: bool = False
+    assert_bounded: bool = False  # unused; kept because bench/run.py sets it
     index_threshold: int = 1
     verbose: bool = False
     vector_exponents: bool = False
@@ -135,23 +137,16 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
                 f"iteration {i}: {len(combination)} cones "
                 f"(bound {math.comb(d + i, d)}), max generator entry {bits} bits"
             )
-    rng = random.Random(config.seed)
     if config.subcommand == "solve":
         return 0, combination_to_json(combination, sys_.num_variables), diagnostics
     if config.subcommand == "ratfun":
         expr = combination_to_ratfun(
-            combination,
-            config.method,
-            index_threshold=config.index_threshold,
-            rng=rng,
+            combination, config.method, index_threshold=config.index_threshold
         )
         text = render(expr, config.fmt, vector_exponents=config.vector_exponents)
         return 0, text, diagnostics
     if config.subcommand == "count":
-        if not config.assert_bounded:
-            raise ParseError("count requires --assert-bounded")
-        value = count_lattice_points(combination, assert_bounded=True, rng=rng)
-        return 0, str(value), diagnostics
+        return 0, str(count_lattice_points(combination)), diagnostics
     if config.subcommand == "check":
         status, message = _run_check(config, sys_, combination)
         return status, message, diagnostics
@@ -170,16 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ratfun_p.add_argument("--method", choices=["fp", "barvinok"], default="fp")
     ratfun_p.add_argument("--format", dest="fmt", choices=["json", "plain", "latex"],
                           default="plain")
-    # absent unless given, so that main can refuse them with --method fp
+    # absent unless given, so that main can refuse it with --method fp
     ratfun_p.add_argument("--index-threshold", type=int, default=argparse.SUPPRESS)
-    ratfun_p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ratfun_p.add_argument(
         "--vector-exponents",
         action="store_true",
         help="LaTeX output uses z^{(a,b,...)} instead of expanded variables",
     )
     count_p = sub.add_parser("count", help="count solutions (finite sets only)")
-    count_p.add_argument("--assert-bounded", action="store_true")
     check_p = sub.add_parser("check", help="verify the solver against the direct oracle on a box")
     check_p.add_argument("--box", type=int, default=8)
     for p in (solve_p, ratfun_p, count_p, check_p):
@@ -192,14 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # RunConfig's defaults stand in for the flags a subcommand does not take
-    # and for ratfun's --seed and --index-threshold when they are not given
+    # and for ratfun's --index-threshold when it is not given
     config = RunConfig(**{k: v for k, v in vars(args).items() if k != "input"})
     try:
-        if config.subcommand == "ratfun" and config.method == "fp":
-            for name in ("seed", "index_threshold"):
-                if name in vars(args):
-                    flag = "--" + name.replace("_", "-")
-                    raise ParseError(f"{flag} applies only to --method barvinok")
+        if config.method == "fp" and "index_threshold" in vars(args):
+            raise ParseError("--index-threshold applies only to --method barvinok")
         if config.vector_exponents and config.fmt != "latex":
             raise ParseError("--vector-exponents applies only to --format latex")
         if args.input == "-":

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -116,22 +115,21 @@ def combination_to_ratfun(
     method: str = FP,
     *,
     index_threshold: int = 1,
-    rng: random.Random | None = None,
 ) -> RatFunExpr:
     """Turn a signed cone combination into a rational-function expression.
 
     ``fp`` enumerates each fundamental parallelepiped directly; the number
     of numerator monomials per term is then the index of the cone.
     ``barvinok`` first rewrites each cone as a signed sum of cones with
-    index at most ``index_threshold`` (unimodular by default), giving one
-    short term per output cone, with backward denominator factors flipped
-    forward. Either way the numerator is that of ``cone_to_term_fp``. Zero
-    terms are dropped.
+    index at most ``index_threshold`` (unimodular by default), half-opened
+    along that cone's xi = V·(±1), giving one short term per output cone,
+    with backward denominator factors flipped forward. Either way the
+    numerator is that of ``cone_to_term_fp``. Zero terms are dropped.
     """
     if method not in (FP, BARVINOK):
         raise ValueError(f"unknown conversion method: {method!r}")
     if method == BARVINOK:
-        combination = decompose_combination(combination, index_threshold, rng)
+        combination = decompose_combination(combination, index_threshold)
     terms = []
     for c, mult in combination.sorted_items():
         nums = cone_to_term_fp(c).numerator
@@ -232,25 +230,16 @@ def _pick_direction(dens: Iterable[IntVec], dimension: int) -> IntVec:
     return tuple(s**i for i in range(dimension))
 
 
-def count_lattice_points(
-    combination: ConeCombination,
-    *,
-    assert_bounded: bool,
-    rng: random.Random | None = None,
-) -> int:
+def count_lattice_points(combination: ConeCombination) -> int:
     """Number of lattice points of the set represented by the combination.
 
-    The caller must pass ``assert_bounded=True``; an infinite set raises
-    ``InfiniteSetError``. Each cone is first decomposed into unimodular
-    terms so every Laurent expansion has pole order exactly the ambient
-    dimension.
+    An infinite set raises ``InfiniteSetError``. Each cone is first
+    decomposed into unimodular terms so every Laurent expansion has pole
+    order exactly the ambient dimension.
     """
-    if not assert_bounded:
-        raise ValueError("count requires the caller to assert boundedness")
     if len(combination) == 0:
         return 0
-    rng = rng if rng is not None else random.Random(0)
-    expr = combination_to_ratfun(combination, BARVINOK, rng=rng)
+    expr = combination_to_ratfun(combination, BARVINOK)
     if not expr.terms:
         return 0
     dens = [v for t in expr.terms for v in t.denominator]

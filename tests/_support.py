@@ -6,7 +6,9 @@ semigroup membership by Cramer's rule over those determinants, rank by
 ``Fraction`` Gaussian elimination, LLL by the classical rational
 Gram-Schmidt algorithm, and Laurent expansions by per-term ``Fraction``
 series. These are the second route that the package's formulas are checked
-against.
+against. The exception is ``decompose_along_random_direction(s)``: input
+generators, not oracles, that run the package's own Barvinok recursion
+under other reference directions.
 """
 
 from fractions import Fraction
@@ -15,8 +17,9 @@ from itertools import combinations, product
 from math import ceil, factorial, floor, gcd
 import random
 
-from symcones import LDSystem, Relation, SymbolicCone, canonicalize, cone
-from symcones.exactmath import IntMat, det
+from symcones import ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone
+from symcones.barvinok import _decompose_with_direction
+from symcones.exactmath import IntMat, det, mat_vec
 
 
 def cols_from_rows(rows) -> IntMat:
@@ -222,6 +225,29 @@ def random_full_dim_cone(
         apex = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
     bits = tuple(rng.randint(0, 1) if random_openness else 0 for _ in range(dim))
     return cone(gens, apex, bits)
+
+
+def decompose_along_random_direction(c: SymbolicCone, rng: random.Random) -> ConeCombination:
+    """The Barvinok recursion under a random reference direction xi = V @ w,
+    w positive on closed and negative on open generators. Every such xi has
+    c's openness as its sign pattern on c's facets, the one property
+    ``barvinok_decompose``'s own xi = V @ (+-1) is chosen for, so the signed
+    sum must be [c] whichever w is drawn."""
+    c = canonicalize(c)
+    weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
+    xi = mat_vec(c.generators, weights)
+    return _decompose_with_direction(c, det(c.generators), xi, 1)
+
+
+def decompose_along_random_directions(
+    combination: ConeCombination, rng: random.Random
+) -> ConeCombination:
+    """``decompose_combination`` with a random direction drawn per cone."""
+    out = ConeCombination()
+    for c, mult in combination.items():
+        for leaf, sign in decompose_along_random_direction(c, rng).items():
+            out.add(leaf, mult * sign)
+    return out
 
 
 def random_system(rng: random.Random, dim: int, num_rows: int, entry_bound: int = 5) -> LDSystem:

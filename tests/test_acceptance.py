@@ -29,7 +29,13 @@ from symcones import (
 from symcones.cli import RunConfig, parse_system, run
 from symcones.elimination import elimination_rounds, expand_equalities
 from symcones.exactmath import det, identity, is_forward, mat_mul, prim, scaled_inverse
-from _support import box_points, random_full_dim_cone, random_system
+from _support import (
+    box_points,
+    decompose_along_random_direction,
+    decompose_along_random_directions,
+    random_full_dim_cone,
+    random_system,
+)
 
 SEED = 20250810
 
@@ -57,7 +63,7 @@ def test_criterion_01_lawrence_varchenko_exactness():
 
 def test_criterion_02_intro_fixtures():
     comb = solve(system([(1, 1)], ["="], [100]))
-    assert count_lattice_points(comb, assert_bounded=True) == 101
+    assert count_lattice_points(comb) == 101
     status, output, _ = run(RunConfig("check", box=6), parse_system("2 3 -5 >= 4"))
     assert (status, output) == (0, "PASS")
     print("PASS criterion 2: intro fixtures (count 101; box oracle on [0,6]^3)")
@@ -156,16 +162,18 @@ def test_criterion_07_unimodular_decomposition():
             random_full_dim_cone(rng, d, 30, max_det=20000,
                                  rational_apex=True, random_openness=True)
         )
-        dec = barvinok_decompose(c, rng=random.Random(trial))
-        for leaf, mult in dec.items():
-            assert abs(det(leaf.generators)) == 1
-            assert leaf.apex == c.apex
-            assert mult != 0
-        lo = tuple(math.floor(q) - 2 for q in c.apex)
-        hi = tuple(math.floor(q) + 3 for q in c.apex)
-        for x in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-            want = 1 if contains(c, x) else 0
-            assert eval_combination(dec, x) == want, (c, x)
+        # the cone's own direction, then a random one of its sign pattern
+        for dec in (barvinok_decompose(c),
+                    decompose_along_random_direction(c, random.Random(trial))):
+            for leaf, mult in dec.items():
+                assert abs(det(leaf.generators)) == 1
+                assert leaf.apex == c.apex
+                assert mult != 0
+            lo = tuple(math.floor(q) - 2 for q in c.apex)
+            hi = tuple(math.floor(q) + 3 for q in c.apex)
+            for x in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+                want = 1 if contains(c, x) else 0
+                assert eval_combination(dec, x) == want, (c, x)
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"criterion 7 took {elapsed:.1f}s, budget is 30s"
     print(f"PASS criterion 7: 50 unimodular decompositions exact ({elapsed:.1f}s)")
@@ -213,8 +221,12 @@ def test_criterion_09_counting_cross_validation():
         sys_ = system(rows, relations, rhs)
         oracle = sum(1 for x in box_points(d, 0, cap) if sys_.satisfies(x))
         comb = solve(sys_)
-        first = count_lattice_points(comb, assert_bounded=True, rng=random.Random(2 * trial))
-        second = count_lattice_points(comb, assert_bounded=True, rng=random.Random(2 * trial + 1))
+        first = count_lattice_points(comb)
+        # the leaves of random directions are unimodular, so the count
+        # decomposes them no further
+        second = count_lattice_points(
+            decompose_along_random_directions(comb, random.Random(trial))
+        )
         assert first == second == oracle, (sys_, first, second, oracle)
     print("PASS criterion 9: counts match brute force, direction-independent")
 

@@ -13,12 +13,18 @@ from symcones import (
     contains,
     eval_combination,
     index,
+    solve,
     solve_rational,
 )
 from symcones import barvinok
 from symcones.barvinok import _shortest_exchange_vector, decompose_combination
 from symcones.exactmath import det
-from _support import assert_canonical_by_construction, random_full_dim_cone
+from _support import (
+    assert_canonical_by_construction,
+    decompose_along_random_direction,
+    random_full_dim_cone,
+    random_system,
+)
 
 
 def signed_box_check(original, decomposition, lo, hi):
@@ -64,20 +70,21 @@ def test_decomposition_of_index_three_cone():
 
 
 def test_random_exactness_and_unimodularity():
+    # under the cone's own direction and under a random one of its sign pattern
     rng = random.Random(4242)
     for _ in range(20):
         d = rng.randint(2, 3)
         c = random_full_dim_cone(rng, d, 30, max_det=600,
                                  rational_apex=True, random_openness=True)
         c = canonicalize(c)
-        result = barvinok_decompose(c, rng=random.Random(rng.randint(0, 10**6)))
-        for leaf, mult in result.items():
-            assert index(leaf) == 1
-            assert leaf.apex == c.apex
-            assert_canonical_by_construction(leaf)
-        lo = tuple(int(q) - 3 for q in c.apex)
-        hi = tuple(int(q) + 4 for q in c.apex)
-        signed_box_check(c, result, lo, hi)
+        for result in (barvinok_decompose(c), decompose_along_random_direction(c, rng)):
+            for leaf, mult in result.items():
+                assert index(leaf) == 1
+                assert leaf.apex == c.apex
+                assert_canonical_by_construction(leaf)
+            lo = tuple(int(q) - 3 for q in c.apex)
+            hi = tuple(int(q) + 4 for q in c.apex)
+            signed_box_check(c, result, lo, hi)
 
 
 def test_index_threshold_stops_early():
@@ -129,11 +136,11 @@ def test_residue_fallback_when_lll_misses_the_bound(monkeypatch):
     for _ in range(12):
         c = canonicalize(random_full_dim_cone(rng, rng.randint(2, 3), 9, max_det=200,
                                               rational_apex=True, random_openness=True))
-        result = barvinok_decompose(c, rng=random.Random(rng.randint(0, 10**6)))
-        assert all(index(leaf) == 1 for leaf in result)
-        lo = tuple(int(q) - 3 for q in c.apex)
-        hi = tuple(int(q) + 4 for q in c.apex)
-        signed_box_check(c, result, lo, hi)
+        for result in (barvinok_decompose(c), decompose_along_random_direction(c, rng)):
+            assert all(index(leaf) == 1 for leaf in result)
+            lo = tuple(int(q) - 3 for q in c.apex)
+            hi = tuple(int(q) + 4 for q in c.apex)
+            signed_box_check(c, result, lo, hi)
     assert len(calls) > 12
 
 
@@ -200,8 +207,33 @@ def test_rejects_lower_dimensional_input():
         barvinok_decompose(cone([(1, 0, 0), (0, 1, 0)]))
 
 
-def test_deterministic_given_seed():
-    c = canonicalize(cone([(2, 1), (5, 13)]))
-    a = barvinok_decompose(c, rng=random.Random(5))
-    b = barvinok_decompose(c, rng=random.Random(5))
-    assert a == b
+
+
+def test_leaves_of_a_small_cone_are_pinned():
+    # xi = (2, 1) + (5, 13) = (7, 14) lies on the inner ray (1, 2), so the
+    # perturbation settles that ray. By hand: the four unimodular fans
+    # between consecutive rays (2,1), (1,1), (1,2), (2,5), (5,13) tile the
+    # cone, and each inner ray stays in exactly one of its two fans.
+    result = barvinok_decompose(cone([(2, 1), (5, 13)]))
+    expected = ConeCombination()
+    expected.add(cone([(1, 1), (2, 1)], openness=(0, 1)), 1)
+    expected.add(cone([(1, 1), (1, 2)]), 1)
+    expected.add(cone([(1, 2), (2, 5)], openness=(0, 1)), 1)
+    expected.add(cone([(2, 5), (5, 13)], openness=(0, 1)), 1)
+    assert result == expected
+    signed_box_check(canonicalize(cone([(2, 1), (5, 13)])), result, (-1, -1), (12, 12))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 12, 13, 15])
+def test_decomposition_is_local_to_each_cone(seed):
+    # a cone's leaves depend on the cone alone: not on the other cones of
+    # the combination, nor on the order in which they are visited
+    comb = solve(random_system(random.Random(seed), 3, 3))
+    assert sum(index(c) > 1 for c in comb) >= 2
+    result = decompose_combination(comb)
+    assert result == decompose_combination(ConeCombination(dict(reversed(comb.items()))))
+    per_cone = ConeCombination()
+    for c, mult in comb.items():
+        for leaf, sign in barvinok_decompose(c).items():
+            per_cone.add(leaf, mult * sign)
+    assert result == per_cone

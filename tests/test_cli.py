@@ -99,23 +99,18 @@ def test_run_is_deterministic():
     outputs = set()
     for _ in range(3):
         for sub in ("solve", "check"):
-            _, out, _ = run(RunConfig(sub, seed=7, box=4), sys_)
+            _, out, _ = run(RunConfig(sub, box=4), sys_)
             outputs.add((sub, out))
     assert len(outputs) == 2
-    _, rf1, _ = run(RunConfig("ratfun", method="barvinok", fmt="json", seed=3), sys_)
-    _, rf2, _ = run(RunConfig("ratfun", method="barvinok", fmt="json", seed=3), sys_)
+    _, rf1, _ = run(RunConfig("ratfun", method="barvinok", fmt="json"), sys_)
+    _, rf2, _ = run(RunConfig("ratfun", method="barvinok", fmt="json"), sys_)
     assert rf1 == rf2
 
 
 def test_run_count():
     sys_ = parse_system("1 1 = 100")
-    status, output, _ = run(RunConfig("count", assert_bounded=True), sys_)
+    status, output, _ = run(RunConfig("count"), sys_)
     assert (status, output) == (0, "101")
-
-
-def test_run_count_requires_flag():
-    with pytest.raises(ParseError, match="assert-bounded"):
-        run(RunConfig("count"), parse_system("1 1 = 4"))
 
 
 def test_run_check_pass():
@@ -174,7 +169,7 @@ def test_run_solve_infeasible_keeps_dimension():
 
 def test_main_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 100\n"))
-    status = main(["count", "--assert-bounded", "-"])
+    status = main(["count", "-"])
     assert status == 0
     assert capsys.readouterr().out.strip() == "101"
 
@@ -212,9 +207,8 @@ FLAGS = {
 ACCEPTED = {
     "solve": {"--verbose"},
     "check": {"--box", "--verbose"},
-    "ratfun": {"--method", "--format", "--seed", "--index-threshold", "--vector-exponents",
-               "--verbose"},
-    "count": {"--assert-bounded", "--verbose"},
+    "ratfun": {"--method", "--format", "--index-threshold", "--vector-exponents", "--verbose"},
+    "count": {"--verbose"},
 }
 
 
@@ -231,16 +225,17 @@ def test_each_subcommand_takes_only_the_flags_it_reads(subcommand, capsys):
             assert exc.value.code == 2
 
 
-def test_main_count_without_flag_exits_2(monkeypatch, capsys):
+def test_main_count_without_flag_prints_the_count(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
-    assert main(["count", "-"]) == 2
+    assert main(["count", "-"]) == 0
+    assert capsys.readouterr().out == "5\n"
 
 
 def test_main_refuses_infinite_count(monkeypatch, capsys):
     # x1 is unbounded; this used to print 14
     text = "0 -1 -1 >= -4\n0 -4 1 >= -1\n4 -4 -2 >= -2\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    assert main(["count", "--assert-bounded", "-"]) == 2
+    assert main(["count", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "infinite" in captured.err
@@ -251,7 +246,7 @@ def test_main_refuses_infinite_count(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["ratfun", "--method", "barvinok", "--index-threshold", "0"], "index_threshold"),
     (["check", "--box", "-1"], "--box"),
-    (["ratfun", "--method", "fp", "--seed", "3"], "--seed"),
+    (["ratfun", "--method", "fp", "--index-threshold", "3"], "--index-threshold"),
     (["ratfun", "--index-threshold", "2"], "--index-threshold"),
     (["ratfun", "--vector-exponents"], "--vector-exponents"),
     (["ratfun", "--format", "json", "--vector-exponents"], "--vector-exponents"),
@@ -265,9 +260,9 @@ def test_main_refused_input_prints_one_error_line(monkeypatch, capsys, argv, mes
     assert captured.err.count("\n") == 1
 
 
-def test_main_ratfun_barvinok_takes_seed_and_threshold(monkeypatch, capsys):
+def test_main_ratfun_barvinok_takes_index_threshold(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
-    argv = ["ratfun", "--method", "barvinok", "--seed", "3", "--index-threshold", "2", "-"]
+    argv = ["ratfun", "--method", "barvinok", "--index-threshold", "2", "-"]
     assert main(argv) == 0
 
 
@@ -283,7 +278,7 @@ def test_console_invocation_round_trip(tmp_path):
     path = tmp_path / "sys.txt"
     path.write_text("1 1 = 100\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "symcones", "count", "--assert-bounded", str(path)],
+        [sys.executable, "-m", "symcones", "count", str(path)],
         capture_output=True,
         text=True,
         check=False,
@@ -302,15 +297,17 @@ GOLDEN_SHA256 = [
     # apex denominators up to 25
     (RunConfig("solve"), random_system(random.Random(12), 3, 3),
      "55543a6a178df88183b8fd20e53bbbb435779d6fe368f5d02d0ed5c81a3c044b"),
+    # recorded when xi became V @ (+-1)
     (RunConfig("ratfun", method="barvinok", fmt="json"), random_system(random.Random(1), 3, 3),
-     "8162633eb603f1d17fc4f96f1ddd6b75076beea1b55e2d20fde4c31c1078c6ba"),
+     "695b4c2840543ef3ea3feb6c8921bd024b278a326d6f95d809d6f9758e500fac"),
     # recorded while index-1 cones took their point from a separate closed
     # form on the Barvinok route and from a Smith form on the fp route
     (RunConfig("ratfun", method="fp", fmt="json"), table_system((6, 6, 6), (6, 6, 6)),
      "a0a1becc09138c54207f2f8bf079b1703e77a7c7321df13cf99c6c9f6781118f"),
+    # recorded when xi became V @ (+-1)
     (RunConfig("ratfun", method="barvinok", fmt="json", index_threshold=3),
      random_system(random.Random(1), 3, 3),
-     "068f0cd6544fc01c5414a03fea0f114a3a3c0160e2390645a709ef73ae6a945e"),
+     "5446a484cd2ae2ec55cd24558a04ee6f586fc81f68c51089e314c3ef5da2c394"),
     # recorded while parallelepipeds of index > 1 were enumerated through an
     # integer/fractional split of the apex: indices up to 324, apex
     # denominators up to 25, open generators

@@ -22,6 +22,7 @@ from symcones import (
 from symcones.exactmath import det
 from symcones.ratfun import InfiniteSetError, RatFunExpr, RatFunTerm, evaluate_count
 from _support import (
+    decompose_along_random_directions,
     in_discrete_cone,
     random_full_dim_cone,
     random_system,
@@ -119,7 +120,7 @@ def test_barvinok_expression_denominators_forward_and_single_monomial():
     from symcones.exactmath import is_forward
 
     comb = solve(system([(2, 3)], [">="], [5]))
-    expr = combination_to_ratfun(comb, "barvinok", rng=random.Random(1))
+    expr = combination_to_ratfun(comb, "barvinok")
     for t in expr.terms:
         assert len(t.numerator) == 1
         assert all(is_forward(v) for v in t.denominator)
@@ -134,12 +135,12 @@ def test_unknown_method_rejected():
 
 def test_count_equality_line():
     comb = solve(system([(1, 1)], ["="], [100]))
-    assert count_lattice_points(comb, assert_bounded=True) == 101
+    assert count_lattice_points(comb) == 101
 
 
 def test_count_single_point():
     comb = solve(system([(-1,)], [">="], [0]))
-    assert count_lattice_points(comb, assert_bounded=True) == 1
+    assert count_lattice_points(comb) == 1
 
 
 def test_count_partitions_of_ten():
@@ -150,18 +151,12 @@ def test_count_partitions_of_ten():
         if x[0] + 2 * x[1] + 3 * x[2] == 10
     )
     assert oracle == 14
-    assert count_lattice_points(comb, assert_bounded=True) == 14
+    assert count_lattice_points(comb) == 14
 
 
 def test_count_empty_set():
     comb = solve(system([(1,), (-1,)], [">=", ">="], [1, 0]))
-    assert count_lattice_points(comb, assert_bounded=True) == 0
-
-
-def test_count_requires_boundedness_assertion():
-    comb = solve(system([(1, 1)], ["="], [4]))
-    with pytest.raises(ValueError, match="assert boundedness"):
-        count_lattice_points(comb, assert_bounded=False)
+    assert count_lattice_points(comb) == 0
 
 
 def test_count_direction_independent():
@@ -170,9 +165,10 @@ def test_count_direction_independent():
         target = rng.randint(3, 25)
         weights = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
         comb = solve(system([weights], ["="], [target]))
-        first = count_lattice_points(comb, assert_bounded=True, rng=random.Random(101))
-        second = count_lattice_points(comb, assert_bounded=True, rng=random.Random(999))
-        assert first == second
+        first = count_lattice_points(comb)
+        for seed in (101, 999):
+            leaves = decompose_along_random_directions(comb, random.Random(seed))
+            assert count_lattice_points(leaves) == first
         oracle = sum(
             1
             for x in itertools.product(range(target + 1), repeat=len(weights))
@@ -185,8 +181,9 @@ def test_count_direction_independent():
 @given(st.data())
 def test_count_agrees_between_fp_and_unimodular_routes(data):
     # the constant Laurent coefficient is route-independent: the unimodular
-    # count under two seeds, the raw parallelepiped expression and a
-    # Barvinok expression at index threshold 3 all match a box scan
+    # count under the cones' own and two random directions, the raw
+    # parallelepiped expression and a Barvinok expression at index
+    # threshold 3 all match a box scan
     from symcones.ratfun import _pick_direction
 
     d = data.draw(st.integers(1, 3))
@@ -200,8 +197,10 @@ def test_count_agrees_between_fp_and_unimodular_routes(data):
     )
     want = sum(1 for x in itertools.product(range(cap + 1), repeat=d) if sys_.satisfies(x))
     comb = solve(sys_)
+    assert count_lattice_points(comb) == want
     for seed in (0, 1):
-        assert count_lattice_points(comb, assert_bounded=True, rng=random.Random(seed)) == want
+        leaves = decompose_along_random_directions(comb, random.Random(seed))
+        assert count_lattice_points(leaves) == want
     for expr in (combination_to_ratfun(comb),
                  combination_to_ratfun(comb, "barvinok", index_threshold=3)):
         assert ratfun_from_json(render(expr, "json")) == expr
@@ -224,7 +223,7 @@ def test_count_eliminates_each_generator_matrix_once(monkeypatch):
     monkeypatch.setattr(exactmath, "_bareiss", counting)
     exactmath.inverse.cache_clear()
     comb = solve(system([(1, 2, 3, 4, 5)], ["="], [15]))
-    assert count_lattice_points(comb, assert_bounded=True) == 84
+    assert count_lattice_points(comb) == 84
     assert seen and len(seen) == len(set(seen))
 
 
@@ -263,7 +262,8 @@ def test_grouped_laurent_matches_per_term_reference():
     for s in range(30):
         rng = random.Random(s)
         sys_ = random_system(rng, rng.randint(2, 3), rng.randint(2, 3), entry_bound=3)
-        expr = combination_to_ratfun(solve(sys_), "barvinok", rng=random.Random(s))
+        leaves = decompose_along_random_directions(solve(sys_), random.Random(s))
+        expr = combination_to_ratfun(leaves, "barvinok")
         if not expr.terms:
             continue
         lam = _pick_direction([v for t in expr.terms for v in t.denominator], expr.dimension)
@@ -319,7 +319,7 @@ def test_count_refuses_unbounded_systems():
     # x1 is unbounded here; this system used to count as 14
     found = system([(0, -1, -1), (0, -4, 1), (4, -4, -2)], [">="] * 3, [-4, -1, -2])
     with pytest.raises(ValueError, match="infinite"):
-        count_lattice_points(solve(found), assert_bounded=True)
+        count_lattice_points(solve(found))
     # random d = 2 systems against a box scan: with entries in [-3, 3] and
     # right-hand sides in [-4, 4] every vertex lies in [0, 24]^2, so a
     # solution outside [0, 30]^2 means a recession direction, and a bounded
@@ -339,9 +339,9 @@ def test_count_refuses_unbounded_systems():
         comb = solve(sys_)
         if unbounded:
             with pytest.raises(ValueError, match="infinite"):
-                count_lattice_points(comb, assert_bounded=True)
+                count_lattice_points(comb)
         else:
-            assert count_lattice_points(comb, assert_bounded=True) == inside
+            assert count_lattice_points(comb) == inside
     assert seen[True] >= 10 and seen[False] >= 10
 
 
