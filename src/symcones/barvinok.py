@@ -19,14 +19,18 @@ hyperplane, a lexicographic perturbation of xi decides the facet, so this
 one xi serves every input. The decomposition is thus a function of the
 cone alone.
 
-Every node reads ``(adj, d) = (det V * V^-1, det V)`` from
-``exactmath.inverse``; a leaf sorts its primitive generators first, so its
-later ``enum_fundpar`` finds the same matrix there.
+The recursion yields ``(sign, leaf)`` pairs, which ``decompose_combination``
+collects once for a whole combination. Every node reads ``(adj, d) =
+(det V * V^-1, det V)`` from ``exactmath.inverse``; a leaf sorts its
+primitive generators first, so its later ``enum_fundpar`` finds the same
+matrix there.
 """
 
 from __future__ import annotations
 
-from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
+from typing import Iterator
+
+from .cones import ConeCombination, SymbolicCone, _canonical_cone
 from .exactmath import IntMat, IntVec, inverse, lll_reduce, mat_vec, prim, vec_dot
 
 
@@ -93,14 +97,13 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
 
 def _decompose_with_direction(
     c: SymbolicCone, root_det: int, xi: IntVec, index_threshold: int
-) -> ConeCombination:
-    """Depth-first exchange recursion; every stack entry carries det(gens).
+) -> Iterator[tuple[int, SymbolicCone]]:
+    """Depth-first exchange recursion yielding (sign, leaf) pairs.
 
-    Replacing generator i by w = V @ alpha_scaled / d multiplies the
-    determinant by alpha_scaled_i / d, so det(child_i) == alpha_scaled_i.
-    Each child is pushed with that value; ``root_det`` is det(c.generators).
+    Every stack entry carries det(gens): replacing generator i by w = V @
+    alpha_scaled / d multiplies the determinant by alpha_scaled_i / d, so
+    det(child_i) == alpha_scaled_i. ``root_det`` is det(c.generators).
     """
-    out = ConeCombination()
     stack: list[tuple[IntMat, int, int]] = [(c.generators, root_det, 1)]
     while stack:
         gens, d, sign = stack.pop()
@@ -110,8 +113,7 @@ def _decompose_with_direction(
             # travel with their columns, so sorting first changes none
             gens = tuple(sorted(prim(g) for g in gens))
             bits = _openness_from_direction(gens, xi)
-            _, leaf = _canonical_cone(gens, c.num, c.den, bits)
-            out.add(leaf, sign)
+            yield sign, _canonical_cone(gens, c.num, c.den, bits)[1]
             continue
         w, alpha_scaled, d = _shortest_exchange_vector(gens)
         sign_d = 1 if d > 0 else -1
@@ -128,7 +130,6 @@ def _decompose_with_direction(
             child = tuple(w if j == i else gens[j] for j in range(len(gens)))
             child_sign = 1 if a * sign_d > 0 else -1
             stack.append((child, a, sign * child_sign))
-    return out
 
 
 def barvinok_decompose(
@@ -138,33 +139,34 @@ def barvinok_decompose(
 ) -> ConeCombination:
     """Write [C] as an exact signed sum of low-index half-open cones.
 
-    Every output cone keeps the apex of C and has |det| at most
-    ``index_threshold`` (1 by default, i.e. fully unimodular). The reference
-    direction is xi = V·(±1), +1 on closed and -1 on open generators: row j
-    of V^-1 sends it to the j-th weight, so its sign pattern on the facets
-    of C is C's own openness and the input cone needs no separate openness
-    correction. A facet hyperplane met during the recursion that contains xi
-    is settled by a lexicographic perturbation of xi (see
-    ``_openness_from_direction``).
+    ``decompose_combination`` of the combination [C]; a cone of index at
+    most ``index_threshold`` comes back as itself.
     """
-    if c.dim != c.ambient_dim:
-        raise ValueError("decomposition requires a full-dimensional cone")
-    if index_threshold < 1:
-        raise ValueError("index_threshold must be at least 1")
-    c = canonicalize(c)
-    root_det = inverse(c.generators)[1]
-    if abs(root_det) <= index_threshold:
-        return ConeCombination({c: 1})
-    weights = tuple(1 if bit == 0 else -1 for bit in c.openness)
-    return _decompose_with_direction(c, root_det, mat_vec(c.generators, weights), index_threshold)
+    return decompose_combination(ConeCombination({c: 1}), index_threshold)
 
 
 def decompose_combination(
     combination: ConeCombination, index_threshold: int = 1
 ) -> ConeCombination:
-    """Decompose every cone of a combination and collect the results."""
+    """Decompose every cone of a combination and collect all leaves once.
+
+    Every leaf keeps the apex of its cone C and has |det| at most
+    ``index_threshold`` (1 by default: unimodular). It is half-opened along
+    xi = V·(±1), +1 on closed and -1 on open generators of C: row j of V^-1
+    sends xi to the j-th weight, so xi reproduces C's openness on C's own
+    facets, and a cone at or below the threshold is its own leaf. A facet
+    hyperplane containing xi is settled as in ``_openness_from_direction``.
+    Raises ``ValueError`` before any work on a threshold below 1 or a cone
+    that is not full-dimensional.
+    """
+    if index_threshold < 1:
+        raise ValueError("index_threshold must be at least 1")
+    if any(c.dim != c.ambient_dim for c in combination):
+        raise ValueError("decomposition requires a full-dimensional cone")
     out = ConeCombination()
     for c, mult in combination.items():
-        for leaf, sign in barvinok_decompose(c, index_threshold).items():
+        xi = mat_vec(c.generators, [1 if bit == 0 else -1 for bit in c.openness])
+        root_det = inverse(c.generators)[1]
+        for sign, leaf in _decompose_with_direction(c, root_det, xi, index_threshold):
             out.add(leaf, mult * sign)
     return out

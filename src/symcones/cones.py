@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, ItemsView, Iterator, Mapping, Sequence, ValuesView
+from typing import Iterable, ItemsView, Iterator, Mapping, Sequence, ValuesView
 
 from .exactmath import (
     IntMat,
@@ -297,14 +297,6 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     @property
     def ambient_dim(self) -> int | None:
         return next(iter(self._entries)).ambient_dim if self._entries else None
-
-    def map_cones(self, f: Callable[[SymbolicCone], "ConeCombination"]) -> "ConeCombination":
-        """Apply f to every cone, distribute multiplicities, collect terms."""
-        out = ConeCombination()
-        for c, mult in self._entries.items():
-            for c2, m2 in f(c).items():
-                out.add(c2, mult * m2)
-        return out
 
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
         den = math.lcm(*(c.den for c in self._entries))

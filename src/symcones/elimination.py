@@ -9,9 +9,10 @@ symbolic cones, so the set of solutions comes out as an exact signed sum
 of half-open simplicial cones in R^d - no triangulation, no rational
 function arithmetic along the way.
 
-``elimination_rounds`` is the only loop over the rounds. ``eliminate`` and
-``solve`` return its last combination, and the CLI walks the same rounds
-to print one ``--verbose`` line per round.
+``elimination_rounds`` is the only loop over the rounds: it checks its
+input once, then collects the signed cones ``_eliminate`` emits once per
+round. ``eliminate`` and ``solve`` return its last combination, and the
+CLI walks the same rounds to print one ``--verbose`` line per round.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .cones import (
     _canonical_cone,
     canonicalize,
 )
-from .exactmath import IntVec, has_full_column_rank, prim
+from .exactmath import IntVec, has_full_column_rank, is_forward, prim
 
 
 class Relation(enum.Enum):
@@ -113,13 +114,14 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
 def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     """Intersect with {x_n >= 0}, drop x_n, return the exact signed sum.
 
-    Requires a forward cone on which forgetting the last coordinate is
-    injective on the affine hull (true all along the lifted pipeline). The
-    result is a Lawrence-Varchenko style decomposition: one vertex cone per
-    generator crossing the hyperplane, each flipped forward with its sign
-    recorded as multiplicity, plus the cone itself when its apex already
-    lies on or above the hyperplane. Empty when the cone lies strictly
-    below. The identity holds exactly, not merely modulo lines.
+    Refuses with ``ValueError`` a cone that is not forward or on which
+    forgetting the last coordinate is not injective on the affine hull
+    (both hold all along the lifted pipeline). The result is a
+    Lawrence-Varchenko style decomposition: one vertex cone per generator
+    crossing the hyperplane, each flipped forward with its sign recorded as
+    multiplicity, plus the cone itself when its apex already lies on or
+    above the hyperplane. Empty when the cone lies strictly below. The
+    identity holds exactly, not merely modulo lines.
 
     Output cones are built in canonical form directly, skipping the
     independence check of ``canonicalize``: one integer rank test of the
@@ -132,15 +134,20 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     they are an invertible transform of V, so they are independent and lie
     in span(V), where dropping x_n keeps them independent.
     """
+    if not all(map(is_forward, c.generators)):
+        raise ValueError("elimination needs forward generators")
     if c.num[-1] >= 0 or any(g[-1] > 0 for g in c.generators):
         _assert_independent(tuple(prim(g[:-1]) for g in c.generators))
-    return _eliminate(c)
+    out = ConeCombination()
+    for sign, c2 in _eliminate(c):
+        out.add(c2, sign)
+    return out
 
 
-def _eliminate(c: SymbolicCone) -> ConeCombination:
-    """``eliminate_last_coordinate`` without its rank test. The vertex apex
-    q - (q_n / last[j]) v_j is (num_i last[j] - num_n v_j[i]) / (den last[j])
-    without x_n, brought to lowest terms by one gcd."""
+def _eliminate(c: SymbolicCone) -> Iterator[tuple[int, SymbolicCone]]:
+    """The ``(sign, cone)`` pairs of ``eliminate_last_coordinate``, unchecked.
+    The vertex apex q - (q_n / last[j]) v_j is (num_i last[j] - num_n v_j[i])
+    / (den last[j]) without x_n, brought to lowest terms by one gcd."""
     k = c.dim
     v = c.generators
     num, den = c.num, c.den
@@ -149,12 +156,9 @@ def _eliminate(c: SymbolicCone) -> ConeCombination:
     last = tuple(g[-1] for g in v)
     sg = 1 if q_n >= 0 else -1
 
-    crossing = [j for j in range(k) if last[j] * sg < 0]
-    out = ConeCombination()
-    if not crossing and q_n < 0:
-        return out
-
-    for j in crossing:
+    for j in range(k):
+        if last[j] * sg >= 0:
+            continue
         vj, lj = v[j], last[j]
         apex = [num[i] * lj - q_n * vj[i] for i in range(m)]
         # divide by the gcd, taking the sign of den * last[j] along
@@ -167,18 +171,15 @@ def _eliminate(c: SymbolicCone) -> ConeCombination:
                 col = tuple(sg * (last[i] * vj[r] - lj * v[i][r]) for r in range(m))
             cols.append(prim(col))
         bits = tuple(0 if i == j else c.openness[i] for i in range(k))
-        sign, vertex = _canonical_cone(
+        yield _canonical_cone(
             tuple(cols), tuple(a // f for a in apex), den * lj // f, bits, forward=True
         )
-        out.add(vertex, sign)
     if q_n >= 0:
         f = math.gcd(den, *num[:-1])
         proj = tuple(prim(g[:-1]) for g in v)
-        sign, projected = _canonical_cone(
+        yield _canonical_cone(
             proj, tuple(a // f for a in num[:-1]), den // f, c.openness, forward=True
         )
-        out.add(projected, sign)
-    return out
 
 
 def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
@@ -186,30 +187,34 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
 
     This is the one elimination loop: ``eliminate`` and ``solve`` keep its
     last combination, and the CLI's ``--verbose`` lines describe each one.
-    Multiplicities are collected by canonical cone after every round;
-    cancellation between rounds is what keeps intermediate combinations
-    small, so this is not an optional optimization.
+    The signed cones ``_eliminate`` emits are collected by canonical cone
+    once per round; cancellation between rounds is what keeps intermediate
+    combinations small, so this is not an optional optimization.
 
-    One rank test covers the whole run. Every cone of round r has k
-    generators in the projection of span(V0), V0 being the input
-    generators, that drops the last r coordinates (see
-    ``eliminate_last_coordinate``). If the first n - rounds rows of V0 have
-    full column rank, the last projection is injective on span(V0), hence
-    so is every earlier one, and by induction every round's V' is
-    independent: the rounds can skip the check. For ``macmahon_lift`` those
-    rows are the identity. If the test fails, every round runs the checked
-    step, so a dependent projection raises exactly where it did before.
+    The input is checked once, before the first round, and refused with
+    ``ValueError`` unless its generators are forward and pass one rank
+    test. Every cone of round r has k forward generators in the projection
+    of span(V0), V0 being the input generators, that drops the last r
+    coordinates (see ``eliminate_last_coordinate``). If the first
+    n - rounds rows of V0 have full column rank, the last projection is
+    injective on span(V0), hence so is every earlier one, and by induction
+    every round's V' is independent: the rounds need no check of their
+    own. For ``macmahon_lift`` those rows are the identity.
     """
+    if not all(map(is_forward, c.generators)):
+        raise ValueError("elimination needs forward generators")
     keep = c.ambient_dim - rounds
-    if rounds and keep >= c.dim and has_full_column_rank(tuple(g[:keep] for g in c.generators)):
-        # V0 is independent, which covers canonicalize's own check
-        c = _canonical_cone(tuple(map(prim, c.generators)), c.num, c.den, c.openness)[1]
-        step = _eliminate
-    else:
-        c, step = canonicalize(c), eliminate_last_coordinate
+    if keep < c.dim or not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
+        raise ValueError(f"generators not linearly independent on the first {keep} rows")
+    # V0 is independent, which covers canonicalize's own check
+    c = _canonical_cone(tuple(map(prim, c.generators)), c.num, c.den, c.openness)[1]
     current = ConeCombination({c: 1})
     for _ in range(rounds):
-        current = current.map_cones(step)
+        collected = ConeCombination()
+        for parent, mult in current.items():
+            for sign, c2 in _eliminate(parent):
+                collected.add(c2, mult * sign)
+        current = collected
         yield current
 
 

@@ -236,7 +236,15 @@ def decompose_along_random_direction(c: SymbolicCone, rng: random.Random) -> Con
     c = canonicalize(c)
     weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
     xi = mat_vec(c.generators, weights)
-    return _decompose_with_direction(c, det(c.generators), xi, 1)
+    return collect(_decompose_with_direction(c, det(c.generators), xi, 1))
+
+
+def collect(pairs) -> ConeCombination:
+    """The combination of the ``(sign, cone)`` pairs a recursion yields."""
+    out = ConeCombination()
+    for sign, c in pairs:
+        out.add(c, sign)
+    return out
 
 
 def decompose_along_random_directions(

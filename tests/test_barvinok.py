@@ -21,6 +21,7 @@ from symcones.barvinok import _shortest_exchange_vector, decompose_combination
 from symcones.exactmath import det
 from _support import (
     assert_canonical_by_construction,
+    collect,
     decompose_along_random_direction,
     random_full_dim_cone,
     random_system,
@@ -153,7 +154,7 @@ def decompose_along_exchange_vector(gens, apex):
     assert all(alpha_scaled)
     bits = tuple(0 if a * d > 0 else 1 for a in alpha_scaled)
     c = canonicalize(cone(gens, apex, bits))
-    result = barvinok._decompose_with_direction(c, det(c.generators), w, 1)
+    result = collect(barvinok._decompose_with_direction(c, det(c.generators), w, 1))
     assert all(index(leaf) == 1 for leaf in result)
     assert any(0 in solve_rational(leaf.generators, w) for leaf in result)
     return c, result
@@ -205,6 +206,13 @@ def test_decompose_combination_collects():
 def test_rejects_lower_dimensional_input():
     with pytest.raises(ValueError, match="full-dimensional"):
         barvinok_decompose(cone([(1, 0, 0), (0, 1, 0)]))
+
+
+def test_decompose_combination_checks_the_threshold_before_any_cone():
+    # an empty combination has no cone to reach a per-cone check
+    for comb in (ConeCombination(), ConeCombination({cone([(1, 0), (1, 2)]): 1})):
+        with pytest.raises(ValueError, match="index_threshold"):
+            decompose_combination(comb, 0)
 
 
 

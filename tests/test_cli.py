@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -252,12 +253,15 @@ def test_main_refuses_infinite_count(monkeypatch, capsys):
     (["ratfun", "--format", "json", "--vector-exponents"], "--vector-exponents"),
 ])
 def test_main_refused_input_prints_one_error_line(monkeypatch, capsys, argv, message):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
-    assert main([*argv, "-"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
-    assert captured.err.count("\n") == 1
+    # refused whatever the input: a feasible system, and an infeasible one
+    # whose combination is empty
+    for text in ("1 1 = 4\n", "1 1 >= 5\n-1 -1 >= -2\n"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main([*argv, "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_main_ratfun_barvinok_takes_index_threshold(monkeypatch, capsys):
@@ -316,7 +320,18 @@ GOLDEN_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize("config, sys_, digest", GOLDEN_SHA256)
+def _golden_id(case) -> str:
+    """The case's subcommand, the values of its non-default config fields and
+    a digest of its system, so re-recording an output keeps the test name."""
+    config, sys_, _ = case
+    changed = [str(getattr(config, f.name)) for f in dataclasses.fields(config)
+               if f.name != "subcommand" and getattr(config, f.name) != f.default]
+    system = hashlib.sha256(repr(sys_).encode()).hexdigest()[:8]
+    return "-".join([config.subcommand, *changed, system])
+
+
+@pytest.mark.parametrize("config, sys_, digest", GOLDEN_SHA256,
+                         ids=[_golden_id(case) for case in GOLDEN_SHA256])
 def test_output_matches_recorded_sha256(config, sys_, digest):
     _, output, _ = run(config, sys_)
     assert hashlib.sha256(output.encode()).hexdigest() == digest

@@ -27,6 +27,8 @@ from symcones.exactmath import is_forward, mat_vec, prim, solve_rational
 from _support import (
     assert_canonical_by_construction,
     box_points,
+    cramer_solve,
+    gauss_rank,
     random_system,
     reference_elimination_apexes,
     table_system,
@@ -302,12 +304,77 @@ def test_solve_runs_one_rank_test(monkeypatch):
     assert calls == ["symcones.elimination"]
 
 
-def test_eliminate_keeps_checked_rounds_when_the_run_test_fails():
-    # same error as before from the round that meets the dependent projection
-    c = SymbolicCone(((1, 0, 0), (1, 0, 1)), (0, 0, 0), (0, 0))
-    with pytest.raises(ValueError, match="not linearly independent"):
-        eliminate(c, 1)
-    # dropping two coordinates cannot be injective for two generators, but
-    # the first round is already empty, so nothing raises
-    c = cone([(1, 0, -1), (0, 1, 0)], (0, 0, -5))
-    assert eliminate(c, 2) == ConeCombination()
+def test_elimination_refuses_a_dependent_projection_before_any_round():
+    # e_3 lies in the span, so dropping x_3 is not injective on the cone
+    dependent = SymbolicCone(((1, 0, 0), (1, 0, 1)), (0, 0, 0), (0, 0))
+    # two generators cannot stay independent on one coordinate; the first
+    # round of this cone is empty, so a check per round would never see it
+    empty_first = cone([(1, 0, -1), (0, 1, 0)], (0, 0, -5))
+    for c, rounds in ((dependent, 1), (empty_first, 2)):
+        seen = []
+        with pytest.raises(ValueError, match="not linearly independent"):
+            for combination in elimination_rounds(c, rounds):
+                seen.append(combination)
+        assert seen == []
+        with pytest.raises(ValueError, match="not linearly independent"):
+            eliminate(c, rounds)
+
+
+def test_elimination_refuses_backward_generators():
+    # flipping (-1) forward made -[x > 0] of the ray x <= 0
+    ray = cone([(-1, 0)])
+    with pytest.raises(ValueError, match="forward"):
+        eliminate_last_coordinate(ray)
+    with pytest.raises(ValueError, match="forward"):
+        next(elimination_rounds(ray, 1))
+    # two generators in R^3 with an injective projection: a backward one is
+    # refused, and forward ones give [C and x_3 >= 0] projected, pointwise
+    rng = random.Random(12)
+    refused = checked = 0
+    for _ in range(300):
+        gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(2)]
+        projected = [g[:2] for g in gens]
+        if gauss_rank(projected) < 2:
+            continue
+        apex = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3)]
+        c = cone(gens, apex, [rng.randint(0, 1) for _ in gens])
+        if not all(map(is_forward, gens)):
+            with pytest.raises(ValueError, match="forward"):
+                eliminate_last_coordinate(c)
+            with pytest.raises(ValueError, match="forward"):
+                next(elimination_rounds(c, 1))
+            refused += 1
+            continue
+        result = eliminate_last_coordinate(c)
+        assert result == eliminate(c, 1)
+        for x in box_points(2, -3, 3):
+            lam = cramer_solve(projected, [a - q for a, q in zip(x, apex)])
+            inside = all(t > 0 if bit else t >= 0 for t, bit in zip(lam, c.openness))
+            above = apex[2] + sum(t * g[2] for t, g in zip(lam, gens)) >= 0
+            assert eval_combination(result, x) == (1 if inside and above else 0)
+        checked += 1
+    assert refused > 50 and checked > 50
+
+
+def test_solve_collects_each_emitted_cone_once(monkeypatch):
+    # the bench 3x3 table: the lifted cone and every pair _eliminate emits
+    # are added once each, with no per-cone combination in between
+    import symcones.elimination
+
+    adds, emitted = [], []
+    real_add, real_eliminate = ConeCombination.add, symcones.elimination._eliminate
+
+    def counted_add(self, c, multiplicity=1):
+        adds.append(c)
+        real_add(self, c, multiplicity)
+
+    def counted_eliminate(c):
+        pairs = list(real_eliminate(c))
+        emitted.extend(pairs)
+        return pairs
+
+    monkeypatch.setattr(ConeCombination, "add", counted_add)
+    monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
+    comb = solve(table_system((2, 4, 6), (4, 4, 4)))
+    assert len(comb) > 0
+    assert len(adds) == 1 + len(emitted)
