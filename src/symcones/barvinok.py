@@ -113,7 +113,7 @@ def _decompose_with_direction(
             # travel with their columns, so sorting first changes none
             gens = tuple(sorted(prim(g) for g in gens))
             bits = _openness_from_direction(gens, xi)
-            yield sign, _canonical_cone(gens, c.num, c.den, bits)[1]
+            yield sign, _canonical_cone(gens, c.num, c.den, bits)
             continue
         w, alpha_scaled, d = _shortest_exchange_vector(gens)
         sign_d = 1 if d > 0 else -1

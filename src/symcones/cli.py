@@ -16,8 +16,8 @@ its own xi = V·(±1), so the same input always gives the same bytes.
 Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
 refused input, each with one ``error:`` line on stderr: ``count`` on an
 infinite solution set, an fp parallelepiped over the enumeration cap, a
-negative ``--box``, ``--index-threshold`` with ``ratfun --method fp``, or
-``--vector-exponents`` without ``--format latex``.
+``--box`` below 0 or past the scan cap, ``--index-threshold`` with ``ratfun
+--method fp``, or ``--vector-exponents`` without ``--format latex``.
 """
 
 from __future__ import annotations
@@ -107,8 +107,16 @@ def combination_to_json(combination: ConeCombination, dimension: int | None = No
     return json.dumps({"dimension": dim if dim is not None else 0, "cones": cones})
 
 
+# Most membership tests check runs, (box+1)^d points x cones: about 10 s at ~2 us each.
+MAX_CHECK_CONTAINS = 5 * 10**6
+
+
 def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) -> tuple[int, str]:
     d = sys_.num_variables
+    calls = (config.box + 1) ** d * len(combination)
+    if calls > MAX_CHECK_CONTAINS:
+        raise ParseError(f"check would run {calls} membership tests, more than "
+                         f"{MAX_CHECK_CONTAINS}; use a smaller --box")
     for x in itertools.product(range(config.box + 1), repeat=d):
         expected = 1 if sys_.satisfies(x) else 0
         actual = eval_combination(combination, x)

@@ -39,7 +39,6 @@ from .exactmath import (
     has_full_column_rank,
     identity,
     inverse,
-    is_forward,
     mat_vec,
     prim,
     snf,
@@ -152,34 +151,19 @@ def _assert_independent(generators: IntMat) -> None:
 
 
 def _canonical_cone(
-    generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...], forward: bool = False
-) -> tuple[int, SymbolicCone]:
+    generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...]
+) -> SymbolicCone:
     """Build a canonical cone from columns already known to be good.
 
     The caller guarantees primitive, linearly independent integer columns
-    and an apex ``num / den`` in lowest terms with ``den > 0``; nothing is
-    checked here. With ``forward`` every backward generator is reversed and
-    its openness bit toggled first (sign * [cone] equals the input modulo
-    polyhedra that contain lines). Returns ``(sign, cone)`` with sign =
-    (-1)^(number of reversed generators), always 1 without ``forward``.
+    in lex order and an apex ``num / den`` in lowest terms with ``den > 0``;
+    nothing is checked here.
     """
-    sign = 1
-    pairs = []
-    for g, bit in zip(generators, openness):
-        if forward and not is_forward(g):
-            sign = -sign
-            g, bit = tuple(-x for x in g), 1 - bit
-        pairs.append((g, bit))
-    pairs.sort()
     out = object.__new__(SymbolicCone)
     out.__dict__.update(
-        generators=tuple(g for g, _ in pairs),
-        num=num,
-        den=den,
-        openness=tuple(bit for _, bit in pairs),
-        _canonical=True,
+        generators=generators, num=num, den=den, openness=openness, _canonical=True
     )
-    return sign, out
+    return out
 
 
 def canonicalize(c: SymbolicCone) -> SymbolicCone:
@@ -198,7 +182,8 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
         return c
     prims = tuple(prim(g) for g in c.generators)
     _assert_independent(prims)
-    return _canonical_cone(prims, c.num, c.den, c.openness)[1]
+    pairs = sorted(zip(prims, c.openness))
+    return _canonical_cone(tuple(g for g, _ in pairs), c.num, c.den, tuple(b for _, b in pairs))
 
 
 # --- membership ------------------------------------------------------------

@@ -13,6 +13,11 @@ function arithmetic along the way.
 input once, then collects the signed cones ``_eliminate`` emits once per
 round. ``eliminate`` and ``solve`` return its last combination, and the
 CLI walks the same rounds to print one ``--verbose`` line per round.
+
+A step branches only on the generators V and the sign of q_n, which many
+cones of a round share: ``_plan`` builds the output generators, order,
+toggles and signs once per (V, sign q_n) and call, and per cone
+``_eliminate`` computes only each output apex (one gcd) and its bits.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from typing import Iterator, Sequence
 from .cones import (
     ConeCombination,
     SymbolicCone,
-    _assert_independent,
     _canonical_cone,
     canonicalize,
 )
-from .exactmath import IntVec, has_full_column_rank, is_forward, prim
+from .exactmath import IntMat, IntVec, has_full_column_rank, is_forward, prim
 
 
 class Relation(enum.Enum):
@@ -114,72 +118,75 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
 def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     """Intersect with {x_n >= 0}, drop x_n, return the exact signed sum.
 
-    Refuses with ``ValueError`` a cone that is not forward or on which
-    forgetting the last coordinate is not injective on the affine hull
-    (both hold all along the lifted pipeline). The result is a
+    This is ``eliminate(c, 1)``, so it refuses with ``ValueError`` a cone
+    that is not forward or on which forgetting the last coordinate is not
+    injective on the affine hull (both hold all along the lifted
+    pipeline), even when the result would be empty. The result is a
     Lawrence-Varchenko style decomposition: one vertex cone per generator
     crossing the hyperplane, each flipped forward with its sign recorded as
     multiplicity, plus the cone itself when its apex already lies on or
     above the hyperplane. Empty when the cone lies strictly below. The
     identity holds exactly, not merely modulo lines.
-
-    Output cones are built in canonical form directly, skipping the
-    independence check of ``canonicalize``: one integer rank test of the
-    projected columns V' (V without its last row), run whenever the output
-    is not empty, covers all of them. V' independent means that V is
-    independent and that dropping x_n is injective on span(V). The
-    projected cone has the columns of V'. The vertex cone of generator j
-    has, before dropping x_n and up to sign and positive scaling, the
-    columns v_j and last[i] v_j - last[j] v_i for i != j. Since last[j] != 0
-    they are an invertible transform of V, so they are independent and lie
-    in span(V), where dropping x_n keeps them independent.
     """
-    if not all(map(is_forward, c.generators)):
-        raise ValueError("elimination needs forward generators")
-    if c.num[-1] >= 0 or any(g[-1] > 0 for g in c.generators):
-        _assert_independent(tuple(prim(g[:-1]) for g in c.generators))
-    out = ConeCombination()
-    for sign, c2 in _eliminate(c):
-        out.add(c2, sign)
-    return out
+    return eliminate(c, 1)
 
 
-def _eliminate(c: SymbolicCone) -> Iterator[tuple[int, SymbolicCone]]:
-    """The ``(sign, cone)`` pairs of ``eliminate_last_coordinate``, unchecked.
-    The vertex apex q - (q_n / last[j]) v_j is (num_i last[j] - num_n v_j[i])
-    / (den last[j]) without x_n, brought to lowest terms by one gcd."""
-    k = c.dim
-    v = c.generators
-    num, den = c.num, c.den
-    q_n = num[-1]
-    m = len(num) - 1
-    last = tuple(g[-1] for g in v)
-    sg = 1 if q_n >= 0 else -1
+def _plan(v: IntMat, nonneg: bool) -> tuple:
+    """All that one elimination step does to a cone with generators V and
+    q_n >= 0 (``nonneg``) or q_n < 0, but its apex and bits.
 
-    for j in range(k):
-        if last[j] * sg >= 0:
-            continue
-        vj, lj = v[j], last[j]
-        apex = [num[i] * lj - q_n * vj[i] for i in range(m)]
-        # divide by the gcd, taking the sign of den * last[j] along
+    Without x_n, vertex cone j (v_j crossing x_n = 0 against q) has the
+    columns -sg v_j and sg (last[i] v_j - last[j] v_i) for i != j, sg the
+    sign of q_n; the projected cone (q_n >= 0) has V' (V without x_n). As
+    last[j] != 0 the vertex columns are an invertible transform of V in
+    span(V), so a rank test of V' shows every output independent.
+
+    One ``(sign, gens, perm, toggles, l, head)`` per output cone: its
+    sorted primitive forward columns, sign (-1)^(number reversed), and
+    position p takes the bit of parent generator perm[p] (k: the crossing
+    generator's 0) XOR toggles[p]. The apex is (num_i l - q_n head_i) /
+    (den l), with l = last[j] and head = v_j without x_n for vertex cone
+    j, l = 1 and head = 0 for the projected cone.
+    """
+    k, m = len(v), len(v[0]) - 1
+    sg = 1 if nonneg else -1
+    specs = []
+    for j, vj in enumerate(v):
+        lj, head = vj[-1], vj[:m]
+        if lj * sg < 0:
+            cols = [tuple(sg * (g[-1] * a - lj * b) for a, b in zip(head, g)) for g in v]
+            cols[j] = tuple(-sg * x for x in head)
+            specs.append((cols, j, lj, head))
+    if nonneg:
+        specs.append(([g[:m] for g in v], k, 1, (0,) * m))
+    plan = []
+    for cols, j, lj, head in specs:
+        # (forward column, toggle, parent index); the columns are distinct,
+        # so this is canonicalize's order
+        cols = sorted((g, 0, i) if is_forward(g) else (tuple(-x for x in g), 1, i)
+                      for i, g in enumerate(map(prim, cols)))
+        toggles = tuple(t for _, t, _ in cols)
+        plan.append(((-1) ** sum(toggles), tuple(g for g, _, _ in cols),
+                     tuple(k if i == j else i for _, _, i in cols), toggles, lj, head))
+    return tuple(plan)
+
+
+def _eliminate(c: SymbolicCone, plans: dict) -> Iterator[tuple[int, SymbolicCone]]:
+    """The ``(sign, cone)`` pairs of ``eliminate_last_coordinate``, unchecked:
+    the ``_plan`` of (V, q_n >= 0), built once per key in ``plans``, and per
+    cone only each output apex, in lowest terms by one gcd, and its bits."""
+    num, den, q_n = c.num, c.den, c.num[-1]
+    key = (c.generators, q_n >= 0)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _plan(*key)
+    bits = c.openness + (0,)
+    for sign, gens, perm, toggles, lj, head in plan:
+        apex = [a * lj - q_n * b for a, b in zip(num, head)]
+        # divide by the gcd, taking the sign of den * l along
         f = math.gcd(den * lj, *apex) if lj > 0 else -math.gcd(den * lj, *apex)
-        cols = []
-        for i in range(k):
-            if i == j:
-                col = tuple(-sg * x for x in vj[:-1])
-            else:
-                col = tuple(sg * (last[i] * vj[r] - lj * v[i][r]) for r in range(m))
-            cols.append(prim(col))
-        bits = tuple(0 if i == j else c.openness[i] for i in range(k))
-        yield _canonical_cone(
-            tuple(cols), tuple(a // f for a in apex), den * lj // f, bits, forward=True
-        )
-    if q_n >= 0:
-        f = math.gcd(den, *num[:-1])
-        proj = tuple(prim(g[:-1]) for g in v)
-        yield _canonical_cone(
-            proj, tuple(a // f for a in num[:-1]), den // f, c.openness, forward=True
-        )
+        out_bits = tuple([bits[i] ^ t for i, t in zip(perm, toggles)])
+        yield sign, _canonical_cone(gens, tuple([a // f for a in apex]), den * lj // f, out_bits)
 
 
 def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
@@ -195,24 +202,24 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     ``ValueError`` unless its generators are forward and pass one rank
     test. Every cone of round r has k forward generators in the projection
     of span(V0), V0 being the input generators, that drops the last r
-    coordinates (see ``eliminate_last_coordinate``). If the first
-    n - rounds rows of V0 have full column rank, the last projection is
-    injective on span(V0), hence so is every earlier one, and by induction
-    every round's V' is independent: the rounds need no check of their
-    own. For ``macmahon_lift`` those rows are the identity.
+    coordinates (see ``_plan``). If the first n - rounds rows of V0 have
+    full column rank, the last projection is injective on span(V0), hence
+    so is every earlier one, and by induction every round's V' is
+    independent: the rounds need no check of their own. For
+    ``macmahon_lift`` those rows are the identity.
     """
     if not all(map(is_forward, c.generators)):
         raise ValueError("elimination needs forward generators")
     keep = c.ambient_dim - rounds
     if keep < c.dim or not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
         raise ValueError(f"generators not linearly independent on the first {keep} rows")
-    # V0 is independent, which covers canonicalize's own check
-    c = _canonical_cone(tuple(map(prim, c.generators)), c.num, c.den, c.openness)[1]
-    current = ConeCombination({c: 1})
+    # the input needs no canonical form: the plans make every output canonical
+    current = {c: 1}
+    plans: dict = {}
     for _ in range(rounds):
         collected = ConeCombination()
         for parent, mult in current.items():
-            for sign, c2 in _eliminate(parent):
+            for sign, c2 in _eliminate(parent, plans):
                 collected.add(c2, mult * sign)
         current = collected
         yield current

@@ -11,10 +11,11 @@ generators, not oracles, that run the package's own Barvinok recursion
 under other reference directions.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, factorial, floor, gcd
+from math import ceil, factorial, floor, gcd, lcm
 import random
 
 from symcones import ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone
@@ -303,6 +304,55 @@ def reference_elimination_apexes(c: SymbolicCone) -> list[tuple[Fraction, ...]]:
     for v in crossing:
         ratio = q[-1] / v[-1]
         out.append(tuple(a - ratio * b for a, b in zip(q[:-1], v)))
+    return out
+
+
+def _primitive(column) -> tuple[int, ...]:
+    """The primitive integer vector along a non-zero rational column."""
+    scale = lcm(*(Fraction(x).denominator for x in column))
+    ints = [int(x * scale) for x in column]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def reference_elimination_step(c: SymbolicCone) -> Counter:
+    """One elimination step of ``c`` rebuilt from its definition in
+    ``Fraction``s, as a multiset of ``(sign, cone)``.
+
+    Each generator v_j crossing {x_n = 0} against the apex q gives a vertex
+    cone: apex q - (q_n / v_jn) v_j, column -v_j (q_n >= 0) or v_j (q_n < 0)
+    with bit 0, and column v_i - (v_in / v_jn) v_j with v_i's bit for every
+    other i. When q_n >= 0 the cone itself gives one more, (V, q) with its
+    bits. Then: x_n dropped, columns primitive, every backward column
+    reversed with its bit toggled and the sign negated, columns sorted
+    with their bits.
+    """
+    q, v, bits = c.apex, c.generators, c.openness
+    nonneg = q[-1] >= 0
+    raw = []
+    for j, vj in enumerate(v):
+        if (vj[-1] < 0) if nonneg else (vj[-1] > 0):
+            ratio = Fraction(q[-1], vj[-1])
+            cols = [
+                tuple(-x if nonneg else x for x in vj) if i == j
+                else tuple(a - Fraction(vi[-1], vj[-1]) * b for a, b in zip(vi, vj))
+                for i, vi in enumerate(v)
+            ]
+            apex = tuple(a - ratio * b for a, b in zip(q, vj))
+            raw.append((cols, apex, tuple(0 if i == j else bit for i, bit in enumerate(bits))))
+    if nonneg:
+        raw.append((list(v), q, bits))
+    out = Counter()
+    for cols, apex, cone_bits in raw:
+        sign, pairs = 1, []
+        for col, bit in zip(cols, cone_bits):
+            col = _primitive(col[:-1])
+            if next(x for x in col if x) < 0:
+                sign, col, bit = -sign, tuple(-x for x in col), 1 - bit
+            pairs.append((col, bit))
+        pairs.sort()
+        gens = tuple(g for g, _ in pairs)
+        out[sign, SymbolicCone(gens, apex[:-1], tuple(b for _, b in pairs))] += 1
     return out
 
 

@@ -136,6 +136,51 @@ def test_run_check_seeded_random_systems():
         assert (status, output) == (0, "PASS")
 
 
+def test_check_refuses_a_scan_over_the_cap_before_it_starts(monkeypatch, capsys):
+    # the 3x3 table at the default --box 8: 9^9 points against every cone
+    import symcones.cli
+
+    def no_scan(combination, x):
+        raise AssertionError("check scanned before refusing")
+
+    monkeypatch.setattr(symcones.cli, "eval_combination", no_scan)
+    rows = [" ".join(str(int(k // 3 == i)) for k in range(9)) + " = 2" for i in range(3)]
+    rows += [" ".join(str(int(k % 3 == j)) for k in range(9)) + " = 2" for j in range(2)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(rows) + "\n"))
+    assert main(["check", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--box" in captured.err
+    assert captured.err.count("\n") == 1
+    cones = len(solve(parse_system("\n".join(rows))))
+    assert str(9**9 * cones) in captured.err
+
+
+def test_check_cap_boundary(monkeypatch):
+    # (box+1)^d points times the cones: the cap itself runs, one more refuses
+    import symcones.cli
+
+    sys_ = parse_system("2 3 -5 >= 4")
+    calls = 7**3 * len(solve(sys_))
+    monkeypatch.setattr(symcones.cli, "MAX_CHECK_CONTAINS", calls)
+    assert run(RunConfig("check", box=6), sys_)[:2] == (0, "PASS")
+    monkeypatch.setattr(symcones.cli, "MAX_CHECK_CONTAINS", calls - 1)
+    with pytest.raises(ParseError, match=f"{calls} membership tests"):
+        run(RunConfig("check", box=6), sys_)
+
+
+def test_check_cap_admits_the_bench_and_ci_scans():
+    # the random-systems panel (Random(24), d = 4, rhs scaled by 1..3) is
+    # checked at --box 4; CI runs check --box 6 on 2 3 -5 >= 4
+    rng = random.Random(24)
+    panel = [random_system(rng, 4, rng.choice((3, 4))) for _ in range(10)]
+    cases = [(parse_system("2 3 -5 >= 4"), 6)]
+    cases += [(dataclasses.replace(s, rhs=tuple(t * b for b in s.rhs)), 4)
+              for s in panel for t in (1, 2, 3)]
+    for sys_, box in cases:
+        assert run(RunConfig("check", box=box), sys_)[:2] == (0, "PASS")
+
+
 def test_run_ratfun_formats():
     sys_ = parse_system("2 3 >= 5")
     for fmt in ("plain", "latex", "json"):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from _support import (
     gauss_rank,
     random_system,
     reference_elimination_apexes,
+    reference_elimination_step,
     table_system,
 )
 
@@ -357,8 +359,9 @@ def test_elimination_refuses_backward_generators():
 
 
 def test_solve_collects_each_emitted_cone_once(monkeypatch):
-    # the bench 3x3 table: the lifted cone and every pair _eliminate emits
-    # are added once each, with no per-cone combination in between
+    # the bench 3x3 table: every pair _eliminate emits is added once, with
+    # no per-cone combination in between; the lifted cone is the first
+    # round's only parent and is never collected
     import symcones.elimination
 
     adds, emitted = [], []
@@ -368,8 +371,8 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
         adds.append(c)
         real_add(self, c, multiplicity)
 
-    def counted_eliminate(c):
-        pairs = list(real_eliminate(c))
+    def counted_eliminate(c, plans):
+        pairs = list(real_eliminate(c, plans))
         emitted.extend(pairs)
         return pairs
 
@@ -377,4 +380,57 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
     monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
     comb = solve(table_system((2, 4, 6), (4, 4, 4)))
     assert len(comb) > 0
-    assert len(adds) == 1 + len(emitted)
+    # a path around _eliminate would pass the count below with nothing emitted
+    assert emitted
+    assert len(adds) == len(emitted)
+
+
+@pytest.mark.parametrize("row_sums, col_sums, plans, parents", [
+    ((2, 4, 6), (4, 4, 4), 158, 1191),
+    ((3, 6), (3, 3, 3), 45, 188),
+])
+def test_elimination_builds_one_plan_per_generator_key(
+    monkeypatch, row_sums, col_sums, plans, parents
+):
+    # one plan per distinct (V, q_n >= 0) among all parents of all rounds
+    import symcones.elimination
+
+    built = []
+    real_plan = symcones.elimination._plan
+
+    def counted_plan(v, nonneg):
+        built.append((v, nonneg))
+        return real_plan(v, nonneg)
+
+    monkeypatch.setattr(symcones.elimination, "_plan", counted_plan)
+    rows, rhs = expand_equalities(table_system(row_sums, col_sums))
+    sizes = [1] + [len(comb) for comb in elimination_rounds(macmahon_lift(rows, rhs), len(rows))]
+    assert sum(sizes[:-1]) == parents
+    assert len(built) == len(set(built)) == plans
+
+
+def test_plan_step_matches_per_cone_reference():
+    # every round of seeded random lifted systems and two bench tables: the
+    # (sign, cone) multiset of each parent, from plans shared across the
+    # parents of a run, equals a Fraction rebuild of that parent alone
+    from symcones.elimination import _eliminate
+
+    def check_rounds(sys_) -> Counter:
+        rows, rhs = expand_equalities(sys_)
+        lift = macmahon_lift(rows, rhs)
+        parents, plans, seen = [canonicalize(lift)], {}, Counter()
+        for comb in elimination_rounds(lift, len(rows)):
+            for c in parents:
+                assert Counter(_eliminate(c, plans)) == reference_elimination_step(c)
+                seen["below" if c.num[-1] < 0 else "above"] += 1
+                seen["open"] += any(c.openness)
+            parents = list(comb)
+        return seen
+
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(30):
+        seen += check_rounds(random_system(rng, rng.randint(2, 4), rng.randint(2, 3)))
+    assert seen["below"] > 40 and seen["above"] > 40 and seen["open"] > 40
+    for row_sums, col_sums in (((3, 6), (3, 3, 3)), ((2, 4, 6), (4, 4, 4))):
+        assert sum(check_rounds(table_system(row_sums, col_sums)).values()) > 0
