@@ -15,15 +15,15 @@ has positive inner product with xi. Taking xi = V·(±1), +1 on the closed
 and -1 on the open generators of C, reproduces the input openness on C's
 own facets, so the final signed sum equals [C] pointwise, with every output
 cone unimodular and sharing the apex of C. Where xi lies on a facet
-hyperplane, a lexicographic perturbation of xi decides the facet, so this
-one xi serves every input. The decomposition is thus a function of the
-cone alone.
+hyperplane, a lexicographic perturbation of xi decides the facet; being the
+same for every cone, it acts as one generic direction, so this one xi serves
+every input. The decomposition is thus a function of the cone alone.
 
-The recursion yields ``(sign, leaf)`` pairs, which ``decompose_combination``
-collects once for a whole combination. Every node reads ``(adj, d) =
-(det V * V^-1, det V)`` from ``exactmath.inverse``; a leaf sorts its
-primitive generators first, so its later ``enum_fundpar`` finds the same
-matrix there.
+The recursion reads V alone: ``decompose_combination`` builds one ``_tree``
+per distinct V per call, and ``_leaves`` sets each cone's apex and bits on
+it. Every node reads ``(adj, d) = (det V * V^-1, det V)`` from
+``exactmath.inverse``; a leaf keeps its adj rows for the bits and sorts its
+primitive generators first, so ``enum_fundpar`` later hits the same entry.
 """
 
 from __future__ import annotations
@@ -39,25 +39,6 @@ def index(c: SymbolicCone) -> int:
     if c.dim != c.ambient_dim:
         raise ValueError("index requires a full-dimensional cone")
     return abs(inverse(c.generators)[1])
-
-
-def _openness_from_direction(generators: IntMat, xi: IntVec) -> tuple[int, ...]:
-    """Closure rule: facet j is closed iff its inner normal sees xi positively.
-
-    The inner normal of facet j is row j of V^-1 (up to positive scale).
-    ``generators`` is square and non-singular, and row j of adj = d * V^-1
-    has the signs of d times that normal, so bit j is read off
-    d * (row_j . xi).
-
-    Where row_j . xi = 0, xi lies on the hyperplane of facet j, and the bit
-    is that of the lexicographic perturbation xi + eps e_1 + eps^2 e_2 + ...
-    (Koeppe and Verdoolaege 2008): the sign of d times the first non-zero
-    entry of row j. The perturbation is the same for every cone, so it acts
-    as one generic direction for the whole decomposition.
-    """
-    adj, d = inverse(generators)
-    values = (vec_dot(row, xi) or next(a for a in row if a) for row in zip(*adj))
-    return tuple(0 if value * d > 0 else 1 for value in values)
 
 
 def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
@@ -95,25 +76,24 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
     return tuple(x // d for x in w), best, d
 
 
-def _decompose_with_direction(
-    c: SymbolicCone, root_det: int, xi: IntVec, index_threshold: int
-) -> Iterator[tuple[int, SymbolicCone]]:
-    """Depth-first exchange recursion yielding (sign, leaf) pairs.
+def _tree(generators: IntMat, index_threshold: int) -> list[tuple[int, IntMat, IntMat, int]]:
+    """Depth-first exchange recursion over V alone, as a list of leaves.
 
-    Every stack entry carries det(gens): replacing generator i by w = V @
-    alpha_scaled / d multiplies the determinant by alpha_scaled_i / d, so
-    det(child_i) == alpha_scaled_i. ``root_det`` is det(c.generators).
+    A leaf is ``(sign, gens, rows, d)``: its primitive generators in lex
+    order, the rows of adj = d * gens^-1, and d = det(gens). Every stack
+    entry carries det(gens): replacing generator i by w = V @ alpha_scaled /
+    d multiplies it by alpha_scaled_i / d, so det(child_i) == alpha_scaled_i.
     """
-    stack: list[tuple[IntMat, int, int]] = [(c.generators, root_det, 1)]
+    leaves = []
+    stack: list[tuple[IntMat, int, int]] = [(generators, inverse(generators)[1], 1)]
     while stack:
         gens, d, sign = stack.pop()
         if abs(d) <= index_threshold:
             # d != 0 (every child has index |alpha_i| > 0), so the columns
-            # are independent and the leaf needs no validation; bits
-            # travel with their columns, so sorting first changes none
+            # are independent and the leaf needs no validation
             gens = tuple(sorted(prim(g) for g in gens))
-            bits = _openness_from_direction(gens, xi)
-            yield sign, _canonical_cone(gens, c.num, c.den, bits)
+            adj, d = inverse(gens)
+            leaves.append((sign, gens, tuple(zip(*adj)), d))
             continue
         w, alpha_scaled, d = _shortest_exchange_vector(gens)
         sign_d = 1 if d > 0 else -1
@@ -121,15 +101,31 @@ def _decompose_with_direction(
             # the exchange identity needs w on the positive side; use -w
             w = tuple(-x for x in w)
             alpha_scaled = tuple(-a for a in alpha_scaled)
-        parent_index = abs(d)
         for i, a in enumerate(alpha_scaled):
             if a == 0:
                 continue
-            if abs(a) >= parent_index:
+            if abs(a) >= abs(d):
                 raise AssertionError("child index did not decrease")
             child = tuple(w if j == i else gens[j] for j in range(len(gens)))
             child_sign = 1 if a * sign_d > 0 else -1
             stack.append((child, a, sign * child_sign))
+    return leaves
+
+
+def _leaves(c: SymbolicCone, tree: list, xi: IntVec) -> Iterator[tuple[int, SymbolicCone]]:
+    """The ``(sign, leaf)`` pairs of C: C's apex on each leaf of its tree.
+
+    Facet j of a leaf is closed iff its inner normal, row j of gens^-1, sees
+    xi positively; row j of adj has the signs of d times that normal, so bit
+    j is read off d * (row_j . xi). Where row_j . xi = 0, xi lies on the
+    hyperplane of facet j, and the bit is that of the lexicographic
+    perturbation xi + eps e_1 + eps^2 e_2 + ... (Koeppe and Verdoolaege
+    2008): the sign of d times the first non-zero entry of row j.
+    """
+    for sign, gens, rows, d in tree:
+        values = (vec_dot(row, xi) or next(a for a in row if a) for row in rows)
+        bits = tuple(0 if value * d > 0 else 1 for value in values)
+        yield sign, _canonical_cone(gens, c.num, c.den, bits)
 
 
 def barvinok_decompose(
@@ -154,19 +150,20 @@ def decompose_combination(
     ``index_threshold`` (1 by default: unimodular). It is half-opened along
     xi = V·(±1), +1 on closed and -1 on open generators of C: row j of V^-1
     sends xi to the j-th weight, so xi reproduces C's openness on C's own
-    facets, and a cone at or below the threshold is its own leaf. A facet
-    hyperplane containing xi is settled as in ``_openness_from_direction``.
-    Raises ``ValueError`` before any work on a threshold below 1 or a cone
-    that is not full-dimensional.
+    facets, and a cone at or below the threshold is its own leaf. Cones that
+    share V share one ``_tree``. Raises ``ValueError`` before any work on a
+    threshold below 1 or a cone that is not full-dimensional.
     """
     if index_threshold < 1:
         raise ValueError("index_threshold must be at least 1")
     if any(c.dim != c.ambient_dim for c in combination):
         raise ValueError("decomposition requires a full-dimensional cone")
     out = ConeCombination()
+    trees: dict[IntMat, list] = {}
     for c, mult in combination.items():
+        if c.generators not in trees:
+            trees[c.generators] = _tree(c.generators, index_threshold)
         xi = mat_vec(c.generators, [1 if bit == 0 else -1 for bit in c.openness])
-        root_det = inverse(c.generators)[1]
-        for sign, leaf in _decompose_with_direction(c, root_det, xi, index_threshold):
+        for sign, leaf in _leaves(c, trees[c.generators], xi):
             out.add(leaf, mult * sign)
     return out

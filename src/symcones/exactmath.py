@@ -7,10 +7,11 @@ elimination, and ``lll_reduce`` keeps integral Gram-Schmidt data.
 ``fractions.Fraction`` appears only in the vector ``solve_rational``
 returns. Nothing in this package ever touches floating point. ``inverse``
 is the one cached ``scaled_inverse``: every question about a cone's
-generator matrix V (index, membership, leaf openness, exchange vector,
-index-1 parallelepiped point) reads the same ``(adj, d)``. Values are
-immutable, every function is pure and ``lru_cache`` is thread-safe, so
-everything here is safe to share between threads without coordination.
+generator matrix V (index, membership, exchange vector, the adj rows a
+Barvinok tree keeps per leaf, index-1 parallelepiped point) reads the same
+``(adj, d)``. Values are immutable, every function is pure and
+``lru_cache`` is thread-safe, so everything here is safe to share between
+threads without coordination.
 """
 
 from __future__ import annotations

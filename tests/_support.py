@@ -7,8 +7,9 @@ semigroup membership by Cramer's rule over those determinants, rank by
 Gram-Schmidt algorithm, and Laurent expansions by per-term ``Fraction``
 series. These are the second route that the package's formulas are checked
 against. The exception is ``decompose_along_random_direction(s)``: input
-generators, not oracles, that run the package's own Barvinok recursion
-under other reference directions.
+generators, not oracles, that set the openness bits of the package's own
+Barvinok tree (``_tree``, built from the generators alone) under other
+reference directions (``_leaves``).
 """
 
 from collections import Counter
@@ -19,7 +20,7 @@ from math import ceil, factorial, floor, gcd, lcm
 import random
 
 from symcones import ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone
-from symcones.barvinok import _decompose_with_direction
+from symcones.barvinok import _leaves, _tree
 from symcones.exactmath import IntMat, det, mat_vec
 
 
@@ -237,7 +238,7 @@ def decompose_along_random_direction(c: SymbolicCone, rng: random.Random) -> Con
     c = canonicalize(c)
     weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
     xi = mat_vec(c.generators, weights)
-    return collect(_decompose_with_direction(c, det(c.generators), xi, 1))
+    return collect(_leaves(c, _tree(c.generators, 1), xi))
 
 
 def collect(pairs) -> ConeCombination:

@@ -15,6 +15,7 @@ from symcones import (
     index,
     solve,
     solve_rational,
+    system,
 )
 from symcones import barvinok
 from symcones.barvinok import _shortest_exchange_vector, decompose_combination
@@ -154,7 +155,7 @@ def decompose_along_exchange_vector(gens, apex):
     assert all(alpha_scaled)
     bits = tuple(0 if a * d > 0 else 1 for a in alpha_scaled)
     c = canonicalize(cone(gens, apex, bits))
-    result = collect(barvinok._decompose_with_direction(c, det(c.generators), w, 1))
+    result = collect(barvinok._leaves(c, barvinok._tree(c.generators, 1), w))
     assert all(index(leaf) == 1 for leaf in result)
     assert any(0 in solve_rational(leaf.generators, w) for leaf in result)
     return c, result
@@ -232,11 +233,20 @@ def test_leaves_of_a_small_cone_are_pinned():
     signed_box_check(canonicalize(cone([(2, 1), (5, 13)])), result, (-1, -1), (12, 12))
 
 
-@pytest.mark.parametrize("seed", [1, 5, 12, 13, 15])
-def test_decomposition_is_local_to_each_cone(seed):
+PARTITION_15 = system([(1, 2, 3, 4, 5)], ["="], [15])
+
+
+@pytest.mark.parametrize("system_", [
+    *(pytest.param(random_system(random.Random(seed), 3, 3), id=str(seed))
+      for seed in (1, 5, 12, 13, 15)),
+    # ten cones over five generator matrices, so trees are shared
+    pytest.param(PARTITION_15, id="shared-V"),
+])
+def test_decomposition_is_local_to_each_cone(system_):
     # a cone's leaves depend on the cone alone: not on the other cones of
-    # the combination, nor on the order in which they are visited
-    comb = solve(random_system(random.Random(seed), 3, 3))
+    # the combination, on the order in which they are visited, nor on which
+    # of them share a tree
+    comb = solve(system_)
     assert sum(index(c) > 1 for c in comb) >= 2
     result = decompose_combination(comb)
     assert result == decompose_combination(ConeCombination(dict(reversed(comb.items()))))
@@ -245,3 +255,29 @@ def test_decomposition_is_local_to_each_cone(seed):
         for leaf, sign in barvinok_decompose(c).items():
             per_cone.add(leaf, mult * sign)
     assert result == per_cone
+
+
+@pytest.mark.parametrize("system_, cones, trees, lll_calls", [
+    (system([(2, 3, 5, 7, 11, 13)], ["="], [60]), 12, 6, 807),
+    (PARTITION_15, 10, 5, 66),
+], ids=["knapsack-60", "partition-15"])
+def test_cones_sharing_generators_share_one_tree(monkeypatch, system_, cones, trees, lll_calls):
+    # each knapsack cone shares its V with one other; one tree per V halves
+    # the LLL calls of one tree per cone (1614 and 132)
+    calls = {"_tree": 0, "lll_reduce": 0}
+
+    def counted(name):
+        real = getattr(barvinok, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(barvinok, name, counted(name))
+    comb = solve(system_)
+    assert len(comb) == cones
+    assert len({c.generators for c in comb}) == trees
+    decompose_combination(comb)
+    assert calls == {"_tree": trees, "lll_reduce": lll_calls}

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from symcones import ConeCombination, Relation, solve
+from symcones import ConeCombination, Relation, solve, system
 from symcones.cli import (
     ParseError,
     RunConfig,
@@ -362,6 +362,10 @@ GOLDEN_SHA256 = [
     # denominators up to 25, open generators
     (RunConfig("ratfun", method="fp", fmt="json"), random_system(random.Random(12), 3, 3),
      "fd17b613ada37f2d78d690eaaa6df381cd6f3c94fdbd7cb2f6c0a3874090b23d"),
+    # twelve cones over six generator matrices: Barvinok trees are shared
+    (RunConfig("ratfun", method="barvinok", fmt="json"),
+     system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
+     "a35a2b3993d13e9bc1ff3df55e89bf814182ae139c67941e24ea935a5054261d"),
 ]
 
 
