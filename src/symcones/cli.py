@@ -13,6 +13,9 @@ from the first constraint. Subcommands::
 No choice is random: ``ratfun --method barvinok`` half-opens each cone along
 its own xi = V·(±1), so the same input always gives the same bytes.
 
+``solve`` writes its JSON directly, byte for byte what ``json.dumps`` prints
+with its default separators (README), formatting each distinct V once.
+
 Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
 refused input, each with one ``error:`` line on stderr: ``count`` on an
 infinite solution set, an fp parallelepiped over the enumeration cap, a
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -91,20 +93,22 @@ def parse_system(text: str) -> LDSystem:
 def combination_to_json(combination: ConeCombination, dimension: int | None = None) -> str:
     """Bit-exact cone JSON: canonical column order, big integers as strings."""
     dim = combination.ambient_dim if dimension is None else dimension
+    # one text per distinct V: a list's repr is its JSON with ", " separators
+    generators: dict[tuple, str] = {}
     cones = []
     for c, mult in combination.sorted_items():
-        cones.append(
-            {
-                "mult": str(mult),
-                "generators": [list(g) for g in c.generators],
-                "apex": [
-                    {"num": str(a // g), "den": str(c.den // g)}
-                    for a, g in ((a, math.gcd(a, c.den)) for a in c.num)
-                ],
-                "open": list(c.openness),
-            }
-        )
-    return json.dumps({"dimension": dim if dim is not None else 0, "cones": cones})
+        gens = generators.get(c.generators)
+        if gens is None:
+            gens = generators[c.generators] = repr([list(g) for g in c.generators])
+        den = c.den
+        if den == 1:
+            apex = ", ".join(['{"num": "%d", "den": "1"}' % a for a in c.num])
+        else:
+            apex = ", ".join(['{"num": "%d", "den": "%d"}' % (a // g, den // g)
+                              for a, g in ((a, math.gcd(a, den)) for a in c.num)])
+        cones.append('{"mult": "%d", "generators": %s, "apex": [%s], "open": %r}'
+                     % (mult, gens, apex, list(c.openness)))
+    return '{"dimension": %d, "cones": [%s]}' % (dim or 0, ", ".join(cones))
 
 
 # Most membership tests check runs, (box+1)^d points x cones: about 10 s at ~2 us each.

@@ -121,7 +121,8 @@ class SymbolicCone:
         """Order by generators, apex value, openness; ``den`` is a common
         multiple of the ``den`` of every cone compared."""
         scale = den // self.den
-        return (self.generators, tuple(a * scale for a in self.num), self.openness)
+        num = self.num if scale == 1 else tuple([a * scale for a in self.num])
+        return (self.generators, num, self.openness)
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -240,6 +241,13 @@ class ConeCombination(Mapping[SymbolicCone, int]):
             for c, mult in entries.items():
                 self.add(c, mult)
 
+    @classmethod
+    def _wrap(cls, entries: dict[SymbolicCone, int]) -> ConeCombination:
+        """``entries`` itself, unchecked: canonical keys of one dimension, no 0."""
+        out = object.__new__(cls)
+        out._entries = entries
+        return out
+
     def add(self, c: SymbolicCone, multiplicity: int = 1) -> None:
         if multiplicity == 0:
             return
@@ -284,8 +292,16 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         return next(iter(self._entries)).ambient_dim if self._entries else None
 
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
+        """Entries in ``sort_key`` order, which sorts by V first: one sort of
+        the distinct V's, then one of each V's cones by apex value, openness."""
         den = math.lcm(*(c.den for c in self._entries))
-        return sorted(self._entries.items(), key=lambda item: item[0].sort_key(den))
+        groups: dict[IntMat, list[tuple[SymbolicCone, int]]] = {}
+        for item in self._entries.items():
+            groups.setdefault(item[0].generators, []).append(item)
+        out = []
+        for v in sorted(groups):
+            out += sorted(groups[v], key=lambda item: item[0].sort_key(den)[1:])
+        return out
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:

@@ -217,11 +217,16 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     current = {c: 1}
     plans: dict = {}
     for _ in range(rounds):
-        collected = ConeCombination()
+        # emitted cones are canonical and of one dimension (see _plan)
+        collected: dict[SymbolicCone, int] = {}
         for parent, mult in current.items():
             for sign, c2 in _eliminate(parent, plans):
-                collected.add(c2, mult * sign)
-        current = collected
+                new = collected.get(c2, 0) + mult * sign
+                if new:
+                    collected[c2] = new
+                else:
+                    del collected[c2]
+        current = ConeCombination._wrap(collected)
         yield current
 
 

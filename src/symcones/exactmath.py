@@ -46,9 +46,7 @@ def prim(v: Sequence[int]) -> IntVec:
     The result is the shortest integer vector that is a positive multiple
     of ``v``. Raises ``ValueError`` on the zero vector, which lies on no ray.
     """
-    g = 0
-    for a in v:
-        g = math.gcd(g, a)
+    g = math.gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     if g == 1:

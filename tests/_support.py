@@ -4,9 +4,10 @@ Everything here is deliberately independent of the solver's internals:
 membership by brute inequality checks, determinants by cofactor expansion,
 semigroup membership by Cramer's rule over those determinants, rank by
 ``Fraction`` Gaussian elimination, LLL by the classical rational
-Gram-Schmidt algorithm, and Laurent expansions by per-term ``Fraction``
-series. These are the second route that the package's formulas are checked
-against. The exception is ``decompose_along_random_direction(s)``: input
+Gram-Schmidt algorithm, Laurent expansions by per-term ``Fraction``
+series, and the cone JSON by a dict tree through ``json.dumps``. These are
+the second route that the package's formulas are checked against. The
+exception is ``decompose_along_random_direction(s)``: input
 generators, not oracles, that set the openness bits of the package's own
 Barvinok tree (``_tree``, built from the generators alone) under other
 reference directions (``_leaves``).
@@ -16,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+import json
 from math import ceil, factorial, floor, gcd, lcm
 import random
 
@@ -193,6 +195,27 @@ def reference_summed_laurent(expr, direction) -> list[Fraction]:
         for i, coeff in enumerate(coeffs):
             total[order + 1 - len(coeffs) + i] += coeff
     return total
+
+
+def reference_combination_json(combination: ConeCombination, dimension: int | None = None) -> str:
+    """The cone JSON that ``cli.combination_to_json`` must equal byte for
+    byte: a dict tree in ``sort_key`` order through ``json.dumps``."""
+    dim = combination.ambient_dim if dimension is None else dimension
+    den = lcm(*(c.den for c in combination))
+    cones = []
+    for c, mult in sorted(combination.items(), key=lambda item: item[0].sort_key(den)):
+        cones.append(
+            {
+                "mult": str(mult),
+                "generators": [list(g) for g in c.generators],
+                "apex": [
+                    {"num": str(a // g), "den": str(c.den // g)}
+                    for a, g in ((a, gcd(a, c.den)) for a in c.num)
+                ],
+                "open": list(c.openness),
+            }
+        )
+    return json.dumps({"dimension": dim if dim is not None else 0, "cones": cones})
 
 
 def random_full_dim_cone(

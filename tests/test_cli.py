@@ -5,10 +5,11 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from symcones import ConeCombination, Relation, solve, system
+from symcones import ConeCombination, Relation, cone, solve, system
 from symcones.cli import (
     ParseError,
     RunConfig,
@@ -18,7 +19,7 @@ from symcones.cli import (
     parse_system,
     run,
 )
-from _support import random_system, table_system
+from _support import random_system, reference_combination_json, table_system
 
 
 # --- parsing ----------------------------------------------------------------
@@ -93,6 +94,36 @@ def test_run_solve_matches_library_combination():
     _, output, _ = run(RunConfig("solve"), sys_)
     payload = json.loads(output)
     assert payload == json.loads(combination_to_json(solve(sys_)))
+
+
+def _assert_renders_like_json_dumps(combination, dimension=None):
+    out = combination_to_json(combination, dimension)
+    assert out == reference_combination_json(combination, dimension)
+    assert json.dumps(json.loads(out)) == out
+
+
+@pytest.mark.parametrize("sys_", [
+    # 30 seeded systems in d = 2..4; seed 12 is the golden
+    # random_system(Random(12), 3, 3), apex denominators up to 25
+    *(random_system(random.Random(seed), (seed + 1) % 3 + 2, 3) for seed in range(30)),
+    table_system((2, 4, 6), (4, 4, 4)),
+    table_system((3, 6), (3, 3, 3)),
+])
+def test_solve_json_matches_the_json_dumps_reference(sys_):
+    _assert_renders_like_json_dumps(solve(sys_), sys_.num_variables)
+
+
+def test_hand_built_and_empty_json_match_the_json_dumps_reference():
+    big = 2**64
+    # multiplicities +-3, apex entries past 2^64 over den 1 and den > 1, and
+    # two cones sharing V
+    _assert_renders_like_json_dumps(ConeCombination({
+        cone([(1, 0), (0, 1)], (big + 5, -3 * big)): 3,
+        cone([(1, 0), (0, 1)], (Fraction(big + 1, 3), Fraction(-7, 6)), (1, 0)): -3,
+        cone([(1, 2), (0, 1)], (0, Fraction(-big, 9)), (0, 1)): 3,
+    }))
+    _assert_renders_like_json_dumps(ConeCombination())
+    _assert_renders_like_json_dumps(ConeCombination(), 3)
 
 
 def test_run_is_deterministic():

@@ -20,6 +20,7 @@ from symcones import (
     system,
 )
 from symcones import cones
+from symcones.barvinok import decompose_combination
 from symcones.exactmath import det
 from _support import (
     box_points,
@@ -27,6 +28,7 @@ from _support import (
     in_discrete_cone,
     in_half_open_parallelepiped,
     random_full_dim_cone,
+    random_system,
 )
 
 FIG8_A_POINTS = {
@@ -228,6 +230,29 @@ def test_sorted_items_order_apexes_by_value():
     comb = ConeCombination({cone(gens, a): 1 for a in apexes})
     got = [c.apex for c, _ in comb.sorted_items()]
     assert got == sorted(tuple(Fraction(x) for x in a) for a in apexes)
+
+
+@pytest.mark.parametrize("combination", [
+    # 138 leaves over 69 generator matrices, apex denominators 1, 2 and 4
+    decompose_combination(solve(system([(1, 2, 3, 4, 5)], ["="], [15]))),
+    # apex denominators 1, 13, 18 and 25
+    solve(random_system(random.Random(12), 3, 3)),
+    decompose_combination(solve(random_system(random.Random(12), 3, 3))),
+    # denominators mixed within one V, where numerators alone misorder
+    ConeCombination({
+        cone(gens, apex, bits): mult
+        for gens in ([(1, 0), (0, 1)], [(1, 2), (0, 1)])
+        for apex, bits, mult in [
+            ((Fraction(1, 2), 0), (0, 0), 1), ((Fraction(1, 2), 0), (1, 0), -2),
+            ((Fraction(2, 5), 0), (0, 1), 3), ((Fraction(-3, 4), 7), (0, 0), 1),
+            ((1, 0), (1, 1), -1),
+        ]
+    }),
+], ids=["partition-15-leaves", "random12", "random12-leaves", "hand-built"])
+def test_sorted_items_is_one_sort_by_sort_key(combination):
+    den = math.lcm(*(c.den for c in combination))
+    expected = sorted(combination.items(), key=lambda it: it[0].sort_key(den))
+    assert combination.sorted_items() == expected
 
 
 # --- fundamental parallelepipeds --------------------------------------------------

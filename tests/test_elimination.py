@@ -359,30 +359,51 @@ def test_elimination_refuses_backward_generators():
 
 
 def test_solve_collects_each_emitted_cone_once(monkeypatch):
-    # the bench 3x3 table: every pair _eliminate emits is added once, with
-    # no per-cone combination in between; the lifted cone is the first
-    # round's only parent and is never collected
+    # the bench 3x3 table: each round sums the signed pairs _eliminate
+    # emits for each of its parents into exactly one combination, the one
+    # it yields, with no per-cone combination in between
     import symcones.elimination
 
-    adds, emitted = [], []
-    real_add, real_eliminate = ConeCombination.add, symcones.elimination._eliminate
+    made, calls = [], []
+    real_init, real_wrap = ConeCombination.__init__, ConeCombination._wrap.__func__
+    real_eliminate = symcones.elimination._eliminate
 
-    def counted_add(self, c, multiplicity=1):
-        adds.append(c)
-        real_add(self, c, multiplicity)
+    def counted_init(self, entries=None):
+        made.append(self)
+        real_init(self, entries)
+
+    def counted_wrap(cls, entries):
+        out = real_wrap(cls, entries)
+        made.append(out)
+        return out
 
     def counted_eliminate(c, plans):
         pairs = list(real_eliminate(c, plans))
-        emitted.extend(pairs)
+        calls.append((c, pairs))
         return pairs
 
-    monkeypatch.setattr(ConeCombination, "add", counted_add)
+    monkeypatch.setattr(ConeCombination, "__init__", counted_init)
+    monkeypatch.setattr(ConeCombination, "_wrap", classmethod(counted_wrap))
     monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
-    comb = solve(table_system((2, 4, 6), (4, 4, 4)))
-    assert len(comb) > 0
-    # a path around _eliminate would pass the count below with nothing emitted
-    assert emitted
-    assert len(adds) == len(emitted)
+    rows, rhs = expand_equalities(table_system((2, 4, 6), (4, 4, 4)))
+    lifted = macmahon_lift(rows, rhs)
+    parents, emitted = {lifted: 1}, 0
+    for combination in elimination_rounds(lifted, len(rows)):
+        assert len(made) == 1 and made[0] is combination
+        # every parent is eliminated once
+        assert len(calls) == len(parents)
+        assert {c for c, _ in calls} == set(parents)
+        expected = Counter()
+        for parent, pairs in calls:
+            for sign, c in pairs:
+                expected[c] += parents[parent] * sign
+            emitted += len(pairs)
+        assert dict(combination.items()) == {c: m for c, m in expected.items() if m}
+        made.clear()
+        calls.clear()
+        parents = combination
+    # a path around _eliminate would pass the sums above with nothing emitted
+    assert emitted and len(combination) > 0
 
 
 @pytest.mark.parametrize("row_sums, col_sums, plans, parents", [
