@@ -21,28 +21,29 @@ every input. The decomposition is thus a function of the cone alone.
 
 The recursion reads V alone: ``decompose_combination`` builds one ``_tree``
 per distinct V per call, and ``_leaves`` sets each cone's apex and bits on
-it. Every node reads ``(adj, d) = (det V * V^-1, det V)`` from
-``exactmath.inverse``; a leaf keeps its adj rows for the bits and sorts its
-primitive generators first, so ``enum_fundpar`` later hits the same entry.
+it. Only the root's inverse pair comes from ``scaled_inverse``: every other
+node's follows from its parent's by an integer pivot, and each leaf hands
+its pair to the cones built on it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
-from .cones import ConeCombination, SymbolicCone, _canonical_cone
-from .exactmath import IntMat, IntVec, inverse, lll_reduce, mat_vec, prim, vec_dot
+from .cones import ConeCombination, SymbolicCone, _canonical_cone, _inverse_pair
+from .exactmath import IntMat, IntVec, lll_reduce, mat_vec, scaled_inverse, vec_dot
 
 
 def index(c: SymbolicCone) -> int:
     """Number of lattice points in the fundamental parallelepiped, |det V|."""
     if c.dim != c.ambient_dim:
         raise ValueError("index requires a full-dimensional cone")
-    return abs(inverse(c.generators)[1])
+    return abs(_inverse_pair(c)[1])
 
 
-def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
-    """Return (w, alpha_scaled, d) with w = V @ alpha_scaled / d integral.
+def _shortest_exchange_vector(generators: IntMat, adj: IntMat, d: int) -> tuple[IntVec, IntVec]:
+    """Return (w, alpha_scaled), w = V @ alpha_scaled / d integral, from V's pair (adj, d).
 
     alpha_scaled is the sup-norm shortest column of the LLL-reduced basis of
     the lattice L = d * V^-1 Z^n (ties broken lexicographically);
@@ -54,7 +55,6 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
     d * V^-1 (V Z^n) = dZ^n; such a column exists, as dZ^n has index |d|
     in L and |d| > 1 here. Every child index is then at most |d|/2.
     """
-    adj, d = inverse(generators)
     reduced = lll_reduce(adj)
     target = abs(d)
 
@@ -73,29 +73,33 @@ def _shortest_exchange_vector(generators: IntMat) -> tuple[IntVec, IntVec, int]:
     w = mat_vec(generators, best)
     if any(x % d for x in w):
         raise AssertionError("exchange vector is not integral")
-    return tuple(x // d for x in w), best, d
+    return tuple(x // d for x in w), best
 
 
-def _tree(generators: IntMat, index_threshold: int) -> list[tuple[int, IntMat, IntMat, int]]:
+def _tree(generators: IntMat, index_threshold: int) -> list[tuple[int, IntMat, IntMat, tuple]]:
     """Depth-first exchange recursion over V alone, as a list of leaves.
 
-    A leaf is ``(sign, gens, rows, d)``: its primitive generators in lex
-    order, the rows of adj = d * gens^-1, and d = det(gens). Every stack
-    entry carries det(gens): replacing generator i by w = V @ alpha_scaled /
-    d multiplies it by alpha_scaled_i / d, so det(child_i) == alpha_scaled_i.
+    A leaf is ``(sign, gens, rows, (adj, d))``: its primitive generators in
+    lex order, their inverse pair and the rows of adj. A node carries
+    adj = d * V^-1, d = det V. Swapping generator i for w = V @ a / d
+    (a = alpha_scaled) gives d' = a_i; row i of adj stays and row j becomes
+    (a_i * row_j - a_j * row_i) / d. Leaf column V_j / c_j takes row j to
+    c_j * row_j / prod(c) and d to d / prod(c); sorting permutes the rows.
     """
     leaves = []
-    stack: list[tuple[IntMat, int, int]] = [(generators, inverse(generators)[1], 1)]
+    stack: list[tuple[IntMat, IntMat, int, int]] = [(generators, *scaled_inverse(generators), 1)]
     while stack:
-        gens, d, sign = stack.pop()
+        gens, adj, d, sign = stack.pop()
         if abs(d) <= index_threshold:
             # d != 0 (every child has index |alpha_i| > 0), so the columns
             # are independent and the leaf needs no validation
-            gens = tuple(sorted(prim(g) for g in gens))
-            adj, d = inverse(gens)
-            leaves.append((sign, gens, tuple(zip(*adj)), d))
+            scale = [math.gcd(*g) for g in gens]
+            p = math.prod(scale)
+            gens, rows = zip(*sorted((tuple(x // c for x in g), tuple(c * x // p for x in row))
+                                     for g, c, row in zip(gens, scale, zip(*adj))))
+            leaves.append((sign, gens, rows, (tuple(zip(*rows)), d // p)))
             continue
-        w, alpha_scaled, d = _shortest_exchange_vector(gens)
+        w, alpha_scaled = _shortest_exchange_vector(gens, adj, d)
         sign_d = 1 if d > 0 else -1
         if not any(a * sign_d > 0 for a in alpha_scaled):
             # the exchange identity needs w on the positive side; use -w
@@ -107,8 +111,11 @@ def _tree(generators: IntMat, index_threshold: int) -> list[tuple[int, IntMat, I
             if abs(a) >= abs(d):
                 raise AssertionError("child index did not decrease")
             child = tuple(w if j == i else gens[j] for j in range(len(gens)))
+            child_adj = tuple(tuple(x if j == i else (a * x - a_j * col[i]) // d
+                                    for j, (x, a_j) in enumerate(zip(col, alpha_scaled)))
+                              for col in adj)
             child_sign = 1 if a * sign_d > 0 else -1
-            stack.append((child, a, sign * child_sign))
+            stack.append((child, child_adj, a, sign * child_sign))
     return leaves
 
 
@@ -122,10 +129,10 @@ def _leaves(c: SymbolicCone, tree: list, xi: IntVec) -> Iterator[tuple[int, Symb
     perturbation xi + eps e_1 + eps^2 e_2 + ... (Koeppe and Verdoolaege
     2008): the sign of d times the first non-zero entry of row j.
     """
-    for sign, gens, rows, d in tree:
+    for sign, gens, rows, pair in tree:
         values = (vec_dot(row, xi) or next(a for a in row if a) for row in rows)
-        bits = tuple(0 if value * d > 0 else 1 for value in values)
-        yield sign, _canonical_cone(gens, c.num, c.den, bits)
+        bits = tuple(0 if value * pair[1] > 0 else 1 for value in values)
+        yield sign, _canonical_cone(gens, c.num, c.den, bits, pair)
 
 
 def barvinok_decompose(

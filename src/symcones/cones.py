@@ -18,8 +18,7 @@ fundamental parallelepiped, the numerator of its generating function, with
 one loop over a Smith normal form of the generators. A full-dimensional
 cone of index |det V| = 1 uses the trivial Smith form V = V I I and is the
 one-point case of that loop. Parallelepipeds of more than
-``MAX_FUNDPAR_POINTS`` points are refused before enumeration. Both
-functions read V^-1 from ``exactmath.inverse``, as Barvinok does.
+``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from .exactmath import (
     Scalar,
     has_full_column_rank,
     identity,
-    inverse,
     mat_vec,
     prim,
+    scaled_inverse,
     snf,
     solve_rational,
 )
@@ -66,6 +65,7 @@ class SymbolicCone:
     _hash = None
     # contains's per-generator (row, offset, bit), built on first use
     _membership = None
+    _inverse = None  # see _inverse_pair
 
     def __init__(self, generators: IntMat, apex: Sequence[Scalar], openness: tuple[int, ...]):
         k = len(generators)
@@ -151,20 +151,26 @@ def _assert_independent(generators: IntMat) -> None:
         raise ValueError("generators not linearly independent")
 
 
-def _canonical_cone(
-    generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...]
-) -> SymbolicCone:
+def _canonical_cone(generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...],
+                    inverse: tuple[IntMat, int] | None = None) -> SymbolicCone:
     """Build a canonical cone from columns already known to be good.
 
     The caller guarantees primitive, linearly independent integer columns
-    in lex order and an apex ``num / den`` in lowest terms with ``den > 0``;
-    nothing is checked here.
+    in lex order, their ``_inverse_pair`` if given, and an apex ``num / den``
+    in lowest terms with ``den > 0``; nothing is checked here.
     """
     out = object.__new__(SymbolicCone)
-    out.__dict__.update(
-        generators=generators, num=num, den=den, openness=openness, _canonical=True
-    )
+    out.__dict__.update(generators=generators, num=num, den=den, openness=openness,
+                        _canonical=True, _inverse=inverse)
     return out
+
+
+def _inverse_pair(c: SymbolicCone) -> tuple[IntMat, int]:
+    """The cone's ``(adj, d)``: adj = d * V^-1 with |d| = |det V|, so adj is
+    integral and only d's sign is free; by ``scaled_inverse`` on first use."""
+    if c._inverse is None:
+        c.__dict__["_inverse"] = scaled_inverse(c.generators)
+    return c._inverse
 
 
 def canonicalize(c: SymbolicCone) -> SymbolicCone:
@@ -198,7 +204,7 @@ def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
         if rows is None:
             # lam_j = (adj @ (den*x - num))_j / (den * d) with den > 0, so
             # row . x - offset below is lam_j times den * |d| > 0
-            adj, d = inverse(c.generators)
+            adj, d = _inverse_pair(c)
             sgn = 1 if d > 0 else -1
             rows = c.__dict__["_membership"] = tuple(
                 (tuple(sgn * c.den * a for a in row),
@@ -328,9 +334,9 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
 
     for an integer vector j, which only matters modulo s_i. So j ranges over
     the box prod [0, s_i), one point each, and mod' sends 0 to 1 on open
-    coordinates. A full-dimensional cone first reads adj = d * V^-1 from
-    ``inverse``; at index |d| = 1 its Smith form is the trivial V = V I I,
-    and U^-1 q = V^-1 q = d * adj @ q. Everything is kept in integers over
+    coordinates. A full-dimensional cone first reads its inverse pair; at
+    index |d| = 1 its Smith form is the trivial V = V I I, and
+    U^-1 q = V^-1 q = d * adj @ q. Everything is kept in integers over
     s_k * den; the final division is exact and asserted.
 
     Returns [] when the affine hull of the cone misses the lattice (only
@@ -340,7 +346,7 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     k, n = c.dim, c.ambient_dim
     v = c.generators
     num, den = c.num, c.den
-    adj, d = inverse(v) if k == n else (None, 0)
+    adj, d = _inverse_pair(c) if k == n else (None, 0)
     if d in (1, -1):
         # V^-1 num = adj @ num / d = d * adj @ num
         diag, w_inv, coords = (1,) * n, identity(n), tuple(d * t for t in mat_vec(adj, num))

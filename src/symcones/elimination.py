@@ -62,10 +62,6 @@ class LDSystem:
             raise ValueError("relations and right-hand side must match row count")
 
     @property
-    def num_constraints(self) -> int:
-        return len(self.rows)
-
-    @property
     def num_variables(self) -> int:
         return len(self.rows[0])
 

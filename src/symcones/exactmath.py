@@ -5,20 +5,15 @@ linear algebra is fraction-free over Python's arbitrary-precision ``int``:
 determinants, rank tests, adjugates and solves share one Bareiss
 elimination, and ``lll_reduce`` keeps integral Gram-Schmidt data.
 ``fractions.Fraction`` appears only in the vector ``solve_rational``
-returns. Nothing in this package ever touches floating point. ``inverse``
-is the one cached ``scaled_inverse``: every question about a cone's
-generator matrix V (index, membership, exchange vector, the adj rows a
-Barvinok tree keeps per leaf, index-1 parallelepiped point) reads the same
-``(adj, d)``. Values are immutable, every function is pure and
-``lru_cache`` is thread-safe, so everything here is safe to share between
-threads without coordination.
+returns. Nothing in this package ever touches floating point. Values are
+immutable and every function is pure, so everything here is safe to share
+between threads without coordination.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 IntVec = tuple[int, ...]
@@ -185,10 +180,6 @@ def scaled_inverse(m: IntMat) -> tuple[IntMat, int]:
     if d == 0:
         raise ValueError("generators not linearly independent")
     return adj, d
-
-
-# scaled_inverse stays uncached, so the bench kernel replay times the elimination
-inverse = lru_cache(maxsize=8192)(scaled_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from symcones import (
 )
 from symcones import barvinok
 from symcones.barvinok import _shortest_exchange_vector, decompose_combination
-from symcones.exactmath import det
+from symcones.exactmath import det, scaled_inverse
 from _support import (
     assert_canonical_by_construction,
     collect,
@@ -106,13 +106,66 @@ def test_exchange_vector_strictly_reduces_index():
         parent = abs(det(c.generators))
         if parent == 1:
             continue
-        w, alpha_scaled, dd = _shortest_exchange_vector(c.generators)
+        w, alpha_scaled = _shortest_exchange_vector(c.generators, *scaled_inverse(c.generators))
         assert max(abs(a) for a in alpha_scaled) < parent
         # the decomposition carries det(child_i) as alpha_scaled_i
         for i, a in enumerate(alpha_scaled):
             if a != 0:
                 child = tuple(w if j == i else g for j, g in enumerate(c.generators))
                 assert det(child) == a
+
+
+def assert_inverse_pair(gens, adj, d):
+    """adj = d * V^-1 with |d| = |det V|, against Bareiss on the columns."""
+    want_adj, want_d = scaled_inverse(gens)
+    assert d in (want_d, -want_d)
+    assert adj == tuple(tuple(d // want_d * x for x in col) for col in want_adj)
+
+
+def test_prim_rescales_a_leaf_pair():
+    # column (2, 0) halves: d goes 2 -> 1 = -det of the sorted leaf
+    [(sign, gens, rows, (adj, d))] = barvinok._tree(((2, 0), (0, 1)), 3)
+    swap = ((0, 1), (1, 0))
+    assert (sign, gens, rows, adj, d) == (1, swap, swap, swap, 1)
+    assert_inverse_pair(gens, adj, d)
+
+
+@pytest.mark.parametrize("threshold", [1, 3])
+def test_carried_inverse_pairs_match_scaled_inverse(monkeypatch, threshold):
+    # every exchange and every leaf reads the pair its parent handed down:
+    # each must equal Bareiss's on its columns, and each leaf cone keeps it
+    real_exchange = barvinok._shortest_exchange_vector
+    exchanges = []
+    rescaled = []  # leaves with a column that prim divides
+
+    def checked_exchange(generators, adj, d):
+        assert_inverse_pair(generators, adj, d)
+        exchanges.append(d)
+        w, alpha_scaled = real_exchange(generators, adj, d)
+        for i, a in enumerate(alpha_scaled):
+            child = generators[:i] + (w,) + generators[i + 1:]
+            if 0 < abs(a) <= threshold and any(math.gcd(*g) > 1 for g in child):
+                rescaled.append(child)
+        return w, alpha_scaled
+
+    monkeypatch.setattr(barvinok, "_shortest_exchange_vector", checked_exchange)
+    rng = random.Random(16)
+    for n in range(2, 7):
+        for _ in range(4):
+            c = canonicalize(random_full_dim_cone(rng, n, 4 if n < 5 else 2, max_det=300,
+                                                  rational_apex=True, random_openness=True))
+            # non-primitive roots: a leaf keeping a stretched column rescales
+            ks = rng.choices((1, 2, 3), k=n)
+            scaled = tuple(tuple(k * x for x in g) for k, g in zip(ks, c.generators))
+            for gens in (c.generators, scaled):
+                for _, leaf_gens, rows, (adj, d) in barvinok._tree(gens, threshold):
+                    assert_inverse_pair(leaf_gens, adj, d)
+                    assert rows == tuple(zip(*adj))
+            for leaf in decompose_combination(ConeCombination({c: 1}), threshold):
+                assert leaf._inverse is not None
+                assert_inverse_pair(leaf.generators, *leaf._inverse)
+    assert len(exchanges) > 100
+    assert bool(rescaled) == (threshold > 1)
 
 
 def test_residue_fallback_when_lll_misses_the_bound(monkeypatch):
@@ -126,11 +179,11 @@ def test_residue_fallback_when_lll_misses_the_bound(monkeypatch):
         big = 10**6 * det(basis)
         return tuple((g[0] + big,) + g[1:] for g in real_lll(basis))
 
-    def checked_exchange(generators):
-        w, alpha_scaled, d = real_exchange(generators)
+    def checked_exchange(generators, adj, d):
+        w, alpha_scaled = real_exchange(generators, adj, d)
         assert 2 * max(abs(a) for a in alpha_scaled) <= abs(d)
         calls.append(d)
-        return w, alpha_scaled, d
+        return w, alpha_scaled
 
     monkeypatch.setattr(barvinok, "lll_reduce", long_lll)
     monkeypatch.setattr(barvinok, "_shortest_exchange_vector", checked_exchange)
@@ -151,7 +204,8 @@ def decompose_along_exchange_vector(gens, apex):
     every child, so it lies on the hyperplane of each child facet that
     contains w. The root's bits are the signs of V^-1 @ w, as
     barvinok_decompose would draw them."""
-    w, alpha_scaled, d = _shortest_exchange_vector(gens)
+    adj, d = scaled_inverse(gens)
+    w, alpha_scaled = _shortest_exchange_vector(gens, adj, d)
     assert all(alpha_scaled)
     bits = tuple(0 if a * d > 0 else 1 for a in alpha_scaled)
     c = canonicalize(cone(gens, apex, bits))
@@ -176,7 +230,9 @@ def test_direction_on_child_facets_of_random_cones():
     while checked < 12:
         c = canonicalize(random_full_dim_cone(rng, rng.randint(2, 3), 9, max_det=200,
                                               rational_apex=True))
-        if abs(det(c.generators)) == 1 or 0 in _shortest_exchange_vector(c.generators)[1]:
+        if abs(det(c.generators)) == 1:
+            continue
+        if 0 in _shortest_exchange_vector(c.generators, *scaled_inverse(c.generators))[1]:
             continue
         c, result = decompose_along_exchange_vector(c.generators, c.apex)
         lo = tuple(int(q) - 4 for q in c.apex)

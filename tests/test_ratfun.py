@@ -209,8 +209,9 @@ def test_count_agrees_between_fp_and_unimodular_routes(data):
 
 
 def test_count_eliminates_each_generator_matrix_once(monkeypatch):
-    # every V^-1 question about a cone reads exactmath.inverse, so a count
-    # runs at most one Bareiss elimination per distinct matrix
+    # Bareiss runs for the rank test of solve and once per Barvinok tree
+    # root; every node below a root, and every leaf's point, reads the
+    # inverse pair its parent handed down
     from symcones import exactmath
 
     seen = []
@@ -221,10 +222,12 @@ def test_count_eliminates_each_generator_matrix_once(monkeypatch):
         return bareiss(m, rhs)
 
     monkeypatch.setattr(exactmath, "_bareiss", counting)
-    exactmath.inverse.cache_clear()
-    comb = solve(system([(1, 2, 3, 4, 5)], ["="], [15]))
-    assert count_lattice_points(comb) == 84
-    assert seen and len(seen) == len(set(seen))
+    for coeffs, total, want, calls in (((1, 2, 3, 4, 5), 15, 84, 6),
+                                       ((2, 3, 5, 7, 11, 13), 60, 893, 7)):
+        seen.clear()
+        comb = solve(system([coeffs], ["="], [total]))
+        assert count_lattice_points(comb) == want
+        assert len(seen) == 1 + len({c.generators for c in comb}) == calls
 
 
 def test_evaluate_count_rejects_orthogonal_direction():
