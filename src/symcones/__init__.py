@@ -15,7 +15,6 @@ from .cones import (
     contains,
     enum_fundpar,
     eval_combination,
-    lattice_points_in_box,
 )
 from .elimination import (
     LDSystem,
@@ -66,7 +65,6 @@ __all__ = [
     "enum_fundpar",
     "eval_combination",
     "index",
-    "lattice_points_in_box",
     "lll_reduce",
     "macmahon_lift",
     "prim",

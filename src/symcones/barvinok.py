@@ -20,15 +20,16 @@ same for every cone, it acts as one generic direction, so this one xi serves
 every input. The decomposition is thus a function of the cone alone.
 
 The recursion reads V alone: ``decompose_combination`` builds one ``_tree``
-per distinct V per call, and ``_leaves`` sets each cone's apex and bits on
-it. Only the root's inverse pair comes from ``scaled_inverse``: every other
-node's follows from its parent's by an integer pivot, and each leaf hands
-its pair to the cones built on it.
+per distinct V per call, ``_leaves`` sets each cone's apex and bits on it,
+and ``ConeCombination._collect`` sums the canonical leaves. Only the root is
+inverted by ``scaled_inverse``: a child's pair follows from its parent's by
+an integer pivot, and a leaf hands its pair to its cones.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, _inverse_pair
@@ -119,8 +120,9 @@ def _tree(generators: IntMat, index_threshold: int) -> list[tuple[int, IntMat, I
     return leaves
 
 
-def _leaves(c: SymbolicCone, tree: list, xi: IntVec) -> Iterator[tuple[int, SymbolicCone]]:
-    """The ``(sign, leaf)`` pairs of C: C's apex on each leaf of its tree.
+def _leaves(c: SymbolicCone, mult: int, tree: list,
+            xi: IntVec) -> Iterator[tuple[int, SymbolicCone]]:
+    """The ``(multiplicity, leaf)`` pairs of mult * [C]: C's apex on each leaf.
 
     Facet j of a leaf is closed iff its inner normal, row j of gens^-1, sees
     xi positively; row j of adj has the signs of d times that normal, so bit
@@ -132,7 +134,7 @@ def _leaves(c: SymbolicCone, tree: list, xi: IntVec) -> Iterator[tuple[int, Symb
     for sign, gens, rows, pair in tree:
         values = (vec_dot(row, xi) or next(a for a in row if a) for row in rows)
         bits = tuple(0 if value * pair[1] > 0 else 1 for value in values)
-        yield sign, _canonical_cone(gens, c.num, c.den, bits, pair)
+        yield mult * sign, _canonical_cone(gens, c.num, c.den, bits, pair)
 
 
 def barvinok_decompose(
@@ -165,12 +167,8 @@ def decompose_combination(
         raise ValueError("index_threshold must be at least 1")
     if any(c.dim != c.ambient_dim for c in combination):
         raise ValueError("decomposition requires a full-dimensional cone")
-    out = ConeCombination()
-    trees: dict[IntMat, list] = {}
-    for c, mult in combination.items():
-        if c.generators not in trees:
-            trees[c.generators] = _tree(c.generators, index_threshold)
-        xi = mat_vec(c.generators, [1 if bit == 0 else -1 for bit in c.openness])
-        for sign, leaf in _leaves(c, trees[c.generators], xi):
-            out.add(leaf, mult * sign)
-    return out
+    trees = {v: _tree(v, index_threshold) for v in {c.generators for c in combination}}
+    return ConeCombination._collect(chain.from_iterable(
+        _leaves(c, mult, trees[c.generators],
+                mat_vec(c.generators, [1 if bit == 0 else -1 for bit in c.openness]))
+        for c, mult in combination.items()))

@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cones import ConeCombination, eval_combination
+from .cones import ConeCombination, _share_inverse_pairs, eval_combination
 from .elimination import LDSystem, Relation, elimination_rounds, expand_equalities, macmahon_lift
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
@@ -121,6 +121,7 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
     if calls > MAX_CHECK_CONTAINS:
         raise ParseError(f"check would run {calls} membership tests, more than "
                          f"{MAX_CHECK_CONTAINS}; use a smaller --box")
+    _share_inverse_pairs(combination)
     for x in itertools.product(range(config.box + 1), repeat=d):
         expected = 1 if sys_.satisfies(x) else 0
         actual = eval_combination(combination, x)

@@ -173,6 +173,15 @@ def _inverse_pair(c: SymbolicCone) -> tuple[IntMat, int]:
     return c._inverse
 
 
+def _share_inverse_pairs(cones: Iterable[SymbolicCone]) -> None:
+    """One Bareiss per V: full-dimensional cones without a pair take their V's first."""
+    pairs: dict[IntMat, tuple[IntMat, int]] = {}
+    for c in cones:
+        if c.dim == c.ambient_dim:
+            c.__dict__["_inverse"] = c._inverse or pairs.get(c.generators)
+            pairs.setdefault(c.generators, _inverse_pair(c))
+
+
 def canonicalize(c: SymbolicCone) -> SymbolicCone:
     """Unique representative: primitive generator columns in lex order.
 
@@ -233,10 +242,11 @@ class ConeCombination(Mapping[SymbolicCone, int]):
 
     Represents the indicator-function sum over its entries. Keys are always
     canonical and share one ambient dimension; entries with multiplicity 0
-    are dropped on the fly. Cones themselves are immutable and all cone
-    operations are pure; this merge-by-canonical-key accumulator is the one
-    mutable step, so it is the single point needing exclusivity if callers
-    ever parallelize over cones.
+    are dropped on the fly. Cones are immutable and cone operations pure;
+    summing by canonical key is the one mutable step, and the one point
+    needing exclusivity if callers ever parallelize over cones. ``_collect``
+    sums package-built cones (canonical, of one dimension) unchecked;
+    ``__init__``, ``add`` and ``__getitem__`` validate any other cone.
     """
 
     __slots__ = ("_entries",)
@@ -248,10 +258,16 @@ class ConeCombination(Mapping[SymbolicCone, int]):
                 self.add(c, mult)
 
     @classmethod
-    def _wrap(cls, entries: dict[SymbolicCone, int]) -> ConeCombination:
-        """``entries`` itself, unchecked: canonical keys of one dimension, no 0."""
+    def _collect(cls, signed: Iterable[tuple[int, SymbolicCone]]) -> ConeCombination:
+        """Sum ``(multiplicity, cone)`` pairs of canonical cones of one dimension, unchecked."""
         out = object.__new__(cls)
-        out._entries = entries
+        out._entries = entries = {}
+        for mult, c in signed:
+            new = entries.get(c, 0) + mult
+            if new:
+                entries[c] = new
+            else:
+                del entries[c]
         return out
 
     def add(self, c: SymbolicCone, multiplicity: int = 1) -> None:
@@ -391,15 +407,3 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
             point.append(total // modulus)
         points.append(tuple(point))
     return points
-
-
-def lattice_points_in_box(
-    c: SymbolicCone, lo: Sequence[int], hi: Sequence[int]
-) -> set[IntVec]:
-    """Lattice points of the cone inside the box lo <= x <= hi (oracle scan)."""
-    if len(lo) != c.ambient_dim or len(hi) != c.ambient_dim:
-        raise ValueError("box has wrong dimension")
-    if any(a > b for a, b in zip(lo, hi)):
-        return set()
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    return {x for x in itertools.product(*ranges) if contains(c, x)}

@@ -10,9 +10,9 @@ of half-open simplicial cones in R^d - no triangulation, no rational
 function arithmetic along the way.
 
 ``elimination_rounds`` is the only loop over the rounds: it checks its
-input once, then collects the signed cones ``_eliminate`` emits once per
-round. ``eliminate`` and ``solve`` return its last combination, and the
-CLI walks the same rounds to print one ``--verbose`` line per round.
+input once, then ``ConeCombination._collect`` sums what ``_eliminate`` emits,
+once per round. ``eliminate`` and ``solve`` return its last combination, and
+the CLI walks the same rounds to print one ``--verbose`` line per round.
 
 A step branches only on the generators V and the sign of q_n, which many
 cones of a round share: ``_plan`` builds the output generators, order,
@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .cones import (
@@ -167,10 +168,10 @@ def _plan(v: IntMat, nonneg: bool) -> tuple:
     return tuple(plan)
 
 
-def _eliminate(c: SymbolicCone, plans: dict) -> Iterator[tuple[int, SymbolicCone]]:
-    """The ``(sign, cone)`` pairs of ``eliminate_last_coordinate``, unchecked:
-    the ``_plan`` of (V, q_n >= 0), built once per key in ``plans``, and per
-    cone only each output apex, in lowest terms by one gcd, and its bits."""
+def _eliminate(c: SymbolicCone, mult: int, plans: dict) -> Iterator[tuple[int, SymbolicCone]]:
+    """The ``(multiplicity, cone)`` pairs of mult * ``eliminate(c, 1)``,
+    unchecked: the ``_plan`` of (V, q_n >= 0), built once per key in ``plans``,
+    and per cone only each output apex, in lowest terms by one gcd, and its bits."""
     num, den, q_n = c.num, c.den, c.num[-1]
     key = (c.generators, q_n >= 0)
     plan = plans.get(key)
@@ -182,7 +183,8 @@ def _eliminate(c: SymbolicCone, plans: dict) -> Iterator[tuple[int, SymbolicCone
         # divide by the gcd, taking the sign of den * l along
         f = math.gcd(den * lj, *apex) if lj > 0 else -math.gcd(den * lj, *apex)
         out_bits = tuple([bits[i] ^ t for i, t in zip(perm, toggles)])
-        yield sign, _canonical_cone(gens, tuple([a // f for a in apex]), den * lj // f, out_bits)
+        yield mult * sign, _canonical_cone(gens, tuple([a // f for a in apex]), den * lj // f,
+                                           out_bits)
 
 
 def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
@@ -190,7 +192,7 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
 
     This is the one elimination loop: ``eliminate`` and ``solve`` keep its
     last combination, and the CLI's ``--verbose`` lines describe each one.
-    The signed cones ``_eliminate`` emits are collected by canonical cone
+    ``ConeCombination._collect`` sums the canonical cones ``_eliminate`` emits
     once per round; cancellation between rounds is what keeps intermediate
     combinations small, so this is not an optional optimization.
 
@@ -213,16 +215,8 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     current = {c: 1}
     plans: dict = {}
     for _ in range(rounds):
-        # emitted cones are canonical and of one dimension (see _plan)
-        collected: dict[SymbolicCone, int] = {}
-        for parent, mult in current.items():
-            for sign, c2 in _eliminate(parent, plans):
-                new = collected.get(c2, 0) + mult * sign
-                if new:
-                    collected[c2] = new
-                else:
-                    del collected[c2]
-        current = ConeCombination._wrap(collected)
+        current = ConeCombination._collect(chain.from_iterable(
+            _eliminate(parent, mult, plans) for parent, mult in current.items()))
         yield current
 
 

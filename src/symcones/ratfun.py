@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, SymbolicCone, enum_fundpar
+from .cones import ConeCombination, SymbolicCone, _share_inverse_pairs, enum_fundpar
 from .exactmath import IntVec, is_forward, vec_dot, vec_sub
 
 FP = "fp"
@@ -123,16 +123,20 @@ def combination_to_ratfun(
     ``barvinok`` first rewrites each cone as a signed sum of cones with
     index at most ``index_threshold`` (unimodular by default), half-opened
     along that cone's xi = V·(±1), giving one short term per output cone,
-    with backward denominator factors flipped forward. Either way the
-    numerator is that of ``cone_to_term_fp``. Zero terms are dropped.
+    with backward denominator factors flipped forward; ``fp`` refuses any
+    other ``index_threshold`` than 1. Either way the numerator is that of
+    ``cone_to_term_fp``, cones share V^-1 per V, and zero terms are dropped.
     """
     if method not in (FP, BARVINOK):
         raise ValueError(f"unknown conversion method: {method!r}")
     if method == BARVINOK:
         combination = decompose_combination(combination, index_threshold)
+    elif index_threshold != 1:
+        raise ValueError("index_threshold applies only to the barvinok method")
+    _share_inverse_pairs(combination)
     terms = []
     for c, mult in combination.sorted_items():
-        nums = cone_to_term_fp(c).numerator
+        nums = tuple(sorted(enum_fundpar(c)))
         if not nums:
             continue
         dens = c.generators

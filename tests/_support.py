@@ -7,10 +7,11 @@ semigroup membership by Cramer's rule over those determinants, rank by
 Gram-Schmidt algorithm, Laurent expansions by per-term ``Fraction``
 series, and the cone JSON by a dict tree through ``json.dumps``. These are
 the second route that the package's formulas are checked against. The
-exception is ``decompose_along_random_direction(s)``: input
+exceptions are ``decompose_along_random_direction(s)``: input
 generators, not oracles, that set the openness bits of the package's own
 Barvinok tree (``_tree``, built from the generators alone) under other
-reference directions (``_leaves``).
+reference directions (``_leaves``); and ``lattice_points_in_box``, a box
+scan through the package's own ``contains``.
 """
 
 from collections import Counter
@@ -21,7 +22,9 @@ import json
 from math import ceil, factorial, floor, gcd, lcm
 import random
 
-from symcones import ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone
+from symcones import (
+    ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone, contains,
+)
 from symcones.barvinok import _leaves, _tree
 from symcones.exactmath import IntMat, det, mat_vec
 
@@ -261,14 +264,14 @@ def decompose_along_random_direction(c: SymbolicCone, rng: random.Random) -> Con
     c = canonicalize(c)
     weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
     xi = mat_vec(c.generators, weights)
-    return collect(_leaves(c, _tree(c.generators, 1), xi))
+    return collect(_leaves(c, 1, _tree(c.generators, 1), xi))
 
 
 def collect(pairs) -> ConeCombination:
-    """The combination of the ``(sign, cone)`` pairs a recursion yields."""
+    """The combination of the ``(multiplicity, cone)`` pairs a recursion yields."""
     out = ConeCombination()
-    for sign, c in pairs:
-        out.add(c, sign)
+    for mult, c in pairs:
+        out.add(c, mult)
     return out
 
 
@@ -412,6 +415,16 @@ def in_half_open_parallelepiped(c: SymbolicCone, x) -> bool:
         if bit == 1 and not 0 < value <= 1:
             return False
     return True
+
+
+def lattice_points_in_box(c: SymbolicCone, lo, hi) -> set[tuple[int, ...]]:
+    """Lattice points of the cone inside the box lo <= x <= hi (oracle scan)."""
+    if len(lo) != c.ambient_dim or len(hi) != c.ambient_dim:
+        raise ValueError("box has wrong dimension")
+    if any(a > b for a, b in zip(lo, hi)):
+        return set()
+    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
+    return {x for x in product(*ranges) if contains(c, x)}
 
 
 def half_open_parallelepiped_points(c: SymbolicCone) -> list[tuple[int, ...]]:

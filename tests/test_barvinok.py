@@ -209,7 +209,7 @@ def decompose_along_exchange_vector(gens, apex):
     assert all(alpha_scaled)
     bits = tuple(0 if a * d > 0 else 1 for a in alpha_scaled)
     c = canonicalize(cone(gens, apex, bits))
-    result = collect(barvinok._leaves(c, barvinok._tree(c.generators, 1), w))
+    result = collect(barvinok._leaves(c, 1, barvinok._tree(c.generators, 1), w))
     assert all(index(leaf) == 1 for leaf in result)
     assert any(0 in solve_rational(leaf.generators, w) for leaf in result)
     return c, result

@@ -410,6 +410,26 @@ def _golden_id(case) -> str:
     return "-".join([config.subcommand, *changed, system])
 
 
+def test_package_built_cones_skip_the_validating_door(monkeypatch):
+    # elimination rounds and Barvinok leaves are canonical by construction,
+    # so neither is collected through ConeCombination.add
+    from symcones import decompose_combination
+
+    knapsack = system([(2, 3, 5, 7, 11, 13)], ["="], [60])
+    comb = solve(knapsack)
+
+    def refused(self, c, multiplicity=1):
+        raise AssertionError("a package-built cone went through add")
+
+    monkeypatch.setattr(ConeCombination, "add", refused)
+    assert len(decompose_combination(comb)) > len(comb)
+    config, digest = next((config, digest) for config, sys_, digest in GOLDEN_SHA256
+                          if sys_ == knapsack)
+    _, output, _ = run(config, knapsack)
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
+    assert run(RunConfig("count"), knapsack)[1] == "893"
+
+
 @pytest.mark.parametrize("config, sys_, digest", GOLDEN_SHA256,
                          ids=[_golden_id(case) for case in GOLDEN_SHA256])
 def test_output_matches_recorded_sha256(config, sys_, digest):

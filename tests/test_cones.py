@@ -15,7 +15,6 @@ from symcones import (
     contains,
     enum_fundpar,
     eval_combination,
-    lattice_points_in_box,
     solve,
     system,
 )
@@ -27,6 +26,7 @@ from _support import (
     half_open_parallelepiped_points,
     in_discrete_cone,
     in_half_open_parallelepiped,
+    lattice_points_in_box,
     random_full_dim_cone,
     random_system,
 )

@@ -365,38 +365,41 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
     import symcones.elimination
 
     made, calls = [], []
-    real_init, real_wrap = ConeCombination.__init__, ConeCombination._wrap.__func__
+    real_init, real_collect = ConeCombination.__init__, ConeCombination._collect.__func__
     real_eliminate = symcones.elimination._eliminate
 
     def counted_init(self, entries=None):
         made.append(self)
         real_init(self, entries)
 
-    def counted_wrap(cls, entries):
-        out = real_wrap(cls, entries)
+    def counted_collect(cls, signed):
+        out = real_collect(cls, signed)
         made.append(out)
         return out
 
-    def counted_eliminate(c, plans):
-        pairs = list(real_eliminate(c, plans))
-        calls.append((c, pairs))
+    def counted_eliminate(c, mult, plans):
+        pairs = list(real_eliminate(c, mult, plans))
+        # the parent's multiplicity times the sign of each unit pair
+        assert pairs == [(mult * sign, c2) for sign, c2 in real_eliminate(c, 1, plans)]
+        calls.append((c, mult, pairs))
         return pairs
 
     monkeypatch.setattr(ConeCombination, "__init__", counted_init)
-    monkeypatch.setattr(ConeCombination, "_wrap", classmethod(counted_wrap))
+    monkeypatch.setattr(ConeCombination, "_collect", classmethod(counted_collect))
     monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
     rows, rhs = expand_equalities(table_system((2, 4, 6), (4, 4, 4)))
     lifted = macmahon_lift(rows, rhs)
     parents, emitted = {lifted: 1}, 0
     for combination in elimination_rounds(lifted, len(rows)):
         assert len(made) == 1 and made[0] is combination
-        # every parent is eliminated once
+        # every parent is eliminated once, with its own multiplicity
         assert len(calls) == len(parents)
-        assert {c for c, _ in calls} == set(parents)
+        assert {c for c, _, _ in calls} == set(parents)
+        assert all(mult == parents[c] for c, mult, _ in calls)
         expected = Counter()
-        for parent, pairs in calls:
-            for sign, c in pairs:
-                expected[c] += parents[parent] * sign
+        for _, _, pairs in calls:
+            for mult, c in pairs:
+                expected[c] += mult
             emitted += len(pairs)
         assert dict(combination.items()) == {c: m for c, m in expected.items() if m}
         made.clear()
@@ -442,7 +445,7 @@ def test_plan_step_matches_per_cone_reference():
         parents, plans, seen = [canonicalize(lift)], {}, Counter()
         for comb in elimination_rounds(lift, len(rows)):
             for c in parents:
-                assert Counter(_eliminate(c, plans)) == reference_elimination_step(c)
+                assert Counter(_eliminate(c, 1, plans)) == reference_elimination_step(c)
                 seen["below" if c.num[-1] < 0 else "above"] += 1
                 seen["open"] += any(c.openness)
             parents = list(comb)

@@ -13,20 +13,22 @@ from symcones import (
     cone_to_term_fp,
     count_lattice_points,
     eval_combination,
-    lattice_points_in_box,
     ratfun_from_json,
     render,
     solve,
     system,
 )
+from symcones.cli import RunConfig, run
 from symcones.exactmath import det
 from symcones.ratfun import InfiniteSetError, RatFunExpr, RatFunTerm, evaluate_count
 from _support import (
     decompose_along_random_directions,
     in_discrete_cone,
+    lattice_points_in_box,
     random_full_dim_cone,
     random_system,
     reference_summed_laurent,
+    table_system,
 )
 
 
@@ -131,6 +133,36 @@ def test_unknown_method_rejected():
         combination_to_ratfun(ConeCombination(), "magic")
 
 
+def test_fp_refuses_an_index_threshold():
+    # only the Barvinok route reads the threshold, so fp refuses any other
+    # value than the default, before any cone is converted
+    comb = solve(system([(2, 3)], [">="], [5]))
+    for threshold in (0, 2, 3):
+        for c in (comb, ConeCombination()):
+            with pytest.raises(ValueError, match="only to the barvinok method"):
+                combination_to_ratfun(c, "fp", index_threshold=threshold)
+    assert combination_to_ratfun(comb, "fp", index_threshold=1).terms
+
+
+@pytest.mark.parametrize("method, sys_", [
+    # indices up to 324, so numerators of many points
+    ("fp", random_system(random.Random(12), 3, 3)),
+    ("barvinok", system([(2, 3, 5, 7, 11, 13)], ["="], [60])),
+])
+def test_combination_to_ratfun_builds_one_term_per_cone(monkeypatch, method, sys_):
+    built = []
+    real = RatFunTerm.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(RatFunTerm, "__post_init__", counted)
+    expr = combination_to_ratfun(solve(sys_), method)
+    assert len(expr.terms) > 1
+    assert built == list(expr.terms)
+
+
 # --- counting ---------------------------------------------------------------------
 
 def test_count_equality_line():
@@ -228,6 +260,34 @@ def test_count_eliminates_each_generator_matrix_once(monkeypatch):
         comb = solve(system([coeffs], ["="], [total]))
         assert count_lattice_points(comb) == want
         assert len(seen) == 1 + len({c.generators for c in comb}) == calls
+
+
+@pytest.mark.parametrize("config, sys_, calls", [
+    # 912 cones over 102 generator matrices, every one of index 1
+    (RunConfig("ratfun", method="fp", fmt="json"), table_system((6, 6, 6), (6, 6, 6)), 103),
+    # 96 cones over 12 generator matrices, each cone probed at 3^6 points
+    (RunConfig("check", box=2), table_system((2, 4), (2, 2, 2)), 13),
+])
+def test_fp_and_check_invert_each_generator_matrix_once(monkeypatch, config, sys_, calls):
+    # Bareiss runs for the rank test of solve and once per distinct V: the
+    # first cone of a V hands its inverse pair to the rest
+    from symcones import exactmath
+
+    seen = []
+    bareiss = exactmath._bareiss
+
+    def counting(m, rhs=()):
+        seen.append(m)
+        return bareiss(m, rhs)
+
+    monkeypatch.setattr(exactmath, "_bareiss", counting)
+    comb = solve(sys_)
+    generators = {c.generators for c in comb}
+    seen.clear()
+    status, _, _ = run(config, sys_)
+    assert status == 0
+    assert len(seen) == 1 + len(generators) == calls
+    assert len(comb) > len(generators)
 
 
 def test_evaluate_count_rejects_orthogonal_direction():
