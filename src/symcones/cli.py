@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 
 from .cones import ConeCombination, _share_inverse_pairs, eval_combination
-from .elimination import LDSystem, Relation, elimination_rounds, expand_equalities, macmahon_lift
+from .elimination import LDSystem, Relation, solve_rounds
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
@@ -135,12 +135,9 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     if config.box < 0:
         raise ParseError(f"--box must be at least 0, got {config.box}")
     d = sys_.num_variables
-    rows, rhs = expand_equalities(sys_)
     diagnostics = []
-    # the rounds of solve(sys_); a system has at least one row, so there is
-    # at least one round and ``combination`` is always bound
-    rounds = elimination_rounds(macmahon_lift(rows, rhs), len(rows))
-    for i, combination in enumerate(rounds, start=1):
+    # there is at least one round, so ``combination`` is always bound
+    for i, combination in enumerate(solve_rounds(sys_), start=1):
         if config.verbose:
             bits = max(
                 (abs(x).bit_length() for c in combination for g in c.generators for x in g),

@@ -138,7 +138,7 @@ def cone(
     raises on linearly dependent generators."""
     gens = tuple(tuple(int(x) for x in g) for g in generators)
     if apex is None:
-        apex = (0,) * len(gens[0])
+        apex = (0,) * len(gens[0]) if gens else ()
     if openness is None:
         openness = (0,) * len(gens)
     out = SymbolicCone(gens, tuple(apex), tuple(int(b) for b in openness))

@@ -12,7 +12,7 @@ function arithmetic along the way.
 ``elimination_rounds`` is the only loop over the rounds: it checks its
 input once, then ``ConeCombination._collect`` sums what ``_eliminate`` emits,
 once per round. ``eliminate`` and ``solve`` return its last combination, and
-the CLI walks the same rounds to print one ``--verbose`` line per round.
+the CLI walks ``solve_rounds`` to print one ``--verbose`` line per round.
 
 A step branches only on the generators V and the sign of q_n, which many
 cones of a round share: ``_plan`` builds the output generators, order,
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -101,6 +102,8 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
     the solution set of the system, one coordinate at a time.
     """
     m = len(rows)
+    if m == 0:
+        raise ValueError("system needs at least one constraint")
     d = len(rows[0])
     if any(len(r) != d for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
@@ -226,10 +229,8 @@ def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
     Returns the last combination of ``elimination_rounds``, or the
     canonical input cone with multiplicity 1 when ``rounds`` is 0.
     """
-    combination = None
-    for combination in elimination_rounds(c, rounds):
-        pass
-    return ConeCombination({canonicalize(c): 1}) if combination is None else combination
+    last = deque(elimination_rounds(c, rounds), maxlen=1)
+    return last.pop() if last else ConeCombination({canonicalize(c): 1})
 
 
 def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
@@ -245,12 +246,15 @@ def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
     return tuple(rows), tuple(rhs)
 
 
-def solve(sys: LDSystem) -> ConeCombination:
-    """Signed cone combination equal to the solution-set indicator on R^d.
-
-    Equations are expanded into inequality pairs first. Infeasible systems
-    come out as the empty combination or one evaluating to 0 everywhere on
-    the non-negative orthant.
-    """
+def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
+    """``elimination_rounds`` of the lifted system, one per expanded row."""
     rows, rhs = expand_equalities(sys)
-    return eliminate(macmahon_lift(rows, rhs), len(rows))
+    return elimination_rounds(macmahon_lift(rows, rhs), len(rows))
+
+
+def solve(sys: LDSystem) -> ConeCombination:
+    """Signed cone combination equal to the solution-set indicator on R^d:
+    the last of ``solve_rounds``. Infeasible systems come out as the empty
+    combination or one evaluating to 0 everywhere on the non-negative orthant.
+    """
+    return deque(solve_rounds(sys), maxlen=1).pop()

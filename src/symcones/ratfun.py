@@ -12,10 +12,10 @@ are structured sums, rendered as-is. Every term's numerator comes from
 form, whatever the method or index threshold.
 
 Counting substitutes z_i -> exp(lam_i t) for a positive integer direction
-lam non-orthogonal to every denominator exponent and expands the sum at
-t = 0 with exact series arithmetic, once per set of denominator dots
-lam . v: the constant coefficient is the count, and a non-zero principal
-part refuses an infinite set.
+lam non-orthogonal to every denominator exponent and expands at t = 0 with
+exact series, once per set of dots lam . v: the constant coefficient is the
+count, a non-zero principal part refuses an infinite set. Count builds no
+terms: it folds the Barvinok leaves in with raw, unflipped dots.
 """
 
 from __future__ import annotations
@@ -169,26 +169,27 @@ def _todd_scale(order: int) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in beta]
 
 
-def _summed_laurent(expr: RatFunExpr, direction: IntVec) -> list[Fraction]:
-    """Laurent coefficients of orders t^-k .. t^0 of the summed expression
-    under z_i -> e^{lam_i t}, k being the most denominator factors of a term.
+def _summed_laurent(terms: Iterable[tuple], direction: IntVec) -> list[Fraction]:
+    """Laurent coefficients of orders t^-k .. t^0 of the summed ``(mult,
+    numerator, denominator)`` terms under z_i -> e^{lam_i t}, k being the
+    most denominator factors of a term.
 
     With dots b = lam . v of the denominators and a = lam . u of the
     numerator points, a term is mult * (-1)^k / (prod b * t^k) *
-    prod_b bt/(e^{bt} - 1) * sum_u e^{at}. Terms with the same sorted dots
-    b share the product, so each such group sums its numerators into one
-    weight map a -> sum of mult and takes one series product, in ints over
-    L^k * k! (L from ``_todd_scale``).
+    prod_b bt/(e^{bt} - 1) * sum_u e^{at}, for b of either sign (a flipped
+    term is the same function). Terms with the same sorted dots b sum their
+    numerators into one weight map a -> sum of mult and take one series
+    product, in ints over L^k * k! (L from ``_todd_scale``).
     """
     groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for t in expr.terms:
-        dots = tuple(sorted(vec_dot(direction, v) for v in t.denominator))
+    for mult, numerator, denominator in terms:
+        dots = tuple(sorted(vec_dot(direction, v) for v in denominator))
         if 0 in dots:
             raise ValueError("direction is orthogonal to a denominator exponent")
         weights = groups.setdefault(dots, {})
-        for u in t.numerator:
+        for u in numerator:
             a = vec_dot(direction, u)
-            weights[a] = weights.get(a, 0) + t.mult
+            weights[a] = weights.get(a, 0) + mult
     order = max(map(len, groups), default=0)
     scale, coeffs = _todd_scale(order)
     factors: dict[int, list[int]] = {}
@@ -209,21 +210,21 @@ def _summed_laurent(expr: RatFunExpr, direction: IntVec) -> list[Fraction]:
     return total
 
 
-def evaluate_count(expr: RatFunExpr, direction: IntVec) -> int:
-    """Constant Laurent coefficient of the summed expression at t = 0.
-
-    The expansion takes one series product per denominator set (see
-    ``_summed_laurent``). A finite set sums to a Laurent polynomial,
-    analytic at t = 0, so a non-zero summed principal part raises
-    ``InfiniteSetError`` (for a positive direction the converse holds too).
-    Raises ``RuntimeError`` if the constant coefficient is not an integer.
-    """
-    total = _summed_laurent(expr, direction)
+def _count(terms, direction: IntVec) -> int:
+    """The constant coefficient of ``_summed_laurent``. A finite set sums to
+    a Laurent polynomial, so a principal part raises ``InfiniteSetError``;
+    a non-integer total, ``RuntimeError``."""
+    total = _summed_laurent(terms, direction)
     if any(total[:-1]):
         raise InfiniteSetError("the solution set is infinite, so it has no count")
     if total[-1].denominator != 1:
         raise RuntimeError(f"evaluation inconsistency: non-integer total {total[-1]}")
     return int(total[-1])
+
+
+def evaluate_count(expr: RatFunExpr, direction: IntVec) -> int:
+    """Constant Laurent coefficient of the summed expression at t = 0 (``_count``)."""
+    return _count(((t.mult, t.numerator, t.denominator) for t in expr), direction)
 
 
 def _pick_direction(dens: Iterable[IntVec], dimension: int) -> IntVec:
@@ -238,17 +239,15 @@ def count_lattice_points(combination: ConeCombination) -> int:
     """Number of lattice points of the set represented by the combination.
 
     An infinite set raises ``InfiniteSetError``. Each cone is first
-    decomposed into unimodular terms so every Laurent expansion has pole
-    order exactly the ambient dimension.
+    decomposed into unimodular leaves, so every Laurent expansion has pole
+    order exactly the ambient dimension; no term is built, each leaf's one
+    point and raw, unflipped generators go straight to ``_count``.
     """
-    if len(combination) == 0:
+    leaves = decompose_combination(combination)
+    if not leaves:
         return 0
-    expr = combination_to_ratfun(combination, BARVINOK)
-    if not expr.terms:
-        return 0
-    dens = [v for t in expr.terms for v in t.denominator]
-    direction = _pick_direction(dens, expr.dimension)
-    return evaluate_count(expr, direction)
+    lam = _pick_direction((v for c in leaves for v in c.generators), leaves.ambient_dim)
+    return _count(((m, enum_fundpar(c), c.generators) for c, m in leaves.items()), lam)
 
 
 # --- rendering ---------------------------------------------------------------

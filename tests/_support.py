@@ -10,8 +10,11 @@ the second route that the package's formulas are checked against. The
 exceptions are ``decompose_along_random_direction(s)``: input
 generators, not oracles, that set the openness bits of the package's own
 Barvinok tree (``_tree``, built from the generators alone) under other
-reference directions (``_leaves``); and ``lattice_points_in_box``, a box
-scan through the package's own ``contains``.
+reference directions (``_leaves``); ``lattice_points_in_box``, a box
+scan through the package's own ``contains``; and ``reference_term_count``,
+the count by the package's rendered Barvinok terms (sorted, flipped
+forward, each a ``RatFunTerm``), against which the term-free count is
+checked.
 """
 
 from collections import Counter
@@ -27,6 +30,7 @@ from symcones import (
 )
 from symcones.barvinok import _leaves, _tree
 from symcones.exactmath import IntMat, det, mat_vec
+from symcones.ratfun import _pick_direction, combination_to_ratfun, evaluate_count
 
 
 def cols_from_rows(rows) -> IntMat:
@@ -158,17 +162,18 @@ def _series_mul(f, g, order):
     return out
 
 
-def reference_term_laurent(term, direction) -> list[Fraction]:
+def reference_term_laurent(mult, numerator, denominator, direction) -> list[Fraction]:
     """Laurent coefficients of orders t^-k .. t^0 of one rational-function
-    term under z_i -> e^{lam_i t}, k its number of denominator factors.
+    term mult * sum_u z^u / prod_v (1 - z^v) under z_i -> e^{lam_i t}, k its
+    number of denominator factors.
 
     Expands mult * sum_u e^{a_u t} * prod_b 1/(1 - e^{bt}) term by term in
     ``Fraction`` series: 1/(1 - e^{bt}) = -1/(bt) * 1/f_b(t) with
     f_b = (e^{bt} - 1)/(bt) = sum_j (bt)^j/(j+1)!, inverted by the
-    recurrence of a series reciprocal.
+    recurrence of a series reciprocal. Any sign of b = lam . v is fine.
     """
-    k = len(term.denominator)
-    dots = [sum(a * b for a, b in zip(direction, v)) for v in term.denominator]
+    k = len(denominator)
+    dots = [sum(a * b for a, b in zip(direction, v)) for v in denominator]
     if any(b == 0 for b in dots):
         raise ValueError("direction is orthogonal to a denominator exponent")
     series = [Fraction(1)] + [Fraction(0)] * k
@@ -179,25 +184,38 @@ def reference_term_laurent(term, direction) -> list[Fraction]:
             inv.append(-sum(f[j] * inv[m - j] for j in range(1, m + 1)))
         series = _series_mul(series, inv, k)
     exps = [Fraction(0)] * (k + 1)
-    for u in term.numerator:
+    for u in numerator:
         a = sum(x * y for x, y in zip(direction, u))
         for j in range(k + 1):
             exps[j] += Fraction(a**j, factorial(j))
-    lead = Fraction(term.mult * (-1) ** k)
+    lead = Fraction(mult * (-1) ** k)
     for b in dots:
         lead /= b
     return [lead * coeff for coeff in _series_mul(series, exps, k)]
 
 
-def reference_summed_laurent(expr, direction) -> list[Fraction]:
-    """``reference_term_laurent`` summed over the terms, aligned at t^0."""
-    order = max((len(t.denominator) for t in expr.terms), default=0)
+def reference_summed_laurent(terms, direction) -> list[Fraction]:
+    """``reference_term_laurent`` summed over ``(mult, numerator,
+    denominator)`` terms, aligned at t^0."""
+    terms = list(terms)
+    order = max((len(dens) for _, _, dens in terms), default=0)
     total = [Fraction(0)] * (order + 1)
-    for t in expr.terms:
-        coeffs = reference_term_laurent(t, direction)
+    for mult, nums, dens in terms:
+        coeffs = reference_term_laurent(mult, nums, dens, direction)
         for i, coeff in enumerate(coeffs):
             total[order + 1 - len(coeffs) + i] += coeff
     return total
+
+
+def reference_term_count(combination: ConeCombination) -> int:
+    """``count_lattice_points`` by the term route: ``evaluate_count`` of the
+    ``combination_to_ratfun(..., "barvinok")`` expression, under lam picked
+    from its forward-flipped denominators."""
+    expr = combination_to_ratfun(combination, "barvinok")
+    if not expr.terms:
+        return 0
+    lam = _pick_direction([v for t in expr for v in t.denominator], expr.dimension)
+    return evaluate_count(expr, lam)
 
 
 def reference_combination_json(combination: ConeCombination, dimension: int | None = None) -> str:

@@ -53,6 +53,12 @@ def test_canonicalize_sorts_with_openness():
     assert c.openness == (0, 1)
 
 
+def test_cone_refuses_no_generators():
+    # before the default apex reads a first generator
+    with pytest.raises(ValueError, match="at least one generator"):
+        cone([])
+
+
 def test_canonicalize_rejects_bad_columns():
     with pytest.raises(ValueError):
         canonicalize(cone([(0, 0), (1, 0)]))

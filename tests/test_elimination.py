@@ -23,7 +23,7 @@ from symcones import (
     system,
 )
 from symcones.cli import RunConfig, run
-from symcones.elimination import elimination_rounds, expand_equalities
+from symcones.elimination import elimination_rounds, expand_equalities, solve_rounds
 from symcones.exactmath import is_forward, mat_vec, prim, solve_rational
 from _support import (
     assert_canonical_by_construction,
@@ -61,6 +61,12 @@ def test_macmahon_lift_is_forward_and_unimodular():
     from symcones.exactmath import snf
 
     assert snf(c.generators).diagonal() == (1, 1)
+
+
+def test_macmahon_lift_refuses_no_rows():
+    # before the dimension is read off a first row
+    with pytest.raises(ValueError, match="at least one constraint"):
+        macmahon_lift([], [])
 
 
 # --- one elimination round ----------------------------------------------------------
@@ -228,6 +234,18 @@ def test_trace_counts_and_bits():
     assert rows[-1][1] == len(solve(sys_))
     assert all(bound == math.comb(2 + i, 2) for i, _, bound, _ in rows)
     assert all(bits >= 1 for *_, bits in rows)
+
+
+def test_solve_and_verbose_walk_the_same_rounds():
+    # one round per row after expanding the equation, the last one solve's;
+    # the CLI prints one --verbose line per round
+    sys_ = system([(1, 2, 3), (1, -1, 0)], ["=", ">="], [6, 0])
+    rounds = list(solve_rounds(sys_))
+    assert len(rounds) == len(expand_equalities(sys_)[0]) == 3
+    assert rounds[-1] == solve(sys_)
+    _, _, lines = run(RunConfig("count", verbose=True), sys_)
+    assert [line.split(":")[0] for line in lines] == ["iteration 1", "iteration 2", "iteration 3"]
+    assert [int(line.split()[2]) for line in lines] == [len(r) for r in rounds]
 
 
 def test_lawrence_varchenko_exactness_small_sample():

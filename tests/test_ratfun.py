@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from symcones import (
     combination_to_ratfun,
     cone_to_term_fp,
     count_lattice_points,
+    enum_fundpar,
     eval_combination,
     ratfun_from_json,
     render,
@@ -28,6 +30,7 @@ from _support import (
     random_full_dim_cone,
     random_system,
     reference_summed_laurent,
+    reference_term_count,
     table_system,
 )
 
@@ -330,8 +333,9 @@ def test_grouped_laurent_matches_per_term_reference():
         if not expr.terms:
             continue
         lam = _pick_direction([v for t in expr.terms for v in t.denominator], expr.dimension)
-        want = reference_summed_laurent(expr, lam)
-        assert _summed_laurent(expr, lam) == want
+        terms = [(t.mult, t.numerator, t.denominator) for t in expr]
+        want = reference_summed_laurent(terms, lam)
+        assert _summed_laurent(terms, lam) == want
         seen[any(want[:-1])] += 1
         shared += len(expr) - len({tuple(sorted(t.denominator)) for t in expr.terms})
     assert seen[True] >= 5 and seen[False] >= 5
@@ -359,8 +363,89 @@ def test_grouped_laurent_matches_reference_on_fp_expressions():
         expr = combination_to_ratfun(comb)
         multi_point += any(len(t.numerator) > 1 for t in expr.terms)
         lam = _pick_direction([v for t in expr.terms for v in t.denominator], d)
-        assert _summed_laurent(expr, lam) == reference_summed_laurent(expr, lam)
+        terms = [(t.mult, t.numerator, t.denominator) for t in expr]
+        assert _summed_laurent(terms, lam) == reference_summed_laurent(terms, lam)
     assert multi_point >= 20
+
+
+def test_grouped_laurent_matches_reference_on_unflipped_leaves():
+    # count feeds Barvinok leaves with their raw generators, backward ones
+    # included: the sum must equal the per-term reference over those raw
+    # terms and over the forward-flipped terms the renderer builds, at every
+    # order, so counts and refusals agree between the two routes
+    from symcones.barvinok import decompose_combination
+    from symcones.exactmath import is_forward
+    from symcones.ratfun import _pick_direction, _summed_laurent
+
+    seen = {True: 0, False: 0}
+    backward = 0
+    for s in range(30):
+        rng = random.Random(s)
+        sys_ = random_system(rng, rng.randint(2, 3), rng.randint(2, 3), entry_bound=3)
+        comb = solve(sys_)
+        leaves = decompose_combination(comb)
+        if not leaves:
+            continue
+        raw = [(m, enum_fundpar(c), c.generators) for c, m in leaves.items()]
+        lam = _pick_direction([v for _, _, dens in raw for v in dens], leaves.ambient_dim)
+        want = reference_summed_laurent(raw, lam)
+        assert _summed_laurent(raw, lam) == want
+        flipped = [(t.mult, t.numerator, t.denominator)
+                   for t in combination_to_ratfun(comb, "barvinok")]
+        assert reference_summed_laurent(flipped, lam) == want
+        seen[any(want[:-1])] += 1
+        backward += sum(not all(map(is_forward, dens)) for _, _, dens in raw)
+    assert seen[True] >= 5 and seen[False] >= 5
+    assert backward > 0
+
+
+def test_count_builds_no_terms(monkeypatch):
+    # count folds each Barvinok leaf straight into the grouped Laurent sum:
+    # no term or expression is built, no leaf sorted and no factor flipped
+    from symcones import ratfun
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count took the rational-function term route")
+
+    monkeypatch.setattr(RatFunTerm, "__post_init__", refuse)
+    monkeypatch.setattr(RatFunExpr, "__init__", refuse)
+    monkeypatch.setattr(ratfun, "combination_to_ratfun", refuse)
+    monkeypatch.setattr(ratfun, "_forward_normalized", refuse)
+    monkeypatch.setattr(ConeCombination, "sorted_items", refuse)
+    assert count_lattice_points(solve(system([(2, 3, 5, 7, 11, 13)], ["="], [60]))) == 893
+    assert count_lattice_points(solve(table_system((6, 6, 6), (6, 6, 6)))) == 406
+    # the unbounded system of the CI step
+    found = system([(0, -1, -1), (0, -4, 1), (4, -4, -2)], [">="] * 3, [-4, -1, -2])
+    with pytest.raises(InfiniteSetError, match="infinite"):
+        count_lattice_points(solve(found))
+
+
+def test_count_matches_term_route_on_random_systems():
+    # the term-free count against the rendered-term route of
+    # ``reference_term_count``: equal counts, or both refuse an infinite set
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(150):
+        d = rng.randint(2, 4)
+        m = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)]
+        relations = [rng.choice((">=", "=")) for _ in range(m)]
+        rhs = [rng.randint(-4, 4) for _ in range(m)]
+        if rng.random() < 0.5:  # a box row, so that many sets are finite
+            rows.append((-1,) * d)
+            relations.append(">=")
+            rhs.append(-rng.randint(0, 5))
+        comb = solve(system(rows, relations, rhs))
+        try:
+            want = reference_term_count(comb)
+        except InfiniteSetError:
+            with pytest.raises(InfiniteSetError):
+                count_lattice_points(comb)
+            seen["infinite"] += 1
+        else:
+            assert count_lattice_points(comb) == want
+            seen["empty" if want == 0 else "finite"] += 1
+    assert seen["infinite"] >= 30 and seen["finite"] >= 30
 
 
 def test_pick_direction_is_positive_and_avoids_denominators():
