@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, ItemsView, Iterator, Mapping, Sequence, ValuesView
 
 from .exactmath import (
@@ -63,8 +64,6 @@ class SymbolicCone:
     # cones are dict keys in every elimination round, so the hash is
     # computed once, on first use
     _hash = None
-    # contains's per-generator (row, offset, bit), built on first use
-    _membership = None
     _inverse = None  # see _inverse_pair
 
     def __init__(self, generators: IntMat, apex: Sequence[Scalar], openness: tuple[int, ...]):
@@ -123,6 +122,19 @@ class SymbolicCone:
         scale = den // self.den
         num = self.num if scale == 1 else tuple([a * scale for a in self.num])
         return (self.generators, num, self.openness)
+
+    @cached_property
+    def _facets(self) -> tuple[tuple[IntVec, int, int], ...]:
+        """Per generator (row, offset, bit): x in cone iff row.x - offset >= 0, > 0 if bit."""
+        # k = n: lam_j = (adj @ (den*x - num))_j / (den * d) with den > 0, so
+        # row . x - offset below is lam_j times den * |d| > 0
+        adj, d = _inverse_pair(self)
+        sgn = 1 if d > 0 else -1
+        return tuple(
+            (tuple(sgn * self.den * a for a in row),
+             sgn * sum(map(operator.mul, row, self.num)), bit)
+            for row, bit in zip(zip(*adj), self.openness)
+        )
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -209,18 +221,7 @@ def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
     if c.dim == c.ambient_dim:
-        rows = c._membership
-        if rows is None:
-            # lam_j = (adj @ (den*x - num))_j / (den * d) with den > 0, so
-            # row . x - offset below is lam_j times den * |d| > 0
-            adj, d = _inverse_pair(c)
-            sgn = 1 if d > 0 else -1
-            rows = c.__dict__["_membership"] = tuple(
-                (tuple(sgn * c.den * a for a in row),
-                 sgn * sum(map(operator.mul, row, c.num)), bit)
-                for row, bit in zip(zip(*adj), c.openness)
-            )
-        for row, offset, bit in rows:
+        for row, offset, bit in c._facets:
             t = sum(map(operator.mul, row, x)) - offset
             if t < 0 or (t == 0 and bit):
                 return False

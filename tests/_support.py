@@ -14,7 +14,8 @@ reference directions (``_leaves``); ``lattice_points_in_box``, a box
 scan through the package's own ``contains``; and ``reference_term_count``,
 the count by the package's rendered Barvinok terms (sorted, flipped
 forward, each a ``RatFunTerm``), against which the term-free count is
-checked.
+checked; and ``reference_run_check``, ``check`` as a point-by-point scan
+through ``eval_combination``, against which the line scan is checked.
 """
 
 from collections import Counter
@@ -27,6 +28,7 @@ import random
 
 from symcones import (
     ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone, contains,
+    eval_combination,
 )
 from symcones.barvinok import _leaves, _tree
 from symcones.exactmath import IntMat, det, mat_vec
@@ -216,6 +218,19 @@ def reference_term_count(combination: ConeCombination) -> int:
         return 0
     lam = _pick_direction([v for t in expr for v in t.denominator], expr.dimension)
     return evaluate_count(expr, lam)
+
+
+def reference_run_check(box: int, sys_: LDSystem, combination: ConeCombination) -> tuple[int, str]:
+    """``cli._run_check`` without its cap, point by point: the oracle
+    ``satisfies`` and ``eval_combination`` at every point of [0, box]^d in
+    product order, reporting the first mismatch."""
+    d = sys_.num_variables
+    for x in product(range(box + 1), repeat=d):
+        expected = 1 if sys_.satisfies(x) else 0
+        actual = eval_combination(combination, x)
+        if actual != expected:
+            return 1, f"FAIL at {x}: oracle {expected}, combination {actual}"
+    return 0, "PASS"
 
 
 def reference_combination_json(combination: ConeCombination, dimension: int | None = None) -> str:

@@ -5,21 +5,29 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from symcones import ConeCombination, Relation, cone, solve, system
+from symcones import ConeCombination, LDSystem, Relation, cone, solve, system
 from symcones.cli import (
     ParseError,
     RunConfig,
     _build_parser,
+    _run_check,
     combination_to_json,
     main,
     parse_system,
     run,
 )
-from _support import random_system, reference_combination_json, table_system
+from _support import (
+    random_full_dim_cone,
+    random_system,
+    reference_combination_json,
+    reference_run_check,
+    table_system,
+)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -151,8 +159,6 @@ def test_run_check_pass():
 
 
 def test_run_check_fail_branch():
-    from symcones.cli import _run_check
-
     sys_ = parse_system("1 1 >= 0")
     status, message = _run_check(RunConfig("check", box=2), sys_, ConeCombination())
     assert status == 1
@@ -171,10 +177,11 @@ def test_check_refuses_a_scan_over_the_cap_before_it_starts(monkeypatch, capsys)
     # the 3x3 table at the default --box 8: 9^9 points against every cone
     import symcones.cli
 
-    def no_scan(combination, x):
+    def no_scan(*args):
         raise AssertionError("check scanned before refusing")
 
-    monkeypatch.setattr(symcones.cli, "eval_combination", no_scan)
+    monkeypatch.setattr(symcones.cli, "_line_values", no_scan)
+    monkeypatch.setattr(symcones.cli, "contains", no_scan)
     rows = [" ".join(str(int(k // 3 == i)) for k in range(9)) + " = 2" for i in range(3)]
     rows += [" ".join(str(int(k % 3 == j)) for k in range(9)) + " = 2" for j in range(2)]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(rows) + "\n"))
@@ -185,6 +192,95 @@ def test_check_refuses_a_scan_over_the_cap_before_it_starts(monkeypatch, capsys)
     assert captured.err.count("\n") == 1
     cones = len(solve(parse_system("\n".join(rows))))
     assert str(9**9 * cones) in captured.err
+
+
+def test_check_counts_one_test_per_point_with_no_cones(monkeypatch, capsys):
+    # infeasible, so the combination is empty: 9^9 points still cost one
+    # oracle test each, and the scan is refused before it starts
+    import symcones.cli
+
+    def no_scan(*args):
+        raise AssertionError("check scanned before refusing")
+
+    monkeypatch.setattr(symcones.cli, "_line_values", no_scan)
+    monkeypatch.setattr(LDSystem, "satisfies", no_scan)
+    text = "1 1 1 1 1 1 1 1 1 >= 100\n-1 -1 -1 -1 -1 -1 -1 -1 -1 >= -5\n"
+    assert len(solve(parse_system(text))) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(["check", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: check would run {9**9} membership tests, more than "
+                            f"{symcones.cli.MAX_CHECK_CONTAINS}; use a smaller --box\n")
+
+
+def test_check_line_scan_matches_the_pointwise_scan():
+    # the true combination, copies with one multiplicity moved by +-1, one
+    # cone dropped or one openness bit flipped, and the empty combination,
+    # on systems with = and >= rows in d = 1..4: same (status, message)
+    rng = random.Random(1919)
+    outcomes = Counter()
+    for _ in range(150):
+        d = rng.randint(1, 4)
+        sys_ = random_system(rng, d, rng.randint(1, 3), entry_bound=4)
+        sys_ = dataclasses.replace(sys_, relations=tuple(
+            rng.choice((Relation.GEQ, Relation.GEQ, Relation.EQ)) for _ in sys_.rows))
+        box = rng.randint(0, 5)
+        comb = solve(sys_)
+        variants = [comb, ConeCombination()]
+        items = list(comb.items())
+        if items:
+            i = rng.randrange(len(items))
+            c, mult = items[i]
+            bits = list(c.openness)
+            bits[rng.randrange(len(bits))] ^= 1
+            for changed in ([(c, mult + 1)], [(c, mult - 1)], [],
+                            [(cone(c.generators, c.apex, bits), mult)]):
+                variant = ConeCombination()
+                for c2, m2 in items[:i] + changed + items[i + 1:]:
+                    variant.add(c2, m2)
+                variants.append(variant)
+        for variant in variants:
+            expected = reference_run_check(box, sys_, variant)
+            assert _run_check(RunConfig("check", box=box), sys_, variant) == expected
+            outcomes[expected[0]] += 1
+    assert outcomes[0] > 300 and outcomes[1] > 250
+
+
+def test_check_line_scan_tests_lower_dimensional_cones_pointwise():
+    # cones with fewer generators than coordinates go through contains: the
+    # ray (1, 1) is the solution set of x1 = x2, and the orthant is its cone
+    # open on e1 plus the closed face x1 = 0
+    diagonal = ConeCombination()
+    diagonal.add(cone([(1, 1)]), 1)
+    orthant = ConeCombination()
+    orthant.add(cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], openness=(1, 0, 0)), 1)
+    orthant.add(cone([(0, 1, 0), (0, 0, 1)]), 1)
+    for text, comb in (("1 -1 = 0", diagonal), ("1 0 0 >= 0", orthant)):
+        assert _run_check(RunConfig("check", box=4), parse_system(text), comb) == (0, "PASS")
+    # random mixes against no point, every point and a random system, so the
+    # first point where the value is not 0, not 1 or wrong is compared
+    rng = random.Random(4242)
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        comb = ConeCombination()
+        while len(comb) < 3:
+            k = rng.randint(1, d - 1)
+            gens = [tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(k)]
+            apex = [Fraction(rng.randint(0, 2), rng.choice((1, 1, 2))) for _ in range(d)]
+            bits = [rng.randint(0, 1) for _ in range(k)]
+            try:
+                comb.add(cone(gens, apex, bits), rng.choice((1, -1, 2)))
+            except ValueError:
+                continue
+            comb.add(random_full_dim_cone(rng, d, 3, rational_apex=True, random_openness=True),
+                     rng.choice((1, -1)))
+        box = rng.randint(0, 4)
+        zero = " ".join("0" * d)
+        for sys_ in (parse_system(f"{zero} >= 1"), parse_system(f"{zero} >= 0"),
+                     random_system(rng, d, rng.randint(1, 2), entry_bound=3)):
+            expected = reference_run_check(box, sys_, comb)
+            assert _run_check(RunConfig("check", box=box), sys_, comb) == expected
 
 
 def test_check_cap_boundary(monkeypatch):
