@@ -15,10 +15,10 @@ generators), which is unique per point set and openness pattern.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
 fundamental parallelepiped, the numerator of its generating function, with
-one loop over a Smith normal form of the generators. A full-dimensional
-cone of index |det V| = 1 uses the trivial Smith form V = V I I and is the
-one-point case of that loop. Parallelepipeds of more than
-``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
+one loop over the U^-1, W^-1 and diagonal of a Smith normal form of V. A
+full-dimensional cone of index |det V| = 1 uses the trivial Smith form
+V = V I I and is the one-point case of that loop. Parallelepipeds of more
+than ``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .exactmath import (
     IntVec,
     RatVec,
     Scalar,
+    _smith,
     has_full_column_rank,
     identity,
     mat_vec,
     prim,
     scaled_inverse,
-    snf,
     solve_rational,
 )
 
@@ -351,10 +351,10 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
 
     for an integer vector j, which only matters modulo s_i. So j ranges over
     the box prod [0, s_i), one point each, and mod' sends 0 to 1 on open
-    coordinates. A full-dimensional cone first reads its inverse pair; at
-    index |d| = 1 its Smith form is the trivial V = V I I, and
-    U^-1 q = V^-1 q = d * adj @ q. Everything is kept in integers over
-    s_k * den; the final division is exact and asserted.
+    coordinates. Only ``_smith``'s diagonal, U^-1 and W^-1 are read. A
+    full-dimensional cone first reads its inverse pair; at index |d| = 1 its
+    Smith form is the trivial V = V I I, with U^-1 = V^-1 = d * adj. All is
+    kept in integers over s_k * den; the final division is exact and asserted.
 
     Returns [] when the affine hull of the cone misses the lattice (only
     possible for k < n). Raises ``ValueError`` before enumerating when the
@@ -365,16 +365,15 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     num, den = c.num, c.den
     adj, d = _inverse_pair(c) if k == n else (None, 0)
     if d in (1, -1):
-        # V^-1 num = adj @ num / d = d * adj @ num
-        diag, w_inv, coords = (1,) * n, identity(n), tuple(d * t for t in mat_vec(adj, num))
+        # V^-1 = adj / d = d * adj
+        diag, u_inv, w_inv = (1,) * n, tuple(tuple(d * x for x in col) for col in adj), identity(n)
     else:
-        dec = snf(v)
-        diag = dec.diagonal()
+        diag, u_inv, w_inv = _smith(v)
         if any(s <= 0 for s in diag):
             raise ValueError("generators not linearly independent")
-        w_inv, coords = dec.W_inv, mat_vec(dec.U_inv, num)  # den * U^-1 q
-        if any(coords[i] % den for i in range(k, n)):
-            return []
+    coords = mat_vec(u_inv, num)  # den * U^-1 q
+    if any(coords[i] % den for i in range(k, n)):
+        return []
     count = math.prod(diag)
     if count > MAX_FUNDPAR_POINTS:
         raise ValueError(

@@ -2,12 +2,12 @@
 
 Vectors are tuples; matrices are tuples of *columns* (column-major). The
 linear algebra is fraction-free over Python's arbitrary-precision ``int``:
-determinants, rank tests, adjugates and solves share one Bareiss
-elimination, and ``lll_reduce`` keeps integral Gram-Schmidt data.
-``fractions.Fraction`` appears only in the vector ``solve_rational``
-returns. Nothing in this package ever touches floating point. Values are
-immutable and every function is pure, so everything here is safe to share
-between threads without coordination.
+determinants, rank tests, adjugates, solves and the U and W of ``snf``
+share one Bareiss elimination, and ``lll_reduce`` keeps integral
+Gram-Schmidt data. ``fractions.Fraction`` appears only in the vector
+``solve_rational`` returns. Nothing in this package ever touches floating
+point. Values are immutable and every function is pure, so everything here
+is safe to share between threads without coordination.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class SmithDecomposition(NamedTuple):
 
     The diagonal of S is non-negative and forms a divisibility chain
     s1 | s2 | ... ; zeros appear only after the rank. U_inv and W_inv are
-    exact inverses, kept because downstream formulas need them constantly.
+    exact inverses; the Smith loop builds them and Bareiss inverts them.
     """
 
     U: IntMat
@@ -204,111 +204,65 @@ class SmithDecomposition(NamedTuple):
         return tuple(self.S[j][j] for j in range(k))
 
 
+def _smith(m: IntMat) -> tuple[IntVec, IntMat, IntMat]:
+    """Smith diagonal of an n x k matrix V, with unimodular U^-1 and W^-1.
+
+    U_inv @ V @ W_inv is diagonal. One working array holds [V | I_n] above
+    [I_k | 0]; row operations touch the first n rows and column operations
+    the first k columns, so the top-right block becomes U^-1 and the
+    bottom-left W^-1. Pivots are the smallest |entry| of the active block,
+    first in row-major order, to limit coefficient growth.
+    """
+    n, k = _check_columns(m)
+    a = [[*(col[i] for col in m), *(int(i == j) for j in range(n))] for i in range(n)]
+    a += ([int(i == j) for j in range(k)] + [0] * n for i in range(k))
+    t = 0
+    while t < min(n, k):
+        block = [(abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, k) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+        piv = a[t][t]
+        while True:
+            for i in range(t + 1, n):
+                if c := a[i][t] // piv:
+                    a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, k):
+                if c := a[t][j] // piv:
+                    for row in a:
+                        row[j] -= c * row[t]
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1:k]):
+                break  # a remainder smaller than the pivot: pivot again on it
+            # enforce the divisibility chain: fold in a row the pivot misses
+            offender = next((row for row in a[t + 1:n] if any(x % piv for x in row[t + 1:k])), None)
+            if offender is None:
+                t += 1
+                break
+            a[t] = [x + y for x, y in zip(a[t], offender)]
+    return (
+        tuple(a[i][i] for i in range(min(n, k))),
+        tuple(tuple(a[i][k + j] for i in range(n)) for j in range(n)),
+        tuple(tuple(a[n + i][j] for i in range(k)) for j in range(k)),
+    )
+
+
 def snf(m: IntMat) -> SmithDecomposition:
     """Smith normal form of an integer matrix.
 
-    Pivots are chosen by minimal absolute value to limit coefficient growth.
     All five returned matrices are exact; V = U @ S @ W holds bit for bit.
+    U and W are d * adj of the U^-1 and W^-1 of ``_smith``, each with d = +-1.
     """
-    n, k = _check_columns(m)
-    # row-major working copies; P = U^-1 and Q = W^-1 accumulate the applied
-    # row/column operations, Pinv = U and Qinv = W their inverses.
-    a = [[m[j][i] for j in range(k)] for i in range(n)]
-    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    pinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    q = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    qinv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-        for r in pinv:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        p[i] = [-x for x in p[i]]
-        for r in pinv:
-            r[i] = -r[i]
-
-    def row_addmul(i: int, j: int, c: int) -> None:
-        # row_i += c * row_j; the inverse accumulator gets col_j -= c * col_i
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        p[i] = [x + c * y for x, y in zip(p[i], p[j])]
-        for r in pinv:
-            r[j] -= c * r[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-        qinv[i], qinv[j] = qinv[j], qinv[i]
-
-    def col_addmul(i: int, j: int, c: int) -> None:
-        for r in a:
-            r[i] += c * r[j]
-        for r in q:
-            r[i] += c * r[j]
-        qinv[j] = [x - c * y for x, y in zip(qinv[j], qinv[i])]
-
-    def min_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        for i in range(t, n):
-            for j in range(t, k):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(n, k):
-        pos = min_pivot(t)
-        if pos is None:
-            break
-        row_swap(t, pos[0])
-        col_swap(t, pos[1])
-        while True:
-            if a[t][t] < 0:
-                row_negate(t)
-            piv = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    row_addmul(i, t, -(a[i][t] // piv))
-                    dirty = dirty or a[i][t] != 0
-            for j in range(t + 1, k):
-                if a[t][j]:
-                    col_addmul(j, t, -(a[t][j] // piv))
-                    dirty = dirty or a[t][j] != 0
-            if dirty:
-                # a remainder smaller than the pivot appeared; re-pivot on it
-                pos = min_pivot(t)
-                row_swap(t, pos[0])
-                col_swap(t, pos[1])
-                continue
-            # enforce the divisibility chain before moving on
-            piv = a[t][t]
-            offender = None
-            for i in range(t + 1, n):
-                if any(x % piv for x in a[i][t + 1:]):
-                    offender = i
-                    break
-            if offender is not None:
-                row_addmul(t, offender, 1)
-                continue
-            break
-        t += 1
-
-    def to_cols(rows: list[list[int]], nr: int, nc: int) -> IntMat:
-        return tuple(tuple(rows[i][j] for i in range(nr)) for j in range(nc))
-
-    return SmithDecomposition(
-        U=to_cols(pinv, n, n),
-        S=to_cols(a, n, k),
-        W=to_cols(qinv, k, k),
-        U_inv=to_cols(p, n, n),
-        W_inv=to_cols(q, k, k),
-    )
+    diag, u_inv, w_inv = _smith(m)
+    n, k = len(u_inv), len(w_inv)
+    s = tuple(tuple(diag[j] if i == j else 0 for i in range(n)) for j in range(k))
+    u, w = (tuple(tuple(d * x for x in col) for col in adj)
+            for adj, d in map(scaled_inverse, (u_inv, w_inv)))
+    return SmithDecomposition(u, s, w, u_inv, w_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Everything here is deliberately independent of the solver's internals:
 membership by brute inequality checks, determinants by cofactor expansion,
-semigroup membership by Cramer's rule over those determinants, rank by
-``Fraction`` Gaussian elimination, LLL by the classical rational
-Gram-Schmidt algorithm, Laurent expansions by per-term ``Fraction``
-series, and the cone JSON by a dict tree through ``json.dumps``. These are
+semigroup membership by Cramer's rule and Smith diagonals by determinantal
+divisors, both over those determinants, rank by ``Fraction`` Gaussian
+elimination, LLL by the classical rational Gram-Schmidt algorithm, Laurent
+expansions by per-term ``Fraction`` series, and the cone JSON by a dict
+tree through ``json.dumps``. These are
 the second route that the package's formulas are checked against. The
 exceptions are ``decompose_along_random_direction(s)``: input
 generators, not oracles, that set the openness bits of the package's own
@@ -53,6 +54,20 @@ def cofactor_det(rows) -> int:
         minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def reference_smith_diagonal(columns) -> tuple[int, ...]:
+    """Smith diagonal by determinantal divisors: with D_i the gcd of all
+    i x i minors (``cofactor_det``) and D_0 = 1, s_i = D_i / D_(i-1), and
+    s_i = 0 once D_i = 0."""
+    n, k = len(columns[0]), len(columns)
+    divisors = [1]
+    for size in range(1, min(n, k) + 1):
+        divisors.append(gcd(*(
+            cofactor_det([[columns[c][r] for c in cs] for r in rs])
+            for rs in combinations(range(n), size) for cs in combinations(range(k), size)
+        )))
+    return tuple(b // a if a else 0 for a, b in zip(divisors, divisors[1:]))
 
 
 @lru_cache(maxsize=256)

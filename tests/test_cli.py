@@ -526,6 +526,28 @@ def test_package_built_cones_skip_the_validating_door(monkeypatch):
     assert run(RunConfig("count"), knapsack)[1] == "893"
 
 
+def test_fp_route_builds_no_smith_transforms(monkeypatch):
+    # enum_fundpar reads U^-1, W^-1 and the diagonal from the Smith loop
+    # alone; four of this system's five cones have index > 1, with Smith
+    # groups (1, 18, 18), (1, 5, 25) twice and (1, 13, 13), and the bytes
+    # stay the golden ones
+    from symcones import exactmath
+
+    def refused(m):
+        raise AssertionError("the fp route built U and W")
+
+    snf = exactmath.snf
+    for module in [m for name, m in sys.modules.items() if name.startswith("symcones")]:
+        if getattr(module, "snf", None) is snf:
+            monkeypatch.setattr(module, "snf", refused)
+    config = RunConfig("ratfun", method="fp", fmt="json")
+    sys_ = random_system(random.Random(12), 3, 3)
+    digest = next(d for c, s, d in GOLDEN_SHA256 if (c, s) == (config, sys_))
+    assert digest.startswith("fd17b613")
+    _, output, _ = run(config, sys_)
+    assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("config, sys_, digest", GOLDEN_SHA256,
                          ids=[_golden_id(case) for case in GOLDEN_SHA256])
 def test_output_matches_recorded_sha256(config, sys_, digest):

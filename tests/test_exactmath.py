@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symcones.exactmath import (
+    _smith,
     det,
     has_full_column_rank,
     identity,
@@ -23,6 +24,7 @@ from _support import (
     gauss_rank,
     random_full_dim_cone,
     reference_lll,
+    reference_smith_diagonal,
 )
 
 
@@ -111,6 +113,36 @@ def test_snf_rank_deficient():
     cols = cols_from_rows([[1, 2], [2, 4]])  # rank 1
     dec = check_snf_invariants(cols)
     assert dec.diagonal() == (1, 0)
+
+
+def test_smith_core_matches_determinantal_divisors():
+    # the loop snf and enum_fundpar share, against an oracle with no code in
+    # common: U^-1 V W^-1 is the determinantal-divisor diagonal and both
+    # transforms are unimodular
+    rng = random.Random(2026)
+    shapes = [
+        ((0, 0, 0), (0, 0, 0)),  # zero matrix
+        ((0,), (0,), (0,)),  # zero and wider than tall
+        cols_from_rows([[1, 2, 3, 4], [2, 4, 6, 8]]),  # k > n, rank 1
+        cols_from_rows([[2, 4], [4, 8], [6, 12]]),  # rank deficient
+        cols_from_rows([[4, 0], [0, 6]]),  # divisibility forces a fold
+    ]
+    for trial in range(200):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        cols = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(k)]
+        if trial % 4 == 0 and k > 1:
+            # a dependent last column keeps the rank below min(n, k)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            cols[-1] = tuple(a * x + b * y for x, y in zip(cols[0], cols[-2]))
+        shapes.append(tuple(cols))
+    for cols in shapes:
+        n, k = len(cols[0]), len(cols)
+        diag, u_inv, w_inv = _smith(cols)
+        assert diag == reference_smith_diagonal(cols)
+        s = tuple(tuple(diag[j] if i == j else 0 for i in range(n)) for j in range(k))
+        assert mat_mul(mat_mul(u_inv, cols), w_inv) == s
+        assert abs(cofactor_det(u_inv)) == 1
+        assert abs(cofactor_det(w_inv)) == 1
 
 
 # --- determinants ---------------------------------------------------------------
