@@ -11,7 +11,8 @@ The apex is stored as integer numerators over one positive common
 denominator in lowest terms, so a cone holds nothing but ints. Cones are
 immutable and hashable so that signed combinations can live in a
 dictionary keyed by the canonical form (primitive, lexicographically sorted
-generators), which is unique per point set and openness pattern.
+generators), which is unique per point set and openness pattern. Membership
+is one integer test per facet row (``_facets``), for cones of every k <= n.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
 fundamental parallelepiped, the numerator of its generating function, with
@@ -37,12 +38,12 @@ from .exactmath import (
     RatVec,
     Scalar,
     _smith,
+    exact_int,
     has_full_column_rank,
     identity,
     mat_vec,
     prim,
     scaled_inverse,
-    solve_rational,
 )
 
 
@@ -83,8 +84,8 @@ class SymbolicCone:
             raise ValueError(f"{k} generators cannot be independent in dimension {n}")
         if len(openness) != k:
             raise ValueError("openness needs one bit per generator")
-        if any(bit not in (0, 1) for bit in openness):
-            raise ValueError("openness bits must be 0 or 1")
+        if any(type(bit) is not int or bit not in (0, 1) for bit in openness):
+            raise ValueError("openness bits must be the ints 0 or 1")
         # every entry is in lowest terms, so scaling to the lcm of the
         # denominators leaves no common factor
         den = math.lcm(*(a.denominator for a in apex))
@@ -125,16 +126,25 @@ class SymbolicCone:
 
     @cached_property
     def _facets(self) -> tuple[tuple[IntVec, int, int], ...]:
-        """Per generator (row, offset, bit): x in cone iff row.x - offset >= 0, > 0 if bit."""
-        # k = n: lam_j = (adj @ (den*x - num))_j / (den * d) with den > 0, so
-        # row . x - offset below is lam_j times den * |d| > 0
-        adj, d = _inverse_pair(self)
+        """(row, offset, bit) triples: x in cone iff row.x - offset >= 0 on each, > 0 if bit.
+
+        With M = V completed by the first unit columns that keep it independent
+        and x = q + M mu, row j of adj = d * M^-1 gives mu_j * den * |d|. Rows
+        j < k carry the bits; rows j >= k come in opposite pairs: mu_j = 0 on the hull.
+        """
+        k, n = self.dim, self.ambient_dim
+        basis = self.generators
+        for e in identity(n) if k < n else ():
+            if has_full_column_rank((*basis, e)):
+                basis += (e,)
+        if len(basis) < n:
+            raise ValueError("generators not linearly independent")
+        adj, d = _inverse_pair(self) if k == n else scaled_inverse(basis)
         sgn = 1 if d > 0 else -1
-        return tuple(
-            (tuple(sgn * self.den * a for a in row),
-             sgn * sum(map(operator.mul, row, self.num)), bit)
-            for row, bit in zip(zip(*adj), self.openness)
-        )
+        facets = [(tuple(sgn * self.den * a for a in row),
+                   sgn * sum(map(operator.mul, row, self.num)), bit)
+                  for row, bit in zip(zip(*adj), self.openness + (0,) * (n - k))]
+        return (*facets, *((tuple(-a for a in row), -offset, 0) for row, offset, _ in facets[k:]))
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -146,14 +156,14 @@ def cone(
     apex: Sequence[Scalar] | None = None,
     openness: Sequence[int] | None = None,
 ) -> SymbolicCone:
-    """Convenience constructor coercing generator entries and bits to int;
-    raises on linearly dependent generators."""
-    gens = tuple(tuple(int(x) for x in g) for g in generators)
+    """Convenience constructor taking generator entries and bits that are
+    exactly integers (``exact_int``); raises on linearly dependent generators."""
+    gens = tuple(tuple(map(exact_int, g)) for g in generators)
     if apex is None:
         apex = (0,) * len(gens[0]) if gens else ()
     if openness is None:
         openness = (0,) * len(gens)
-    out = SymbolicCone(gens, tuple(apex), tuple(int(b) for b in openness))
+    out = SymbolicCone(gens, tuple(apex), tuple(map(exact_int, openness)))
     _assert_independent(out.generators)
     return out
 
@@ -217,21 +227,12 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
 # --- membership ------------------------------------------------------------
 
 def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
-    """Exact membership of a rational point in the half-open cone."""
+    """Exact membership of a rational point in the half-open cone, by its ``_facets``."""
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
-    if c.dim == c.ambient_dim:
-        for row, offset, bit in c._facets:
-            t = sum(map(operator.mul, row, x)) - offset
-            if t < 0 or (t == 0 and bit):
-                return False
-        return True
-    # den * lam, which has the signs of lam
-    lam = solve_rational(c.generators, tuple(c.den * a - b for a, b in zip(x, c.num)))
-    if lam is None:
-        return False
-    for value, bit in zip(lam, c.openness):
-        if value < 0 or (value == 0 and bit):
+    for row, offset, bit in c._facets:
+        t = sum(map(operator.mul, row, x)) - offset
+        if t < 0 or (t == 0 and bit):
             return False
     return True
 

@@ -35,7 +35,7 @@ from .cones import (
     _canonical_cone,
     canonicalize,
 )
-from .exactmath import IntMat, IntVec, has_full_column_rank, is_forward, prim
+from .exactmath import IntMat, IntVec, exact_int, has_full_column_rank, is_forward, prim
 
 
 class Relation(enum.Enum):
@@ -62,6 +62,10 @@ class LDSystem:
             raise ValueError("constraint rows must have equal length")
         if len(self.relations) != m or len(self.rhs) != m:
             raise ValueError("relations and right-hand side must match row count")
+        if any(type(x) is not int for x in chain(chain.from_iterable(self.rows), self.rhs)):
+            raise TypeError("constraint entries and right-hand sides must be exact integers")
+        if any(not isinstance(r, Relation) for r in self.relations):
+            raise TypeError("relations must be Relation members")
 
     @property
     def num_variables(self) -> int:
@@ -82,14 +86,11 @@ class LDSystem:
 
 
 def system(rows, relations, rhs) -> LDSystem:
-    """Coercing constructor for LDSystem."""
-    rel = tuple(
-        r if isinstance(r, Relation) else Relation(r) for r in relations
-    )
+    """LDSystem from exact integers (``exact_int``) and relations or their tokens."""
     return LDSystem(
-        tuple(tuple(int(a) for a in row) for row in rows),
-        rel,
-        tuple(int(b) for b in rhs),
+        tuple(tuple(map(exact_int, row)) for row in rows),
+        tuple(r if isinstance(r, Relation) else Relation(r) for r in relations),
+        tuple(map(exact_int, rhs)),
     )
 
 
@@ -108,10 +109,10 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
     if any(len(r) != d for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
     gens = tuple(
-        tuple(1 if i == j else 0 for i in range(d)) + tuple(int(rows[i][j]) for i in range(m))
+        tuple(1 if i == j else 0 for i in range(d)) + tuple(exact_int(r[j]) for r in rows)
         for j in range(d)
     )
-    apex = (0,) * d + tuple(-int(b) for b in rhs)
+    apex = (0,) * d + tuple(-exact_int(b) for b in rhs)
     return SymbolicCone(gens, apex, (0,) * d)
 
 

@@ -13,6 +13,7 @@ is safe to share between threads without coordination.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -25,7 +26,16 @@ Scalar = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# vectors
+# scalars and vectors
+
+def exact_int(x) -> int:
+    """``x`` as an ``int``; ``TypeError`` unless it is exactly an integer (floats never are)."""
+    if type(x) is int:  # the common case, before the slower ABC test
+        return x
+    if isinstance(x, numbers.Rational) and x.denominator == 1:
+        return int(x)
+    raise TypeError(f"expected an exact integer, got {x!r}")
+
 
 def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))

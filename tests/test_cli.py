@@ -181,7 +181,6 @@ def test_check_refuses_a_scan_over_the_cap_before_it_starts(monkeypatch, capsys)
         raise AssertionError("check scanned before refusing")
 
     monkeypatch.setattr(symcones.cli, "_line_values", no_scan)
-    monkeypatch.setattr(symcones.cli, "contains", no_scan)
     rows = [" ".join(str(int(k // 3 == i)) for k in range(9)) + " = 2" for i in range(3)]
     rows += [" ".join(str(int(k % 3 == j)) for k in range(9)) + " = 2" for j in range(2)]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(rows) + "\n"))
@@ -247,9 +246,10 @@ def test_check_line_scan_matches_the_pointwise_scan():
     assert outcomes[0] > 300 and outcomes[1] > 250
 
 
-def test_check_line_scan_tests_lower_dimensional_cones_pointwise():
-    # cones with fewer generators than coordinates go through contains: the
-    # ray (1, 1) is the solution set of x1 = x2, and the orthant is its cone
+def test_check_line_scan_places_lower_dimensional_cones_in_closed_form():
+    # cones with fewer generators than coordinates are scanned like the
+    # others, their affine hull cut as pairs of opposite facets: the ray
+    # (1, 1) is the solution set of x1 = x2, and the orthant is its cone
     # open on e1 plus the closed face x1 = 0
     diagonal = ConeCombination()
     diagonal.add(cone([(1, 1)]), 1)

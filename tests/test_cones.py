@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,6 +24,8 @@ from symcones.barvinok import decompose_combination
 from symcones.exactmath import det
 from _support import (
     box_points,
+    cramer_solve,
+    gauss_rank,
     half_open_parallelepiped_points,
     in_discrete_cone,
     in_half_open_parallelepiped,
@@ -187,6 +190,48 @@ def test_contains_rational_points_and_affine_hull():
     assert contains(full, (Fraction(1, 3), 1))  # a = 0 on the closed facet
     assert not contains(full, (Fraction(1, 2), 0))  # b = 0 on the open facet
     assert not contains(full, (Fraction(-1, 2), 0))
+
+
+def test_contains_matches_cramer_on_lower_dimensional_cones():
+    # k < n cones, whose _facets add a pair of opposite rows per missing
+    # dimension, against Cramer's rule: points q + V lam with lam on a grid
+    # through 0, so closed and open facets are hit from both sides, some
+    # pushed along a unit vector, which takes most of them off the hull
+    rng = random.Random(2121)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n - 1)
+        gens = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+        if gauss_rank(gens) < k:
+            continue
+        apex = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n))
+        bits = tuple(rng.randint(0, 1) for _ in range(k))
+        c = SymbolicCone(gens, apex, bits)
+        for _ in range(12):
+            lam = [Fraction(rng.randint(-2, 4), 2) for _ in range(k)]
+            x = [a + sum(l * g[i] for l, g in zip(lam, gens)) for i, a in enumerate(apex)]
+            if rng.random() < 0.3:
+                x[rng.randrange(n)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+            coeffs = cramer_solve(gens, tuple(a - b for a, b in zip(x, apex)))
+            inside = coeffs is not None and all(
+                v > 0 if bit else v >= 0 for v, bit in zip(coeffs, bits))
+            assert contains(c, x) is inside, (c, x)
+            seen["off hull" if coeffs is None else "inside" if inside else "outside"] += 1
+            if coeffs is not None and any(v == 0 and bit for v, bit in zip(coeffs, bits)):
+                seen["on an open facet"] += 1
+            elif inside and 0 in coeffs:
+                seen["inside on a closed facet"] += 1
+    assert min(seen.values()) > 100 and len(seen) == 5, seen
+
+
+def test_contains_refuses_dependent_lower_dimensional_generators():
+    # cone() refuses these up front; a SymbolicCone built directly is
+    # refused by its first membership test
+    for gens in (((1, 2, 0), (-2, -4, 0)), ((0, 0, 0),)):
+        c = SymbolicCone(gens, (0, 0, 0), (0,) * len(gens))
+        with pytest.raises(ValueError, match="generators not linearly independent"):
+            contains(c, (0, 0, 0))
 
 
 def test_eval_combination_basics():

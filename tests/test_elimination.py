@@ -15,6 +15,7 @@ from symcones import (
     canonicalize,
     cone,
     contains,
+    count_lattice_points,
     eliminate,
     eliminate_last_coordinate,
     eval_combination,
@@ -67,6 +68,40 @@ def test_macmahon_lift_refuses_no_rows():
     # before the dimension is read off a first row
     with pytest.raises(ValueError, match="at least one constraint"):
         macmahon_lift([], [])
+
+
+def test_entry_points_refuse_inexact_integers():
+    # 1.5 and 2.7 were once truncated, so x1 + x2 = 2 was solved instead
+    # and 3 solutions were counted where there are none
+    for rows, rhs in (([(1.5, 1)], [2.7]), ([(1, 1)], [2.0]), ([(Fraction(3, 2), 1)], [2]),
+                      ([("1", 1)], [2])):
+        with pytest.raises(TypeError, match="exact integer"):
+            system(rows, ["="], rhs)
+        with pytest.raises(TypeError, match="exact integer"):
+            macmahon_lift(rows, rhs)
+    with pytest.raises(TypeError, match="exact integer"):
+        cone([(1.9, 0), (0, 1)], openness=[0, 1])
+    with pytest.raises(TypeError, match="exact integer"):
+        cone([(1, 0), (0, 1)], openness=[0.6, 1])
+    # a float bit of 1.0 once reached the solve JSON as "open": [0, 1.0]
+    with pytest.raises(ValueError, match="openness bits"):
+        SymbolicCone(((1, 0), (0, 1)), (0, 0), (1.0, 0))
+    for rows, relations, rhs in ((((1.5, 1),), (Relation.EQ,), (2,)),
+                                 (((1, 1),), (Relation.EQ,), (Fraction(2),)),
+                                 (((True, 1),), (Relation.EQ,), (2,))):
+        with pytest.raises(TypeError, match="exact integers"):
+            LDSystem(rows, relations, rhs)
+    # a bare "=" would otherwise be read as >= by satisfies
+    with pytest.raises(TypeError, match="Relation"):
+        LDSystem(((1, 1),), ("=",), (2,))
+    # integer inputs, integral Fractions and bools among them, are taken as before
+    sys_ = system([(Fraction(2, 2), True)], ["="], [Fraction(4, 2)])
+    assert sys_ == LDSystem(((1, 1),), (Relation.EQ,), (2,))
+    assert all(type(x) is int for x in (*sys_.rows[0], *sys_.rhs))
+    assert count_lattice_points(solve(sys_)) == 3
+    assert macmahon_lift([(Fraction(3), 1)], [True]) == macmahon_lift([(3, 1)], [1])
+    assert (cone([(Fraction(2), 0), (0, 1)], openness=[True, 0])
+            == cone([(2, 0), (0, 1)], openness=[1, 0]))
 
 
 # --- one elimination round ----------------------------------------------------------
