@@ -8,7 +8,8 @@ from the first constraint. Subcommands::
     solve   emit the signed cone combination as JSON
     ratfun  emit a rational-function expression (plain, latex or json)
     count   emit the number of solutions of a finite set
-    check   compare with the direct oracle on a box, by x_d lines cut by every cone's facets
+    check   compare with the direct oracle on a box: cone facets and system rows
+            cut every x_d line in bulk, the oracle's interval counted with -1
 
 No choice is random: ``ratfun --method barvinok`` half-opens each cone along
 its own xi = V·(±1), so the same input always gives the same bytes.
@@ -30,6 +31,7 @@ import itertools
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from .cones import ConeCombination, _share_inverse_pairs
@@ -112,49 +114,119 @@ def combination_to_json(combination: ConeCombination, dimension: int | None = No
     return '{"dimension": %d, "cones": [%s]}' % (dim or 0, ", ".join(cones))
 
 
-# check charges (box+1)^d points x max(1, cones) tests, well under 1 us each
+# check charges (box+1)^d points x max(1, cones) tests; the scan pays a few
+# list passes per cone facet and per system row over the lines of the box
 MAX_CHECK_CONTAINS = 5 * 10**6
+# the scan holds a value or two per line and half-space; it takes the box in
+# blocks of lines that share x_1..x_k, so that a block holds at most this many
+CHECK_BLOCK_VALUES = 2**18
 
 
-def _line_values(cones, prefix: tuple[int, ...], box: int) -> list[int]:
-    """(mult, facets) cones at prefix + (t,), t <= box: integral p + a*t >= 0 cut intervals."""
-    diff = [0] * (box + 2)
-    for mult, facets in cones:
-        lo, hi = 0, box
-        for row, offset, a in facets:
-            p = sum(map(operator.mul, row, prefix)) - offset
-            if a > 0:
-                lo = max(lo, -(p // a))
-            elif a < 0:
-                hi = min(hi, p // -a)
-            if lo > hi or (a == 0 and p < 0):
-                break
+def _primitive(row: tuple[int, ...], offset: int) -> tuple[tuple[int, ...], int]:
+    """row.x >= offset over the integers, with row divided by its gcd."""
+    g = math.gcd(*row) or 1
+    return tuple(a // g for a in row), -(-offset // g)
+
+
+def _oracle_forms(sys_: LDSystem) -> list[tuple[tuple[int, ...], int]]:
+    """A x >= b as ``_primitive`` (row, offset) half-spaces, each = row also as its opposite."""
+    forms = list(zip(sys_.rows, sys_.rhs))
+    forms += [(tuple(-a for a in row), -beta) for row, rel, beta
+              in zip(sys_.rows, sys_.relations, sys_.rhs) if rel is Relation.EQ]
+    return [_primitive(*form) for form in forms]
+
+
+def _prefix_sums(head: tuple[int, ...], box: int) -> list[int]:
+    """head . prefix for every prefix in [0, box]^len(head), in product order."""
+    sums = [0]
+    for c in head:
+        steps = [c * t for t in range(box + 1)]
+        sums = [s + step for s in sums for step in steps]
+    return sums
+
+
+def _line_values(forms, lines: dict, box: int) -> tuple[list[int], list[int]]:
+    """Per-line lo and hi of the x_d in [0, box] where row.x - offset >= 0 for every (row, offset).
+
+    Line i fixes the other coordinates to the i-th prefix in product order;
+    ``lines`` caches ``_prefix_sums`` by row[:-1]. With p = row.(prefix, 0) -
+    offset and a = row[-1]: a > 0 gives lo = -(p // a), a < 0 gives hi =
+    p // -a, and a = 0 empties the line where p < 0. A line is empty where lo > hi.
+    """
+    n = (box + 1) ** (len(forms[0][0]) - 1)
+    lo, hi = [0] * n, [box] * n
+    for row, offset in forms:
+        head, a = row[:-1], row[-1]
+        sums = lines.get(head)
+        if sums is None:
+            sums = lines[head] = _prefix_sums(head, box)
+        if a > 0:
+            lo = [x if x > (y := -((s - offset) // a)) else y for x, s in zip(lo, sums)]
+        elif a < 0:
+            hi = [x if x < (y := (s - offset) // -a) else y for x, s in zip(hi, sums)]
         else:
-            diff[lo] += mult
-            diff[hi + 1] -= mult
-    return list(itertools.accumulate(diff[:-1]))
+            hi = [x if s >= offset else -1 for x, s in zip(hi, sums)]
+    return lo, hi
+
+
+def _first_gap(intervals, width: int) -> tuple[int, int] | None:
+    """First (point, gap) where the ((lo, hi), mult) intervals do not sum to 0, or None.
+
+    The lines lie end to end, line i covering points i*width .. i*width + width-1,
+    so the sum is 0 iff its difference array is: every point gains as much
+    multiplicity from the intervals that start there as from those that end
+    just before it. The first non-zero difference is the first gap in product
+    order, and equals the sum there.
+    """
+    starts, ends = Counter(), Counter()
+    for (lo, hi), mult in intervals:
+        touched = list(map(operator.le, lo, hi))
+        end = len(lo) * width
+        first = itertools.compress(map(operator.add, range(0, end, width), lo), touched)
+        past = itertools.compress(map(operator.add, range(1, end, width), hi), touched)
+        up, down = (first, past) if mult > 0 else (past, first)
+        k = abs(mult)
+        starts.update(up if k == 1 else dict.fromkeys(up, k))
+        ends.update(down if k == 1 else dict.fromkeys(down, k))
+    # every count is positive, so plain dict equality is exact (and runs in C)
+    if dict.__eq__(starts, ends):
+        return None
+    point = min(key for key in starts.keys() | ends.keys() if starts[key] != ends[key])
+    return point, starts[point] - ends[point]
 
 
 def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) -> tuple[int, str]:
-    calls = (config.box + 1) ** sys_.num_variables * max(1, len(combination))
+    box, d = config.box, sys_.num_variables
+    calls = (box + 1) ** d * max(1, len(combination))
     if calls > MAX_CHECK_CONTAINS:
         raise ParseError(f"check would run {calls} membership tests, more than "
                          f"{MAX_CHECK_CONTAINS}; use a smaller --box")
     _share_inverse_pairs(combination)
-    cones = [(m, [(row, offset + bit, row[-1]) for row, offset, bit in c._facets])
-             for c, m in combination.items()]
-    # x_d runs fastest, so the first mismatch is the first in product order
-    for prefix in itertools.product(range(config.box + 1), repeat=sys_.num_variables - 1):
-        rows = [(sum(map(operator.mul, a, prefix)), a[-1], rel is Relation.EQ, beta)
-                for a, rel, beta in zip(sys_.rows, sys_.relations, sys_.rhs)]
-        for t, actual in enumerate(_line_values(cones, prefix, config.box)):
-            expected = 1
-            for s, a, eq, beta in rows:
-                if s + a * t != beta if eq else s + a * t < beta:
-                    expected = 0
-                    break
-            if actual != expected:
-                return 1, f"FAIL at {prefix + (t,)}: oracle {expected}, combination {actual}"
+    # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
+    scans = [(_oracle_forms(sys_), -1)]
+    scans += [([_primitive(row, offset + bit) for row, offset, bit in c._facets], m)
+              for c, m in combination.items()]
+    # a block fixes x_1..x_k to head; its lines run over x_{k+1}..x_{d-1}
+    width, half_spaces = box + 1, sum(len(forms) for forms, _ in scans)
+    inner = d - 1
+    while inner and width ** inner * half_spaces > CHECK_BLOCK_VALUES:
+        inner -= 1
+    lines: dict = {}
+    for head in itertools.product(range(width), repeat=d - 1 - inner):
+        k = len(head)
+        intervals = []
+        for forms, mult in scans:
+            rest = [(row[k:], offset - sum(map(operator.mul, row, head))) for row, offset in forms]
+            intervals.append((_line_values(rest, lines, box), mult))
+        found = _first_gap(intervals, width)
+        if found:
+            point, gap = found
+            line, t = divmod(point, width)
+            (lo, hi), _ = intervals[0]
+            expected = int(lo[line] <= t <= hi[line])
+            prefix = next(itertools.islice(itertools.product(range(width), repeat=inner), line, None))
+            return 1, (f"FAIL at {head + prefix + (t,)}: "
+                       f"oracle {expected}, combination {expected + gap}")
     return 0, "PASS"
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -15,6 +16,8 @@ from symcones.cli import (
     ParseError,
     RunConfig,
     _build_parser,
+    _line_values,
+    _oracle_forms,
     _run_check,
     combination_to_json,
     main,
@@ -306,6 +309,112 @@ def test_check_cap_admits_the_bench_and_ci_scans():
               for s in panel for t in (1, 2, 3)]
     for sys_, box in cases:
         assert run(RunConfig("check", box=box), sys_)[:2] == (0, "PASS")
+
+
+def test_oracle_line_intervals_match_satisfies():
+    # the oracle's half-spaces cut one x_d interval per line; that interval
+    # must hold exactly the points that satisfy A x >= b, so a floor or ceil
+    # slip cannot hide behind the same slip in the cones' intervals
+    texts = [
+        "3 = 6", "3 = 5", "-3 >= -7", "0 >= 1", "0 = 0",        # d = 1
+        "1 0 >= 2", "1 0 = 1", "2 1 = 5", "-1 -1 >= -4",        # last coefficient 0 and +-1
+        "1 3 = 5", "-2 -3 = -4", "2 3 >= 4", "1 -3 >= -2",      # +-3, empty where 3 does not divide
+        "2 4 = 5", "3 6 >= 4\n-3 -6 >= -13", "2 0 1 = 3\n0 3 -3 = 2",
+    ]
+    systems = [parse_system(text) for text in texts]
+    rng = random.Random(2207)
+    for _ in range(60):
+        d = rng.randint(1, 4)
+        sys_ = random_system(rng, d, rng.randint(1, 3), entry_bound=4)
+        systems.append(dataclasses.replace(sys_, relations=tuple(
+            rng.choice((Relation.GEQ, Relation.EQ)) for _ in sys_.rows)))
+    last = Counter()
+    for sys_ in systems:
+        d = sys_.num_variables
+        for box in range(6):
+            lo, hi = _line_values(_oracle_forms(sys_), {}, box)
+            lines = list(itertools.product(range(box + 1), repeat=d - 1))
+            assert len(lo) == len(hi) == len(lines)
+            for i, prefix in enumerate(lines):
+                for t in range(box + 1):
+                    assert (lo[i] <= t <= hi[i]) == sys_.satisfies(prefix + (t,))
+        last.update(abs(row[-1]) for row in sys_.rows)
+    assert last[0] and last[1] and last[3]
+
+
+def _one_change_variants(rng, comb):
+    """comb, with one multiplicity moved by +-1, one cone dropped and one openness bit flipped."""
+    items = list(comb.items())
+    if not items:
+        return [comb]
+    i = rng.randrange(len(items))
+    c, mult = items[i]
+    bits = list(c.openness)
+    bits[rng.randrange(len(bits))] ^= 1
+    variants = [comb]
+    for changed in ([(c, mult + 1)], [(c, mult - 1)], [], [(cone(c.generators, c.apex, bits), mult)]):
+        variant = ConeCombination()
+        for c2, m2 in items[:i] + changed + items[i + 1:]:
+            variant.add(c2, m2)
+        variants.append(variant)
+    return variants
+
+
+def test_check_matches_the_pointwise_scan_on_the_bench_panel(monkeypatch):
+    # the random-systems panel: Random(24), d = 4, 3 or 4 rows, right-hand
+    # sides times 1..3, checked at --box 4; the first system again with the
+    # box cut into blocks
+    import symcones.cli
+
+    rng = random.Random(24)
+    panel = [random_system(rng, 4, rng.choice((3, 4))) for _ in range(10)]
+    systems = [dataclasses.replace(s, rhs=tuple(t * b for b in s.rhs))
+               for s in panel for t in (1, 2, 3)]
+    pick = random.Random(2424)
+    outcomes = Counter()
+    for sys_ in systems:
+        for variant in _one_change_variants(pick, solve(sys_)):
+            expected = reference_run_check(4, sys_, variant)
+            assert _run_check(RunConfig("check", box=4), sys_, variant) == expected
+            outcomes[expected[0]] += 1
+    assert outcomes[0] >= 30 and outcomes[1] >= 30
+    # one block per x_1..x_2 prefix, then one per line
+    comb = solve(systems[0])
+    forms = len(_oracle_forms(systems[0])) + sum(len(c._facets) for c in comb)
+    for budget in (5 * forms, 1):
+        monkeypatch.setattr(symcones.cli, "CHECK_BLOCK_VALUES", budget)
+        for variant in _one_change_variants(pick, comb):
+            expected = reference_run_check(4, systems[0], variant)
+            assert _run_check(RunConfig("check", box=4), systems[0], variant) == expected
+
+
+@pytest.mark.parametrize("budget", [None, 100, 1])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_check_fail_message_places_the_first_mismatch(monkeypatch, budget, d):
+    # a closed orthant at apex p covers, of the box, p and what follows it in
+    # product order; so with the oracle 0 everywhere, 2 x that cone first
+    # fails at p, and with the oracle 1 everywhere, the orthant at 0 minus it
+    # first fails at p too; budget 100 cuts the d = 4 box into blocks of
+    # lines that share x_1 or x_1..x_2, budget 1 into one block per line
+    import symcones.cli
+
+    if budget is not None:
+        monkeypatch.setattr(symcones.cli, "CHECK_BLOCK_VALUES", budget)
+    box = 3
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    zero = " ".join("0" * d)
+    nowhere, everywhere = parse_system(f"{zero} >= 1"), parse_system(f"{zero} >= 0")
+    corners = ((0,) * (d - 1) + (box,), (box,) * (d - 1) + (0,), (box,) * d)
+    for p in corners + (tuple(i % (box + 1) for i in range(1, d + 1)),):
+        doubled = ConeCombination()
+        doubled.add(cone(units, p), 2)
+        assert _run_check(RunConfig("check", box=box), nowhere, doubled) == (
+            1, f"FAIL at {p}: oracle 0, combination 2")
+        cut = ConeCombination()
+        cut.add(cone(units), 1)
+        cut.add(cone(units, p), -1)
+        assert _run_check(RunConfig("check", box=box), everywhere, cut) == (
+            1, f"FAIL at {p}: oracle 1, combination 0")
 
 
 def test_run_ratfun_formats():
