@@ -31,13 +31,11 @@ from .exactmath import (
     lll_reduce,
     prim,
     snf,
-    solve_rational,
 )
 from .ratfun import (
     RatFunExpr,
     RatFunTerm,
     combination_to_ratfun,
-    cone_to_term_fp,
     count_lattice_points,
     ratfun_from_json,
     render,
@@ -55,7 +53,6 @@ __all__ = [
     "canonicalize",
     "combination_to_ratfun",
     "cone",
-    "cone_to_term_fp",
     "contains",
     "count_lattice_points",
     "decompose_combination",
@@ -72,7 +69,6 @@ __all__ = [
     "render",
     "snf",
     "solve",
-    "solve_rational",
     "system",
 ]
 

@@ -19,9 +19,10 @@ with its default separators (README), formatting each distinct V once.
 
 Exit status: 0 on success or PASS, 1 on FAIL, 2 on usage errors and
 refused input, each with one ``error:`` line on stderr: ``count`` on an
-infinite solution set, an fp parallelepiped over the enumeration cap, a
-``--box`` below 0 or past the scan cap, ``--index-threshold`` with ``ratfun
---method fp``, or ``--vector-exponents`` without ``--format latex``.
+infinite solution set, a parallelepiped over the enumeration cap (fp, or
+barvinok with ``--index-threshold`` above it), a ``--box`` below 0 or past
+the scan cap in x_d bounds (lines x half-spaces), ``--index-threshold`` with
+``ratfun --method fp``, or ``--vector-exponents`` without ``--format latex``.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def combination_to_json(combination: ConeCombination, dimension: int | None = No
     return '{"dimension": %d, "cones": [%s]}' % (dim or 0, ", ".join(cones))
 
 
-# check charges (box+1)^d points x max(1, cones) tests; the scan pays a few
-# list passes per cone facet and per system row over the lines of the box
-MAX_CHECK_CONTAINS = 5 * 10**6
+# check charges (box+1)^(d-1) lines x half-spaces x_d bounds, what the scan
+# pays at 60-110 ns each (Python 3.11): the cap bounds a scan at about 0.55 s
+MAX_CHECK_VALUES = 5 * 10**6
 # the scan holds a value or two per line and half-space; it takes the box in
 # blocks of lines that share x_1..x_k, so that a block holds at most this many
 CHECK_BLOCK_VALUES = 2**18
@@ -197,17 +198,19 @@ def _first_gap(intervals, width: int) -> tuple[int, int] | None:
 
 def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) -> tuple[int, str]:
     box, d = config.box, sys_.num_variables
-    calls = (box + 1) ** d * max(1, len(combination))
-    if calls > MAX_CHECK_CONTAINS:
-        raise ParseError(f"check would run {calls} membership tests, more than "
-                         f"{MAX_CHECK_CONTAINS}; use a smaller --box")
+    width = box + 1
+    # one half-space per >= row, two per = row, k facets + d - k hull pairs per k-cone
+    half_spaces = sum(1 + (rel is Relation.EQ) for rel in sys_.relations)
+    half_spaces += sum(2 * d - c.dim for c in combination)
+    if (values := width ** (d - 1) * half_spaces) > MAX_CHECK_VALUES:
+        raise ParseError(f"check would cut {values} x_d bounds (lines x half-spaces), "
+                         f"more than {MAX_CHECK_VALUES}; use a smaller --box")
     _share_inverse_pairs(combination)
     # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
     scans = [(_oracle_forms(sys_), -1)]
     scans += [([_primitive(row, offset + bit) for row, offset, bit in c._facets], m)
               for c, m in combination.items()]
     # a block fixes x_1..x_k to head; its lines run over x_{k+1}..x_{d-1}
-    width, half_spaces = box + 1, sum(len(forms) for forms, _ in scans)
     inner = d - 1
     while inner and width ** inner * half_spaces > CHECK_BLOCK_VALUES:
         inner -= 1

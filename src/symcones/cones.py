@@ -379,7 +379,8 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     if count > MAX_FUNDPAR_POINTS:
         raise ValueError(
             f"fundamental parallelepiped has {count} lattice points, over the "
-            f"enumeration cap of {MAX_FUNDPAR_POINTS}; use --method barvinok"
+            f"enumeration cap of {MAX_FUNDPAR_POINTS}; use --method barvinok "
+            f"with --index-threshold at most {MAX_FUNDPAR_POINTS}"
         )
     s_k = diag[-1]
     modulus = s_k * den

@@ -2,12 +2,11 @@
 
 Vectors are tuples; matrices are tuples of *columns* (column-major). The
 linear algebra is fraction-free over Python's arbitrary-precision ``int``:
-determinants, rank tests, adjugates, solves and the U and W of ``snf``
-share one Bareiss elimination, and ``lll_reduce`` keeps integral
-Gram-Schmidt data. ``fractions.Fraction`` appears only in the vector
-``solve_rational`` returns. Nothing in this package ever touches floating
-point. Values are immutable and every function is pure, so everything here
-is safe to share between threads without coordination.
+determinants, rank tests, adjugates and the U and W of ``snf`` share one
+Bareiss elimination, and ``lll_reduce`` keeps integral Gram-Schmidt data.
+Nothing in this package ever touches floating point. Values are immutable
+and every function is pure, so everything here is safe to share between
+threads without coordination.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import NamedTuple, Sequence, Union
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 IntMat = tuple[IntVec, ...]  # columns
-RatMat = tuple[RatVec, ...]  # columns
 
 Scalar = Union[int, Fraction]
 
@@ -74,7 +72,7 @@ def identity(n: int) -> IntMat:
     return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
 
 
-def mat_vec(m: IntMat | RatMat, x: Sequence[Scalar]) -> tuple:
+def mat_vec(m: IntMat, x: Sequence[Scalar]) -> tuple:
     """Matrix-vector product; ``x`` holds one coefficient per column."""
     if len(x) != len(m):
         raise ValueError(f"dimension mismatch: {len(m)} columns, {len(x)} coefficients")
@@ -82,7 +80,7 @@ def mat_vec(m: IntMat | RatMat, x: Sequence[Scalar]) -> tuple:
     return tuple(sum(m[j][i] * x[j] for j in range(len(m))) for i in range(n))
 
 
-def mat_mul(a: IntMat | RatMat, b: IntMat | RatMat) -> tuple:
+def mat_mul(a: IntMat, b: IntMat) -> tuple:
     return tuple(mat_vec(a, col) for col in b)
 
 
@@ -100,9 +98,9 @@ def _bareiss(m: IntMat, rhs: Sequence[Sequence[int]] = ()) -> tuple[int, IntMat 
 
     Returns ``(d, y)``. ``d`` is the signed k x k pivot minor, 0 iff the
     columns are dependent (always 0 when k > n); for square ``m`` it is
-    det(m). ``y`` holds one integer column per ``rhs`` column with
-    ``m @ y_c == d * rhs_c``, and is ``None`` when d == 0 or some rhs
-    column lies outside the column span.
+    det(m). A right-hand side needs square ``m``: then ``y`` holds one
+    integer column per ``rhs`` column with ``m @ y_c == d * rhs_c``, and is
+    ``None`` when d == 0.
 
     Bareiss elimination, pivoting on the first non-zero entry at or below
     the diagonal: every division is exact, so all entries stay integers
@@ -136,9 +134,6 @@ def _bareiss(m: IntMat, rhs: Sequence[Sequence[int]] = ()) -> tuple[int, IntMat 
             for j in range(t + 1, width):
                 row[j] = (row[j] * piv - f * top[j]) // prev
         prev = piv
-    # rows below k now hold the bordered (k+1)-minors of each rhs column
-    if any(a[i][j] for i in range(k, n) for j in range(k, width)):
-        return sign * prev, None
     return sign * prev, tuple(tuple(sign * a[i][j] for i in range(k)) for j in range(k, width))
 
 
@@ -158,27 +153,6 @@ def det(m: IntMat) -> int:
 def has_full_column_rank(m: IntMat) -> bool:
     """True iff the columns of ``m`` are linearly independent."""
     return _bareiss(m)[0] != 0
-
-
-def solve_rational(m: IntMat | RatMat, x: Sequence[Scalar]) -> RatVec | None:
-    """Solve ``m @ lam = x`` exactly for linearly independent columns.
-
-    Returns the unique coefficient vector if ``x`` lies in the column span
-    and ``None`` otherwise. Raises ``ValueError`` when the columns are
-    linearly dependent.
-    """
-    n, _ = _check_columns(m)
-    if len(x) != n:
-        raise ValueError(f"dimension mismatch: matrix has {n} rows, vector has {len(x)}")
-    # scaling m and x by one common denominator leaves lam unchanged
-    denom = math.lcm(*(v.denominator for col in (*m, x) for v in col))
-    *m, x = ([int(v * denom) for v in col] for col in (*m, x))
-    d, y = _bareiss(m, (x,))
-    if d == 0:
-        raise ValueError("generators not linearly independent")
-    if y is None:
-        return None
-    return tuple(Fraction(v, d) for v in y[0])
 
 
 def scaled_inverse(m: IntMat) -> tuple[IntMat, int]:

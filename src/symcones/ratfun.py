@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, SymbolicCone, _share_inverse_pairs, enum_fundpar
+from .cones import ConeCombination, _share_inverse_pairs, enum_fundpar
 from .exactmath import IntVec, is_forward, vec_dot, vec_sub
 
 FP = "fp"
@@ -87,18 +87,6 @@ class RatFunExpr:
         return self.terms[0].dimension if self.terms else None
 
 
-def cone_to_term_fp(c: SymbolicCone) -> RatFunTerm:
-    """Generating-function term of one cone via parallelepiped enumeration.
-
-    Numerator exponents are the lattice points of the half-open fundamental
-    parallelepiped (lex-sorted), denominator exponents the generator
-    columns verbatim. The zero term results when the affine hull of the
-    cone contains no lattice point.
-    """
-    points = tuple(sorted(enum_fundpar(c)))
-    return RatFunTerm(1, points, c.generators)
-
-
 def _forward_normalized(mult: int, nums: tuple[IntVec, ...], dens: tuple[IntVec, ...]):
     """Flip backward denominator factors: z^u/(1-z^v) = -z^(u-v)/(1-z^-v)."""
     for i, v in enumerate(dens):
@@ -124,8 +112,9 @@ def combination_to_ratfun(
     index at most ``index_threshold`` (unimodular by default), half-opened
     along that cone's xi = V·(±1), giving one short term per output cone,
     with backward denominator factors flipped forward; ``fp`` refuses any
-    other ``index_threshold`` than 1. Either way the numerator is that of
-    ``cone_to_term_fp``, cones share V^-1 per V, and zero terms are dropped.
+    other ``index_threshold`` than 1. Either way a term's numerator is its
+    cone's lex-sorted ``enum_fundpar`` points, cones share V^-1 per V, and
+    zero terms are dropped.
     """
     if method not in (FP, BARVINOK):
         raise ValueError(f"unknown conversion method: {method!r}")

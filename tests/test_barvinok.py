@@ -14,7 +14,6 @@ from symcones import (
     eval_combination,
     index,
     solve,
-    solve_rational,
     system,
 )
 from symcones import barvinok
@@ -23,6 +22,7 @@ from symcones.exactmath import det, scaled_inverse
 from _support import (
     assert_canonical_by_construction,
     collect,
+    cramer_solve,
     decompose_along_random_direction,
     random_full_dim_cone,
     random_system,
@@ -211,7 +211,7 @@ def decompose_along_exchange_vector(gens, apex):
     c = canonicalize(cone(gens, apex, bits))
     result = collect(barvinok._leaves(c, 1, barvinok._tree(c.generators, 1), w))
     assert all(index(leaf) == 1 for leaf in result)
-    assert any(0 in solve_rational(leaf.generators, w) for leaf in result)
+    assert any(0 in cramer_solve(leaf.generators, w) for leaf in result)
     return c, result
 
 

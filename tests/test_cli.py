@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -177,7 +178,8 @@ def test_run_check_seeded_random_systems():
 
 
 def test_check_refuses_a_scan_over_the_cap_before_it_starts(monkeypatch, capsys):
-    # the 3x3 table at the default --box 8: 9^9 points against every cone
+    # the 3x3 table at the default --box 8: 9^8 lines, each cut by the 10
+    # half-spaces of the 5 = rows and the 9 facets of every cone
     import symcones.cli
 
     def no_scan(*args):
@@ -193,12 +195,12 @@ def test_check_refuses_a_scan_over_the_cap_before_it_starts(monkeypatch, capsys)
     assert captured.err.startswith("error: ") and "--box" in captured.err
     assert captured.err.count("\n") == 1
     cones = len(solve(parse_system("\n".join(rows))))
-    assert str(9**9 * cones) in captured.err
+    assert str(9**8 * (10 + 9 * cones)) in captured.err
 
 
 def test_check_counts_one_test_per_point_with_no_cones(monkeypatch, capsys):
-    # infeasible, so the combination is empty: 9^9 points still cost one
-    # oracle test each, and the scan is refused before it starts
+    # infeasible, so the combination is empty: 9^8 lines still cost the
+    # oracle's 2 half-spaces each, and the scan is refused before it starts
     import symcones.cli
 
     def no_scan(*args):
@@ -212,8 +214,8 @@ def test_check_counts_one_test_per_point_with_no_cones(monkeypatch, capsys):
     assert main(["check", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: check would run {9**9} membership tests, more than "
-                            f"{symcones.cli.MAX_CHECK_CONTAINS}; use a smaller --box\n")
+    assert captured.err == (f"error: check would cut {9**8 * 2} x_d bounds (lines x half-spaces), "
+                            f"more than {symcones.cli.MAX_CHECK_VALUES}; use a smaller --box\n")
 
 
 def test_check_line_scan_matches_the_pointwise_scan():
@@ -287,15 +289,16 @@ def test_check_line_scan_places_lower_dimensional_cones_in_closed_form():
 
 
 def test_check_cap_boundary(monkeypatch):
-    # (box+1)^d points times the cones: the cap itself runs, one more refuses
+    # (box+1)^(d-1) lines times the row's 1 half-space and each full cone's
+    # 3 facets: the cap itself runs, one less refuses
     import symcones.cli
 
     sys_ = parse_system("2 3 -5 >= 4")
-    calls = 7**3 * len(solve(sys_))
-    monkeypatch.setattr(symcones.cli, "MAX_CHECK_CONTAINS", calls)
+    values = 7**2 * (1 + 3 * len(solve(sys_)))
+    monkeypatch.setattr(symcones.cli, "MAX_CHECK_VALUES", values)
     assert run(RunConfig("check", box=6), sys_)[:2] == (0, "PASS")
-    monkeypatch.setattr(symcones.cli, "MAX_CHECK_CONTAINS", calls - 1)
-    with pytest.raises(ParseError, match=f"{calls} membership tests"):
+    monkeypatch.setattr(symcones.cli, "MAX_CHECK_VALUES", values - 1)
+    with pytest.raises(ParseError, match=f"{values} x_d bounds"):
         run(RunConfig("check", box=6), sys_)
 
 
@@ -309,6 +312,81 @@ def test_check_cap_admits_the_bench_and_ci_scans():
               for s in panel for t in (1, 2, 3)]
     for sys_, box in cases:
         assert run(RunConfig("check", box=box), sys_)[:2] == (0, "PASS")
+
+
+# rs00 of the random-systems panel, the largest of its solves (11 cones)
+RS00 = "4 -3 -2 -3 >= -15\n-2 -3 5 5 >= 9\n-4 -3 -1 -5 >= -9\n2 2 5 -4 >= 6\n"
+
+
+def test_check_charges_the_bounds_its_scan_cuts(monkeypatch):
+    # every _line_values call cuts one x_d bound per line and half-space;
+    # their sum must be the figure the cap charges, read from the refusal
+    # under a cap of 0: on rs00, on cones with k < n, and on a blocked scan
+    import symcones.cli
+
+    line_values, cut = symcones.cli._line_values, []
+
+    def counting(forms, lines, box):
+        lo, hi = line_values(forms, lines, box)
+        cut.append(len(lo) * len(forms))
+        return lo, hi
+
+    def charged(sys_, comb, box):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symcones.cli, "MAX_CHECK_VALUES", 0)
+            with pytest.raises(ParseError) as refusal:
+                _run_check(RunConfig("check", box=box), sys_, comb)
+        return int(re.search(r"cut (\d+) x_d bounds", str(refusal.value))[1])
+
+    monkeypatch.setattr(symcones.cli, "_line_values", counting)
+    rs00 = parse_system(RS00)
+    diagonal = ConeCombination()
+    diagonal.add(cone([(1, 1)]), 1)
+    orthant = ConeCombination()
+    orthant.add(cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], openness=(1, 0, 0)), 1)
+    orthant.add(cone([(0, 1, 0), (0, 0, 1)]), 1)
+    cases = [(rs00, solve(rs00), 4), (parse_system("1 -1 = 0"), diagonal, 5),
+             (parse_system("1 0 0 >= 0"), orthant, 4)]
+    for sys_, comb, box in cases:
+        cut.clear()
+        assert _run_check(RunConfig("check", box=box), sys_, comb) == (0, "PASS")
+        assert sum(cut) == charged(sys_, comb, box)
+    assert charged(*cases[0]) == 5**3 * 48
+    # blocks of the lines that share x_1..x_2: 25 blocks of 12 scans each
+    monkeypatch.setattr(symcones.cli, "CHECK_BLOCK_VALUES", 5 * 48)
+    cut.clear()
+    assert _run_check(RunConfig("check", box=4), rs00, solve(rs00)) == (0, "PASS")
+    assert len(cut) == 25 * 12
+    assert sum(cut) == charged(rs00, solve(rs00), 4)
+
+
+def test_check_admits_large_boxes_in_low_dimension():
+    # rs00 at --box 30 is 31^3 lines x 48 half-spaces, cut in blocks; a
+    # d = 1 system is one line however large the box
+    assert run(RunConfig("check", box=30), parse_system(RS00))[:2] == (0, "PASS")
+    assert run(RunConfig("check", box=10**9), parse_system("3 >= 7"))[:2] == (0, "PASS")
+
+
+def test_fp_cap_refusal_on_the_barvinok_route_names_the_threshold(monkeypatch, capsys):
+    # a leaf's parallelepiped holds index-many points, so barvinok above the
+    # cap's index threshold meets the cap too, and the advice must hold
+    # there: rs00 has a cone of index 4496182; with the cap patched to 100,
+    # --index-threshold 100 runs
+    import symcones.cones
+
+    argv = ["ratfun", "--method", "barvinok", "--index-threshold"]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(RS00))
+    assert main([*argv, "100000000", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(" 4496182 lattice points, over the enumeration cap of 1000000; "
+                                 "use --method barvinok with --index-threshold at most 1000000\n")
+    monkeypatch.setattr(symcones.cones, "MAX_FUNDPAR_POINTS", 100)
+    for threshold, status in (("1000", 2), ("100", 0)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(RS00))
+        assert main([*argv, threshold, "-"]) == status
+        assert ("at most 100\n" in capsys.readouterr().err) == bool(status)
 
 
 def test_oracle_line_intervals_match_satisfies():

@@ -25,7 +25,7 @@ from symcones import (
 )
 from symcones.cli import RunConfig, run
 from symcones.elimination import elimination_rounds, expand_equalities, solve_rounds
-from symcones.exactmath import is_forward, mat_vec, prim, solve_rational
+from symcones.exactmath import is_forward, mat_vec, prim
 from _support import (
     assert_canonical_by_construction,
     box_points,
@@ -251,7 +251,7 @@ def test_projection_is_injective_on_intermediate_cones():
                     for _ in range(c.dim)
                 )
                 x = tuple(a + b for a, b in zip(c.apex, mat_vec(c.generators, lam)))
-                back = solve_rational(projected, tuple(a - b for a, b in zip(x[:-1], c.apex[:-1])))
+                back = cramer_solve(projected, tuple(a - b for a, b in zip(x[:-1], c.apex[:-1])))
                 assert back is not None
                 lifted = tuple(a + b for a, b in zip(c.apex, mat_vec(c.generators, back)))
                 assert lifted == x

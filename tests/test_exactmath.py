@@ -11,11 +11,9 @@ from symcones.exactmath import (
     identity,
     lll_reduce,
     mat_mul,
-    mat_vec,
     prim,
     scaled_inverse,
     snf,
-    solve_rational,
 )
 from _support import (
     cofactor_det,
@@ -226,59 +224,6 @@ def _outcome(func, *args):
         return ValueError
 
 
-def test_solve_rational_examples():
-    v = cols_from_rows([[1, 1], [0, 3]])
-    assert solve_rational(v, (2, 3)) == (Fraction(1), Fraction(1))
-    assert solve_rational(((1, 1),), (1, 2)) is None
-    v2 = cols_from_rows([[2, 6], [-2, 2]])
-    assert solve_rational(v2, (1, 1)) == (Fraction(-1, 4), Fraction(1, 4))
-    v3 = ((Fraction(1, 2), 0), (1, Fraction(2, 3)))
-    assert solve_rational(v3, (Fraction(5, 2), Fraction(1, 3))) == (Fraction(4), Fraction(1, 2))
-
-
-def test_solve_rational_dependent_columns():
-    with pytest.raises(ValueError, match="not linearly independent"):
-        solve_rational(((1, 2), (2, 4)), (1, 1))
-
-
-def test_solve_rational_roundtrip():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        k = rng.randint(1, n)
-        while True:
-            cols = tuple(
-                tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(k)
-            )
-            try:
-                solve_rational(cols, (0,) * n)
-                break
-            except ValueError:
-                continue
-        lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k))
-        x = mat_vec(cols, lam)
-        assert solve_rational(cols, x) == lam
-        y = tuple(rng.randint(-6, 6) for _ in range(n))
-        got = solve_rational(cols, y)
-        if gram_det(cols + (y,)) == 0:
-            assert mat_vec(cols, got) == y
-        else:
-            assert got is None
-
-
-def test_solve_rational_against_cramer():
-    # square, tall and wide, dependent included; half the targets in the span
-    rng = random.Random(8)
-    for _ in range(300):
-        n, k = rng.randint(1, 4), rng.randint(1, 4)
-        cols = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
-        if rng.random() < 0.5:
-            x = mat_vec(cols, [rng.randint(-3, 3) for _ in range(k)])
-        else:
-            x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
-        assert _outcome(solve_rational, cols, x) == _outcome(cramer_solve, cols, x)
-
-
 def test_scaled_inverse_against_cofactor_det():
     rng = random.Random(31)
     signs = set()
@@ -339,7 +284,7 @@ def same_lattice(a, b):
     for cols_from, cols_to in ((a, b), (b, a)):
         transition = []
         for col in cols_to:
-            coeffs = solve_rational(cols_from, col)
+            coeffs = cramer_solve(cols_from, col)
             if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 return False
             transition.append(tuple(int(c) for c in coeffs))

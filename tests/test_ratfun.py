@@ -11,7 +11,6 @@ from symcones import (
     canonicalize,
     cone,
     combination_to_ratfun,
-    cone_to_term_fp,
     count_lattice_points,
     enum_fundpar,
     eval_combination,
@@ -37,25 +36,31 @@ from _support import (
 
 # --- per-cone terms ----------------------------------------------------------
 
+def _fp_term(c):
+    """The fp term of one cone as given, not canonicalized: its lex-sorted
+    parallelepiped points over its generators."""
+    return RatFunTerm(1, tuple(sorted(enum_fundpar(c))), c.generators)
+
+
 def test_term_fp_fig1_cone():
-    term = cone_to_term_fp(canonicalize(cone([(1, 0), (1, 3)])))
+    term = _fp_term(canonicalize(cone([(1, 0), (1, 3)])))
     assert term.mult == 1
     assert set(term.numerator) == {(0, 0), (1, 1), (1, 2)}
     assert term.denominator == ((1, 0), (1, 3))
 
 
 def test_term_fp_unimodular_translated():
-    term = cone_to_term_fp(cone([(1, 0), (0, 1)], (2, 5)))
+    term = _fp_term(cone([(1, 0), (0, 1)], (2, 5)))
     assert term.numerator == ((2, 5),)
 
 
 def test_term_fp_rational_apex():
-    term = cone_to_term_fp(cone([(2, 0), (0, 1)], (Fraction(1, 2), 0)))
+    term = _fp_term(cone([(2, 0), (0, 1)], (Fraction(1, 2), 0)))
     assert set(term.numerator) == {(1, 0), (2, 0)}
 
 
 def test_term_fp_zero_term():
-    term = cone_to_term_fp(cone([(1, 1)], (Fraction(1, 2), 0)))
+    term = _fp_term(cone([(1, 1)], (Fraction(1, 2), 0)))
     assert term.is_zero
 
 
@@ -65,7 +70,7 @@ def test_term_numerator_size_is_the_index():
         c = random_full_dim_cone(rng, rng.randint(1, 3), 7, max_det=40,
                                  rational_apex=True, random_openness=True)
         c = canonicalize(c)
-        term = cone_to_term_fp(c)
+        term = _fp_term(c)
         assert len(term.numerator) == abs(det(c.generators))
 
 
@@ -76,7 +81,7 @@ def test_term_semigroup_fidelity():
         c = canonicalize(random_full_dim_cone(rng, 2, 5, max_det=12,
                                               rational_apex=True,
                                               random_openness=True))
-        term = cone_to_term_fp(c)
+        term = _fp_term(c)
         lo = tuple(int(q) - 4 for q in c.apex)
         hi = tuple(int(q) + 4 for q in c.apex)
         expected = lattice_points_in_box(c, lo, hi)
