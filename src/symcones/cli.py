@@ -35,7 +35,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from .cones import ConeCombination, _share_inverse_pairs
+from .cones import ConeCombination, _product_sums, _share_inverse_pairs
 from .elimination import LDSystem, Relation, solve_rounds
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
@@ -137,20 +137,11 @@ def _oracle_forms(sys_: LDSystem) -> list[tuple[tuple[int, ...], int]]:
     return [_primitive(*form) for form in forms]
 
 
-def _prefix_sums(head: tuple[int, ...], box: int) -> list[int]:
-    """head . prefix for every prefix in [0, box]^len(head), in product order."""
-    sums = [0]
-    for c in head:
-        steps = [c * t for t in range(box + 1)]
-        sums = [s + step for s in sums for step in steps]
-    return sums
-
-
 def _line_values(forms, lines: dict, box: int) -> tuple[list[int], list[int]]:
     """Per-line lo and hi of the x_d in [0, box] where row.x - offset >= 0 for every (row, offset).
 
     Line i fixes the other coordinates to the i-th prefix in product order;
-    ``lines`` caches ``_prefix_sums`` by row[:-1]. With p = row.(prefix, 0) -
+    ``lines`` caches ``_product_sums`` by row[:-1]. With p = row.(prefix, 0) -
     offset and a = row[-1]: a > 0 gives lo = -(p // a), a < 0 gives hi =
     p // -a, and a = 0 empties the line where p < 0. A line is empty where lo > hi.
     """
@@ -160,7 +151,7 @@ def _line_values(forms, lines: dict, box: int) -> tuple[list[int], list[int]]:
         head, a = row[:-1], row[-1]
         sums = lines.get(head)
         if sums is None:
-            sums = lines[head] = _prefix_sums(head, box)
+            sums = lines[head] = _product_sums(head, [range(box + 1)] * len(head))
         if a > 0:
             lo = [x if x > (y := -((s - offset) // a)) else y for x, s in zip(lo, sums)]
         elif a < 0:

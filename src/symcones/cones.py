@@ -15,10 +15,11 @@ generators), which is unique per point set and openness pattern. Membership
 is one integer test per facet row (``_facets``), for cones of every k <= n.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
-fundamental parallelepiped, the numerator of its generating function, with
-one loop over the U^-1, W^-1 and diagonal of a Smith normal form of V. A
-full-dimensional cone of index |det V| = 1 uses the trivial Smith form
-V = V I I and is the one-point case of that loop. Parallelepipeds of more
+fundamental parallelepiped, the numerator of its generating function. A
+full-dimensional cone of index |det V| = 1 gets its one point in closed
+form from its inverse pair; any other cone's points are read off the U^-1,
+W^-1 and diagonal of a Smith normal form of V, in blocks of at most
+``FUNDPAR_BLOCK`` points, one coordinate at a time. Parallelepipeds of more
 than ``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
 """
 
@@ -335,27 +336,60 @@ def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:
 
 # --- fundamental parallelepipeds --------------------------------------------
 
-# Largest parallelepiped enum_fundpar lists, at roughly 10 us per point
-# (about 10 s); larger cones are refused before the loop starts.
+# Largest parallelepiped enum_fundpar lists: 1.3-2 us per point on a 4 x 4 V, about
+# 1.5 s at the cap (Python 3.11, shared 2-core VM); larger cones are refused first.
 MAX_FUNDPAR_POINTS = 10**6
+
+# Most points enum_fundpar lists in one bulk pass, which bounds its working lists
+FUNDPAR_BLOCK = 2**12
+
+
+def _product_sums(coeffs: Sequence[int], ranges: Sequence[range], start: int = 0) -> list[int]:
+    """start + coeffs . j for every j in the product of ``ranges``, in product order."""
+    sums = [start]
+    for c, r in zip(coeffs, ranges):
+        steps = [c * t for t in r]
+        sums = [s + step for s in sums for step in steps]
+    return sums
+
+
+def _fundpar_blocks(diag: IntVec) -> Iterator[list[range]]:
+    """The box prod [0, s_i) as blocks of at most ``FUNDPAR_BLOCK`` points, in
+    product order: leading j_i are looped over, trailing ones taken in full,
+    and the j_m between them is cut into pieces."""
+    m, size = len(diag), 1
+    while m and size * diag[m - 1] <= FUNDPAR_BLOCK:
+        m -= 1
+        size *= diag[m]
+    tail = [range(t) for t in diag[m:]]
+    if not m:
+        yield tail
+        return
+    piece, s = FUNDPAR_BLOCK // size, diag[m - 1]
+    for head in itertools.product(*map(range, diag[:m - 1])):
+        for lo in range(0, s, piece):
+            yield [*(range(j, j + 1) for j in head), range(lo, min(lo + piece, s)), *tail]
 
 
 def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     """All lattice points of the half-open fundamental parallelepiped.
 
     The parallelepiped is q + { V @ lam } with lam_i in [0,1) on closed and
-    (0,1] on open coordinates. Over a Smith normal form V = U S W with
-    diagonal s_1 | ... | s_k, a point x = q + V @ lam is integral iff
-    U^-1 x is, i.e. iff the last n-k entries of U^-1 q are integers and
+    (0,1] on open coordinates; mod' below sends 0 to 1 on open coordinates.
+    A full-dimensional cone of index |d| = 1 holds one point, lam = -V^-1 q
+    mod' 1 with V^-1 = d * adj from its inverse pair. Otherwise, over a
+    Smith normal form V = U S W with diagonal s_1 | ... | s_k, a point
+    x = q + V @ lam is integral iff U^-1 x is, i.e. iff the last n-k
+    entries of U^-1 q are integers and
 
         lam = W^-1 mu mod' 1,   mu_i = (j_i - (U^-1 q)_i) / s_i,
 
     for an integer vector j, which only matters modulo s_i. So j ranges over
-    the box prod [0, s_i), one point each, and mod' sends 0 to 1 on open
-    coordinates. Only ``_smith``'s diagonal, U^-1 and W^-1 are read. A
-    full-dimensional cone first reads its inverse pair; at index |d| = 1 its
-    Smith form is the trivial V = V I I, with U^-1 = V^-1 = d * adj. All is
-    kept in integers over s_k * den; the final division is exact and asserted.
+    the box prod [0, s_i), one point each, listed in product order and in
+    ``_fundpar_blocks``: each block takes lam one generator at a time and
+    the points one coordinate at a time. Only ``_smith``'s diagonal, U^-1
+    and W^-1 are read. All is kept in integers over s_k * den; the final
+    division is exact and asserted.
 
     Returns [] when the affine hull of the cone misses the lattice (only
     possible for k < n). Raises ``ValueError`` before enumerating when the
@@ -366,12 +400,14 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     num, den = c.num, c.den
     adj, d = _inverse_pair(c) if k == n else (None, 0)
     if d in (1, -1):
-        # V^-1 = adj / d = d * adj
-        diag, u_inv, w_inv = (1,) * n, tuple(tuple(d * x for x in col) for col in adj), identity(n)
-    else:
-        diag, u_inv, w_inv = _smith(v)
-        if any(s <= 0 for s in diag):
-            raise ValueError("generators not linearly independent")
+        r = [-d * t % den or bit * den for t, bit in zip(mat_vec(adj, num), c.openness)]
+        point = [a + b for a, b in zip(num, mat_vec(v, r))]
+        if any(a % den for a in point):
+            raise AssertionError("parallelepiped point is not integral")
+        return [tuple(a // den for a in point)]
+    diag, u_inv, w_inv = _smith(v)
+    if any(s <= 0 for s in diag):
+        raise ValueError("generators not linearly independent")
     coords = mat_vec(u_inv, num)  # den * U^-1 q
     if any(coords[i] % den for i in range(k, n)):
         return []
@@ -388,24 +424,24 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     # i.e. base + sum of j_i * steps_i
     scale = [s_k // s for s in diag]
     base = mat_vec(w_inv, [-t * s for t, s in zip(coords, scale)])
-    steps = [tuple(den * s * x for x in col) for col, s in zip(w_inv, scale)]
-    shift = [s_k * a for a in num]
-
+    # s_i = 1 pins j_i = 0, and the Smith 1s lead: only the rest is enumerated
+    ones = diag.count(1)
+    steps = [[den * s * col[t] for col, s in zip(w_inv[ones:], scale[ones:])] for t in range(k)]
     points: list[IntVec] = []
-    for j in itertools.product(*(range(s) for s in diag)):
-        lam = list(base)
-        for j_i, step in zip(j, steps):
-            if j_i:
-                lam = [a + j_i * b for a, b in zip(lam, step)]
-        residues = []
-        for value, bit in zip(lam, c.openness):
-            r = value % modulus
-            residues.append(modulus if r == 0 and bit else r)
-        point = []
+    for ranges in _fundpar_blocks(diag[ones:]):
+        # modulus * (lam mod' 1), one list per generator
+        residues = [[t % modulus or top for t in _product_sums(step, ranges, start)]
+                    for step, start, top in zip(steps, base, [b * modulus for b in c.openness])]
+        coordinates = []
         for i in range(n):
-            total = sum(v[t][i] * residues[t] for t in range(k)) + shift[i]
-            if total % modulus:
+            total = [s_k * num[i]] * len(residues[0])
+            for col, res in zip(v, residues):
+                if a := col[i]:
+                    total = [x + a * r for x, r in zip(total, res)]
+            quotients = [x // modulus for x in total]
+            # each remainder lies in [0, modulus), so all vanish iff their sum does
+            if sum(total) != modulus * sum(quotients):
                 raise AssertionError("parallelepiped point is not integral")
-            point.append(total // modulus)
-        points.append(tuple(point))
+            coordinates.append(quotients)
+        points += zip(*coordinates)
     return points

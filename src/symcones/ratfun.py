@@ -20,6 +20,7 @@ terms: it folds the Barvinok leaves in with raw, unflipped dots.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -54,11 +55,9 @@ class RatFunTerm:
     def __post_init__(self):
         if not self.denominator:
             raise ValueError("term needs at least one denominator factor")
-        d = len(self.denominator[0])
-        vectors = list(self.numerator) + list(self.denominator)
-        if any(len(v) != d for v in vectors):
+        if len(set(map(len, itertools.chain(self.numerator, self.denominator)))) > 1:
             raise ValueError("exponent vectors must have equal length")
-        if any(all(x == 0 for x in v) for v in self.denominator):
+        if not all(map(any, self.denominator)):
             raise ValueError("denominator exponent must be non-zero")
 
     @property

@@ -676,6 +676,12 @@ GOLDEN_SHA256 = [
     # denominators up to 25, open generators
     (RunConfig("ratfun", method="fp", fmt="json"), random_system(random.Random(12), 3, 3),
      "fd17b613ada37f2d78d690eaaa6df381cd6f3c94fdbd7cb2f6c0a3874090b23d"),
+    # panel draw 4 of the random-systems benchmark at scale 1: 8 cones, 3726
+    # points, Smith diagonals up to (1, 8, 8, 16) and (1, 13, 13, 13): several
+    # Smith factors above 1 enter each bulk pass
+    (RunConfig("ratfun", method="fp", fmt="json"),
+     system([(5, -3, -1, 0), (5, 3, 5, -2), (1, -2, -1, 1)], [">="] * 3, [-4, 2, 0]),
+     "fd615f62c00b3dded37d7cfbd932bd6de13227491fd0526d9889622373dd1831"),
     # twelve cones over six generator matrices: Barvinok trees are shared
     (RunConfig("ratfun", method="barvinok", fmt="json"),
      system([(2, 3, 5, 7, 11, 13)], ["="], [60]),

@@ -1,9 +1,9 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from symcones import (
     canonicalize,
     cone,
     contains,
+    count_lattice_points,
     enum_fundpar,
     eval_combination,
     solve,
@@ -433,13 +434,89 @@ def test_enum_fundpar_index_one_examples():
     assert enum_fundpar(cone([(1, 0, 0), (0, 1, 0)], (0, 0, Fraction(1, 2)))) == []
 
 
-def test_enum_fundpar_refuses_a_huge_parallelepiped_before_enumerating(monkeypatch):
-    def no_enumeration(*ranges):
-        raise AssertionError("enumeration started")
+def test_enum_fundpar_refuses_a_huge_parallelepiped_before_enumerating():
+    # listing even part of the 2*10^6 points allocates megabytes; the
+    # refusal reads only a 1 x 1 Smith form
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2000000 lattice points.*--method barvinok"):
+            enum_fundpar(cone([(2 * 10**6,)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
-    monkeypatch.setattr(cones, "itertools", SimpleNamespace(product=no_enumeration))
-    with pytest.raises(ValueError, match="2000000 lattice points.*--method barvinok"):
-        enum_fundpar(cone([(2 * 10**6,)]))
+
+# panel draw 4 of the random-systems benchmark at scale 1: eight cones with
+# Smith diagonals up to (1, 8, 8, 16) and (1, 13, 13, 13), 3726 points
+DRAW4 = system([(5, -3, -1, 0), (5, 3, 5, -2), (1, -2, -1, 1)], [">="] * 3, [-4, 2, 0])
+
+
+def _enum_fundpar_in_blocks(c, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cones, "FUNDPAR_BLOCK", block)
+        return enum_fundpar(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_cones())
+def test_enum_fundpar_blocks_keep_the_list(c):
+    expected = enum_fundpar(c)
+    for block in (1, 2, 7):
+        assert _enum_fundpar_in_blocks(c, block) == expected
+
+
+def test_enum_fundpar_blocks_keep_the_list_on_draw4():
+    combination = solve(DRAW4)
+    assert sum(len(enum_fundpar(c)) for c in combination) == 3726
+    for c in combination:
+        expected = enum_fundpar(c)
+        for block in (1, 2, 7):
+            assert _enum_fundpar_in_blocks(c, block) == expected
+
+
+def test_enum_fundpar_memory_stays_at_one_block():
+    c = cone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 200003)],
+             (0, 0, 0, Fraction(1, 3)), (0, 1, 0, 0))
+    tracemalloc.start()
+    try:
+        points = enum_fundpar(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 200003
+    # the per-point loop's peak; one bulk pass over all points would triple it
+    assert peak <= 29.0 * 2**20
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_enum_fundpar_index_one_is_closed_form(monkeypatch, sign):
+    def refused(m):
+        raise AssertionError("an index-1 cone computed a Smith form")
+
+    rng = random.Random(24)
+    unimodular = [random_full_dim_cone(rng, rng.randint(1, 4), 2, max_det=1, rational_apex=True,
+                                       random_openness=True) for _ in range(60)]
+    monkeypatch.setattr(cones, "_smith", refused)
+    signed = [c for c in unimodular if det(c.generators) == sign]
+    assert len(signed) >= 20
+    for c in signed:
+        assert cones._inverse_pair(c)[1] == sign
+        assert enum_fundpar(c) == half_open_parallelepiped_points(c)
+
+
+def test_enum_fundpar_index_one_barvinok_leaves(monkeypatch):
+    def refused(m):
+        raise AssertionError("a Barvinok leaf computed a Smith form or V^-1")
+
+    leaves = decompose_combination(solve(random_system(random.Random(1), 3, 3)))
+    assert all(c._inverse is not None for c in leaves)
+    assert {c._inverse[1] for c in leaves} == {1, -1}
+    monkeypatch.setattr(cones, "_smith", refused)
+    monkeypatch.setattr(cones, "scaled_inverse", refused)
+    for c in leaves:
+        assert enum_fundpar(c) == half_open_parallelepiped_points(c)
+    assert count_lattice_points(solve(system([(2, 3, 5, 7, 11, 13)], ["="], [60]))) == 893
 
 
 @pytest.mark.parametrize("gens", [((2, 1), (1, 4)), ((2, 4, 0),)])

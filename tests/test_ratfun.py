@@ -42,6 +42,25 @@ def _fp_term(c):
     return RatFunTerm(1, tuple(sorted(enum_fundpar(c))), c.generators)
 
 
+@pytest.mark.parametrize("numerator, denominator", [
+    (((0, 0), (1,)), ((1, 0), (0, 1))),
+    (((0, 0),), ((1, 0), (0, 1, 2))),
+    ((), ((1, 0), (1,))),
+])
+def test_term_refuses_exponents_of_unequal_length(numerator, denominator):
+    with pytest.raises(ValueError, match="exponent vectors must have equal length"):
+        RatFunTerm(1, numerator, denominator)
+
+
+@pytest.mark.parametrize("denominator", [((0, 0),), ((1, 0), (0, 0)), ((0,), (1,))])
+def test_term_refuses_a_zero_denominator_exponent(denominator):
+    numerator = ((0,) * len(denominator[0]),)
+    with pytest.raises(ValueError, match="denominator exponent must be non-zero"):
+        RatFunTerm(1, numerator, denominator)
+    with pytest.raises(ValueError, match="needs at least one denominator factor"):
+        RatFunTerm(1, numerator, ())
+
+
 def test_term_fp_fig1_cone():
     term = _fp_term(canonicalize(cone([(1, 0), (1, 3)])))
     assert term.mult == 1
