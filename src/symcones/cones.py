@@ -13,6 +13,8 @@ immutable and hashable so that signed combinations can live in a
 dictionary keyed by the canonical form (primitive, lexicographically sorted
 generators), which is unique per point set and openness pattern. Membership
 is one integer test per facet row (``_facets``), for cones of every k <= n.
+A cone is checked once, when ``SymbolicCone`` (alias ``cone``) builds it;
+the package's own cones come from the unchecked ``_canonical_cone``.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
 fundamental parallelepiped, the numerator of its generating function. A
@@ -52,8 +54,10 @@ from .exactmath import (
 class SymbolicCone:
     """Half-open simplicial cone (generators, apex, openness).
 
-    The apex, given as ints and ``Fraction``s, is stored as ``num / den``
-    with ``den > 0`` and gcd(den, *num) = 1, so equal cones have equal int
+    The one validating constructor: it takes exact integer generators and
+    bits (``exact_int``), refuses dependent generators, and stores the apex
+    (ints and ``Fraction``s, the origin by default) as ``num / den`` with
+    ``den > 0`` and gcd(den, *num) = 1, so equal cones have equal int
     fields. ``apex`` is a rational view, rebuilt on every access.
     """
 
@@ -68,34 +72,32 @@ class SymbolicCone:
     _hash = None
     _inverse = None  # see _inverse_pair
 
-    def __init__(self, generators: IntMat, apex: Sequence[Scalar], openness: tuple[int, ...]):
+    def __init__(self, generators: Iterable[Sequence[int]], apex: Sequence[Scalar] | None = None,
+                 openness: Sequence[int] | None = None):
+        generators = tuple(tuple(map(exact_int, g)) for g in generators)
         k = len(generators)
         if k == 0:
             raise ValueError("cone needs at least one generator")
         n = len(generators[0])
         if any(len(g) != n for g in generators):
             raise ValueError("generator columns must have equal length")
-        if any(type(x) is not int for g in generators for x in g):
-            raise TypeError("generator entries must be exact integers")
+        apex = (0,) * n if apex is None else tuple(apex)
         if len(apex) != n:
             raise ValueError(f"apex has length {len(apex)}, expected {n}")
-        if any(not isinstance(a, (int, Fraction)) for a in apex):
-            raise TypeError("apex entries must be exact rationals")
-        if k > n:
-            raise ValueError(f"{k} generators cannot be independent in dimension {n}")
+        _require_exact(apex, "apex")
+        openness = (0,) * k if openness is None else tuple(map(exact_int, openness))
         if len(openness) != k:
             raise ValueError("openness needs one bit per generator")
-        if any(type(bit) is not int or bit not in (0, 1) for bit in openness):
+        if any(bit not in (0, 1) for bit in openness):
             raise ValueError("openness bits must be the ints 0 or 1")
+        # k > n columns, a zero column and dependent columns all fail here
+        if not has_full_column_rank(generators):
+            raise ValueError("generators not linearly independent")
         # every entry is in lowest terms, so scaling to the lcm of the
         # denominators leaves no common factor
         den = math.lcm(*(a.denominator for a in apex))
-        self.__dict__.update(
-            generators=generators,
-            num=tuple(a.numerator * (den // a.denominator) for a in apex),
-            den=den,
-            openness=openness,
-        )
+        num = tuple(a.numerator * (den // a.denominator) for a in apex)
+        self.__dict__.update(generators=generators, num=num, den=den, openness=openness)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -138,8 +140,6 @@ class SymbolicCone:
         for e in identity(n) if k < n else ():
             if has_full_column_rank((*basis, e)):
                 basis += (e,)
-        if len(basis) < n:
-            raise ValueError("generators not linearly independent")
         adj, d = _inverse_pair(self) if k == n else scaled_inverse(basis)
         sgn = 1 if d > 0 else -1
         facets = [(tuple(sgn * self.den * a for a in row),
@@ -152,35 +152,21 @@ class SymbolicCone:
         return f"cone[{gens}; apex={tuple(map(str, self.apex))}; open={self.openness}]"
 
 
-def cone(
-    generators: Iterable[Sequence[int]],
-    apex: Sequence[Scalar] | None = None,
-    openness: Sequence[int] | None = None,
-) -> SymbolicCone:
-    """Convenience constructor taking generator entries and bits that are
-    exactly integers (``exact_int``); raises on linearly dependent generators."""
-    gens = tuple(tuple(map(exact_int, g)) for g in generators)
-    if apex is None:
-        apex = (0,) * len(gens[0]) if gens else ()
-    if openness is None:
-        openness = (0,) * len(gens)
-    out = SymbolicCone(gens, tuple(apex), tuple(map(exact_int, openness)))
-    _assert_independent(out.generators)
-    return out
+cone = SymbolicCone
 
 
-def _assert_independent(generators: IntMat) -> None:
-    if not has_full_column_rank(generators):
-        raise ValueError("generators not linearly independent")
+def _require_exact(values: Sequence[Scalar], what: str) -> None:
+    if any(not isinstance(a, (int, Fraction)) for a in values):
+        raise TypeError(f"{what} entries must be exact rationals")
 
 
 def _canonical_cone(generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...],
                     inverse: tuple[IntMat, int] | None = None) -> SymbolicCone:
     """Build a canonical cone from columns already known to be good.
 
-    The caller guarantees primitive, linearly independent integer columns
-    in lex order, their ``_inverse_pair`` if given, and an apex ``num / den``
-    in lowest terms with ``den > 0``; nothing is checked here.
+    The caller (the lift, a round, a leaf, ``canonicalize``) guarantees primitive,
+    independent integer columns in lex order, their ``_inverse_pair`` if given,
+    and an apex ``num / den`` in lowest terms with ``den > 0``; nothing is checked.
     """
     out = object.__new__(SymbolicCone)
     out.__dict__.update(generators=generators, num=num, den=den, openness=openness,
@@ -210,25 +196,24 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
 
     Openness bits travel with their generators. Two symbolic cones describe
     the same point set with the same openness pattern exactly when their
-    canonical forms agree field by field. Raises on zero or linearly
-    dependent columns.
-
-    This is the validating entry point for cones built from outside the
-    package. Cones the package builds itself (elimination outputs, Barvinok
-    leaves) are canonical by construction and skip the validation.
+    canonical forms agree field by field. Cones the package builds (the lift,
+    elimination outputs, Barvinok leaves) are canonical by construction.
     """
     if c._canonical:
         return c
-    prims = tuple(prim(g) for g in c.generators)
-    _assert_independent(prims)
-    pairs = sorted(zip(prims, c.openness))
+    pairs = sorted(zip(map(prim, c.generators), c.openness))
     return _canonical_cone(tuple(g for g, _ in pairs), c.num, c.den, tuple(b for _, b in pairs))
 
 
 # --- membership ------------------------------------------------------------
 
 def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
-    """Exact membership of a rational point in the half-open cone, by its ``_facets``."""
+    """Exact membership of a point of ints and ``Fraction``s, by the cone's ``_facets``."""
+    _require_exact(x, "point")
+    return _contains(c, x)
+
+
+def _contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
     for row, offset, bit in c._facets:
@@ -249,7 +234,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     summing by canonical key is the one mutable step, and the one point
     needing exclusivity if callers ever parallelize over cones. ``_collect``
     sums package-built cones (canonical, of one dimension) unchecked;
-    ``__init__``, ``add`` and ``__getitem__`` validate any other cone.
+    ``__init__``, ``add`` and ``__getitem__`` canonicalize any other cone.
     """
 
     __slots__ = ("_entries",)
@@ -330,8 +315,9 @@ class ConeCombination(Mapping[SymbolicCone, int]):
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:
-    """Value of the signed indicator sum at a point."""
-    return sum(m for c, m in combination.items() if contains(c, x))
+    """Value of the signed indicator sum at a point of exact rationals."""
+    _require_exact(x, "point")
+    return sum(m for c, m in combination.items() if _contains(c, x))
 
 
 # --- fundamental parallelepipeds --------------------------------------------
@@ -406,8 +392,6 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
             raise AssertionError("parallelepiped point is not integral")
         return [tuple(a // den for a in point)]
     diag, u_inv, w_inv = _smith(v)
-    if any(s <= 0 for s in diag):
-        raise ValueError("generators not linearly independent")
     coords = mat_vec(u_inv, num)  # den * U^-1 q
     if any(coords[i] % den for i in range(k, n)):
         return []

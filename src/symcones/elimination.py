@@ -97,23 +97,23 @@ def system(rows, relations, rhs) -> LDSystem:
 def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> SymbolicCone:
     """Lift ``A x >= b`` to a closed unimodular cone in dimension d+m.
 
-    Generator j is the j-th unit vector extended by column j of A, and the
-    apex is (0, -b). Intersecting with the half-spaces where the m slack
-    coordinates are non-negative and projecting them away recovers exactly
-    the solution set of the system, one coordinate at a time.
+    Generator j is e_j extended by column j of A, listed for j = d..1: the
+    identity block makes them primitive, independent and lex sorted, so the
+    cone is canonical as built. The apex is (0, -b). Intersecting with the
+    half-spaces where the m slack coordinates are non-negative and projecting
+    them away recovers the solution set of the system, one coordinate at a time.
     """
     m = len(rows)
     if m == 0:
         raise ValueError("system needs at least one constraint")
     d = len(rows[0])
-    if any(len(r) != d for r in rows) or len(rhs) != m:
+    if d == 0 or any(len(r) != d for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent system dimensions")
     gens = tuple(
         tuple(1 if i == j else 0 for i in range(d)) + tuple(exact_int(r[j]) for r in rows)
-        for j in range(d)
+        for j in reversed(range(d))
     )
-    apex = (0,) * d + tuple(-exact_int(b) for b in rhs)
-    return SymbolicCone(gens, apex, (0,) * d)
+    return _canonical_cone(gens, (0,) * d + tuple(-exact_int(b) for b in rhs), 1, (0,) * d)
 
 
 def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
@@ -208,7 +208,7 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     full column rank, the last projection is injective on span(V0), hence
     so is every earlier one, and by induction every round's V' is
     independent: the rounds need no check of their own. For
-    ``macmahon_lift`` those rows are the identity.
+    ``macmahon_lift`` those rows are the identity, columns reversed.
     """
     if not all(map(is_forward, c.generators)):
         raise ValueError("elimination needs forward generators")

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,70 @@ def test_cone_refuses_no_generators():
     # before the default apex reads a first generator
     with pytest.raises(ValueError, match="at least one generator"):
         cone([])
+
+
+@pytest.mark.parametrize("gens", [
+    ((1, 2), (2, 4)),  # dependent
+    ((1, 0), (0, 0)),  # a zero column
+    ((1, 0), (0, 1), (1, 1)),  # k > n
+])
+def test_construction_refuses_dependent_generators(gens):
+    for build in (SymbolicCone, cone):
+        with pytest.raises(ValueError, match="^generators not linearly independent$"):
+            build(gens)
+        with pytest.raises(ValueError, match="^generators not linearly independent$"):
+            build(gens, (Fraction(1, 2), 0), (1,) * len(gens))
+
+
+def test_cone_is_the_one_validating_constructor():
+    assert cone is SymbolicCone
+    # integral Fractions and bools are taken as the ints they equal
+    want = SymbolicCone(((2, 0), (0, 1)), (Fraction(1, 2), 0), (1, 0))
+    for gens, bits in ((((Fraction(4, 2), 0), (False, True)), (True, 0)),
+                       ([[2, Fraction(0)], [0, 1]], [1, False])):
+        c = SymbolicCone(gens, (Fraction(1, 2), 0), bits)
+        assert c == want and hash(c) == hash(want)
+        assert all(type(x) is int for x in (*itertools.chain(*c.generators), *c.openness))
+    # the defaults: apex at the origin, every generator closed
+    assert SymbolicCone([(1, 0)]) == SymbolicCone(((1, 0),), (0, 0), (0,))
+
+
+def test_consumers_of_a_cone_run_no_rank_test(monkeypatch):
+    # the constructor's rank test is the one a user-built cone gets
+    full = cone([(1, 2, 0), (0, 3, 1), (1, 0, 5)], (Fraction(1, 2), 0, 0), (0, 1, 0))
+    user = cone([(0, 3, 1), (2, 4, 0), (1, 0, 5)], openness=(1, 0, 0))
+    calls = []
+    real = cones.has_full_column_rank
+    monkeypatch.setattr(cones, "has_full_column_rank", lambda m: calls.append(m) or real(m))
+    assert canonicalize(user).generators == ((0, 3, 1), (1, 0, 5), (1, 2, 0))
+    assert len(enum_fundpar(full)) == abs(det(full.generators)) == 17
+    # apex + v_1 + v_2 is in; the apex is not, v_2 being open
+    assert contains(full, (Fraction(3, 2), 5, 1)) and not contains(full, full.apex)
+    assert calls == []
+    cone([(1, 0)])  # the spy sees the constructor's test
+    assert len(calls) == 1
+
+
+def test_points_must_be_exact_rationals(monkeypatch):
+    c = cone([(1,)], [Fraction(1, 3)])
+    # the float 1/3 lies below 1/3, so a float point was once found inside
+    assert Fraction(1 / 3) < Fraction(1, 3)
+    assert not contains(c, (Fraction(1 / 3),))
+    assert contains(c, (Fraction(1, 3),)) and contains(c, (1,))
+    comb = ConeCombination({c: 1})
+    for bad in (1 / 3, 0.5, Decimal(1), "1"):
+        with pytest.raises(TypeError, match="point entries must be exact rationals"):
+            contains(c, (bad,))
+        with pytest.raises(TypeError, match="point entries must be exact rationals"):
+            eval_combination(comb, (bad,))
+    # checked once per call, not once per cone
+    comb = solve(system([(2, 3), (1, -1)], [">=", ">="], [5, -3]))
+    assert len(comb) > 1
+    calls = []
+    real = cones._require_exact
+    monkeypatch.setattr(cones, "_require_exact", lambda *args: calls.append(args) or real(*args))
+    assert eval_combination(comb, (1, 1)) == 1
+    assert len(calls) == 1
 
 
 def test_canonicalize_rejects_bad_columns():
@@ -145,11 +210,15 @@ def test_apex_forms_give_equal_cones(data):
 
 
 def test_combination_add_validates_user_built_cones():
-    dependent = SymbolicCone(((1, 2), (2, 4)), (Fraction(0), Fraction(0)), (0, 0))
+    # a dependent cone never reaches add: its constructor refuses it, so add
+    # only canonicalizes the user-built cones it is given
     with pytest.raises(ValueError, match="not linearly independent"):
-        ConeCombination().add(dependent)
+        SymbolicCone(((1, 2), (2, 4)), (Fraction(0), Fraction(0)), (0, 0))
     with pytest.raises(ValueError, match="not linearly independent"):
         cone([(1, 2), (2, 4)])
+    comb = ConeCombination()
+    comb.add(cone([(2, 0), (0, 3)], openness=(1, 0)))
+    assert list(comb) == [cone([(0, 1), (1, 0)], openness=(0, 1))]
 
 
 # --- membership -----------------------------------------------------------------
@@ -227,12 +296,12 @@ def test_contains_matches_cramer_on_lower_dimensional_cones():
 
 
 def test_contains_refuses_dependent_lower_dimensional_generators():
-    # cone() refuses these up front; a SymbolicCone built directly is
-    # refused by its first membership test
+    # refused when the cone is built, under both names, so no membership
+    # test ever sees such a cone
     for gens in (((1, 2, 0), (-2, -4, 0)), ((0, 0, 0),)):
-        c = SymbolicCone(gens, (0, 0, 0), (0,) * len(gens))
-        with pytest.raises(ValueError, match="generators not linearly independent"):
-            contains(c, (0, 0, 0))
+        for build in (SymbolicCone, cone):
+            with pytest.raises(ValueError, match="generators not linearly independent"):
+                build(gens, (0, 0, 0), (0,) * len(gens))
 
 
 def test_eval_combination_basics():

@@ -42,32 +42,58 @@ from _support import (
 
 def test_macmahon_lift_single_inequality():
     c = macmahon_lift([(2, 3)], (5,))
-    assert c.generators == ((1, 0, 2), (0, 1, 3))
+    # unit vectors listed last first, which is lex order
+    assert c.generators == ((0, 1, 3), (1, 0, 2))
     assert c.apex == (0, 0, -5)
     assert c.openness == (0, 0)
+    assert canonicalize(c) is c
 
 
 def test_macmahon_lift_identity_system():
     c = macmahon_lift([(1, 0), (0, 1)], (0, 0))
-    assert c.generators == ((1, 0, 1, 0), (0, 1, 0, 1))
+    assert c.generators == ((0, 1, 0, 1), (1, 0, 1, 0))
     assert c.apex == (0, 0, 0, 0)
+    assert canonicalize(c) is c
 
 
 def test_macmahon_lift_is_forward_and_unimodular():
     c = macmahon_lift([(1, 1)], (100,))
-    assert c.generators == ((1, 0, 1), (0, 1, 1))
+    assert c.generators == ((0, 1, 1), (1, 0, 1))
     assert c.apex == (0, 0, -100)
+    assert canonicalize(c) is c
     assert all(is_forward(g) for g in c.generators)
-    # unimodular: the projection onto the first d coordinates is the identity
+    # unimodular: the projection onto the first d coordinates is the identity, columns reversed
     from symcones.exactmath import snf
 
     assert snf(c.generators).diagonal() == (1, 1)
+
+
+def test_macmahon_lift_is_the_canonical_unit_vector_cone():
+    # the lift as built equals the canonical form of the cone on the
+    # columns e_j + A_j in unit-vector order
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(50):
+        base = random_system(rng, rng.randint(1, 4), rng.randint(1, 3))
+        relations = tuple(rng.choice(list(Relation)) for _ in base.rows)
+        rows, rhs = expand_equalities(LDSystem(base.rows, relations, base.rhs))
+        d = base.num_variables
+        old = cone([tuple(int(i == j) for i in range(d)) + tuple(r[j] for r in rows)
+                    for j in range(d)], (0,) * d + tuple(-b for b in rhs))
+        lifted = macmahon_lift(rows, rhs)
+        assert lifted == canonicalize(old) and hash(lifted) == hash(canonicalize(old))
+        assert canonicalize(lifted) is lifted
+        seen.update(relations)
+    assert min(seen[Relation.EQ], seen[Relation.GEQ]) > 20, seen
 
 
 def test_macmahon_lift_refuses_no_rows():
     # before the dimension is read off a first row
     with pytest.raises(ValueError, match="at least one constraint"):
         macmahon_lift([], [])
+    # the lift builds its cone unchecked, so it refuses a cone with no generators itself
+    with pytest.raises(ValueError, match="inconsistent system dimensions"):
+        macmahon_lift([()], [0])
 
 
 def test_entry_points_refuse_inexact_integers():
@@ -84,7 +110,7 @@ def test_entry_points_refuse_inexact_integers():
     with pytest.raises(TypeError, match="exact integer"):
         cone([(1, 0), (0, 1)], openness=[0.6, 1])
     # a float bit of 1.0 once reached the solve JSON as "open": [0, 1.0]
-    with pytest.raises(ValueError, match="openness bits"):
+    with pytest.raises(TypeError, match="exact integer"):
         SymbolicCone(((1, 0), (0, 1)), (0, 0), (1.0, 0))
     for rows, relations, rhs in ((((1.5, 1),), (Relation.EQ,), (2,)),
                                  (((1, 1),), (Relation.EQ,), (Fraction(2),)),
