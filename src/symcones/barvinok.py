@@ -33,7 +33,7 @@ from itertools import chain
 from typing import Iterator
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, _inverse_pair
-from .exactmath import IntMat, IntVec, lll_reduce, mat_vec, scaled_inverse, vec_dot
+from .exactmath import IntMat, IntVec, exact_int, lll_reduce, mat_vec, scaled_inverse, vec_dot
 
 
 def index(c: SymbolicCone) -> int:
@@ -163,6 +163,7 @@ def decompose_combination(
     share V share one ``_tree``. Raises ``ValueError`` before any work on a
     threshold below 1 or a cone that is not full-dimensional.
     """
+    index_threshold = exact_int(index_threshold)
     if index_threshold < 1:
         raise ValueError("index_threshold must be at least 1")
     if any(c.dim != c.ambient_dim for c in combination):

@@ -45,27 +45,31 @@ class Relation(enum.Enum):
 
 @dataclass(frozen=True)
 class LDSystem:
-    """Integer constraint system A x (>= or =) b over x in Z^d, x >= 0."""
+    """Integer constraint system A x (>= or =) b over x in Z^d, x >= 0.
+
+    The one validating constructor, also named ``system``: entries go through
+    ``exact_int``, relations through ``Relation`` (members or ``">="``/``"="``)."""
 
     rows: tuple[IntVec, ...]
     relations: tuple[Relation, ...]
     rhs: IntVec
 
     def __post_init__(self):
-        m = len(self.rows)
+        rows, rhs = tuple(map(tuple, self.rows)), tuple(self.rhs)
+        if not set(map(type, chain(*rows, rhs))) <= {int}:  # all ints: no call per entry
+            rows, rhs = tuple(tuple(map(exact_int, r)) for r in rows), tuple(map(exact_int, rhs))
+        relations = tuple(r if type(r) is Relation else Relation(r) for r in self.relations)
+        self.__dict__.update(rows=rows, relations=relations, rhs=rhs)
+        m = len(rows)
         if m == 0:
             raise ValueError("system needs at least one constraint")
-        d = len(self.rows[0])
+        d = len(rows[0])
         if d == 0:
             raise ValueError("system needs at least one variable")
-        if any(len(r) != d for r in self.rows):
+        if set(map(len, rows)) != {d}:
             raise ValueError("constraint rows must have equal length")
-        if len(self.relations) != m or len(self.rhs) != m:
+        if len(relations) != m or len(rhs) != m:
             raise ValueError("relations and right-hand side must match row count")
-        if any(type(x) is not int for x in chain(chain.from_iterable(self.rows), self.rhs)):
-            raise TypeError("constraint entries and right-hand sides must be exact integers")
-        if any(not isinstance(r, Relation) for r in self.relations):
-            raise TypeError("relations must be Relation members")
 
     @property
     def num_variables(self) -> int:
@@ -85,13 +89,7 @@ class LDSystem:
         return True
 
 
-def system(rows, relations, rhs) -> LDSystem:
-    """LDSystem from exact integers (``exact_int``) and relations or their tokens."""
-    return LDSystem(
-        tuple(tuple(map(exact_int, row)) for row in rows),
-        tuple(r if isinstance(r, Relation) else Relation(r) for r in relations),
-        tuple(map(exact_int, rhs)),
-    )
+system = LDSystem
 
 
 def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> SymbolicCone:
@@ -102,18 +100,15 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
     cone is canonical as built. The apex is (0, -b). Intersecting with the
     half-spaces where the m slack coordinates are non-negative and projecting
     them away recovers the solution set of the system, one coordinate at a time.
+    The rows are checked by building the ``LDSystem`` of ``A x >= b``.
     """
-    m = len(rows)
-    if m == 0:
-        raise ValueError("system needs at least one constraint")
-    d = len(rows[0])
-    if d == 0 or any(len(r) != d for r in rows) or len(rhs) != m:
-        raise ValueError("inconsistent system dimensions")
+    checked = LDSystem(rows, (Relation.GEQ,) * len(rows), rhs)
+    d = checked.num_variables
     gens = tuple(
-        tuple(1 if i == j else 0 for i in range(d)) + tuple(exact_int(r[j]) for r in rows)
+        tuple(1 if i == j else 0 for i in range(d)) + tuple(r[j] for r in checked.rows)
         for j in reversed(range(d))
     )
-    return _canonical_cone(gens, (0,) * d + tuple(-exact_int(b) for b in rhs), 1, (0,) * d)
+    return _canonical_cone(gens, (0,) * d + tuple(-b for b in checked.rhs), 1, (0,) * d)
 
 
 def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
@@ -201,19 +196,24 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     combinations small, so this is not an optional optimization.
 
     The input is checked once, before the first round, and refused with
-    ``ValueError`` unless its generators are forward and pass one rank
-    test. Every cone of round r has k forward generators in the projection
-    of span(V0), V0 being the input generators, that drops the last r
-    coordinates (see ``_plan``). If the first n - rounds rows of V0 have
-    full column rank, the last projection is injective on span(V0), hence
-    so is every earlier one, and by induction every round's V' is
-    independent: the rounds need no check of their own. For
-    ``macmahon_lift`` those rows are the identity, columns reversed.
+    ``ValueError`` unless ``rounds`` (an exact integer) lies in 0..n - k
+    and the generators are forward and pass one rank test. Every cone of
+    round r has k forward generators in the projection of span(V0), V0
+    being the input generators, that drops the last r coordinates (see
+    ``_plan``). If the first n - rounds rows of V0 have full column rank,
+    the last projection is injective on span(V0), hence so is every
+    earlier one, and by induction every round's V' is independent: the
+    rounds need no check of their own. For ``macmahon_lift`` those rows
+    are the identity, columns reversed.
     """
+    rounds = exact_int(rounds)
+    if not 0 <= rounds <= c.ambient_dim - c.dim:
+        raise ValueError(f"rounds must lie in 0..{c.ambient_dim - c.dim}, got {rounds}: {c.dim} "
+                         f"generators are not linearly independent on fewer than {c.dim} rows")
     if not all(map(is_forward, c.generators)):
         raise ValueError("elimination needs forward generators")
     keep = c.ambient_dim - rounds
-    if keep < c.dim or not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
+    if not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
         raise ValueError(f"generators not linearly independent on the first {keep} rows")
     # the input needs no canonical form: the plans make every output canonical
     current = {c: 1}

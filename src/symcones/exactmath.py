@@ -80,10 +80,6 @@ def mat_vec(m: IntMat, x: Sequence[Scalar]) -> tuple:
     return tuple(sum(m[j][i] * x[j] for j in range(len(m))) for i in range(n))
 
 
-def mat_mul(a: IntMat, b: IntMat) -> tuple:
-    return tuple(mat_vec(a, col) for col in b)
-
-
 def _check_columns(m: IntMat) -> tuple[int, int]:
     if not m:
         raise ValueError("matrix has no columns")

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
 from .cones import ConeCombination, _share_inverse_pairs, enum_fundpar
-from .exactmath import IntVec, is_forward, vec_dot, vec_sub
+from .exactmath import IntVec, exact_int, is_forward, vec_dot, vec_sub
 
 FP = "fp"
 BARVINOK = "barvinok"
@@ -43,6 +43,7 @@ class InfiniteSetError(ValueError):
 class RatFunTerm:
     """One summand: mult * (sum of z^u for u in numerator) / prod (1 - z^v).
 
+    The multiplicity and exponents must be exact integers (``exact_int``).
     Denominator vectors coming out of the solver pipeline are non-zero,
     forward and primitive. A term with an empty numerator is the zero term
     (a cone whose affine hull misses the lattice).
@@ -53,6 +54,13 @@ class RatFunTerm:
     denominator: tuple[IntVec, ...]
 
     def __post_init__(self):
+        self.__dict__["mult"] = exact_int(self.mult)
+        try:  # one C call per vector and no copy: math.gcd takes only integers
+            sum(itertools.starmap(math.gcd, itertools.chain(self.numerator, self.denominator)))
+        except TypeError:  # integral Fractions become ints, exact_int refuses the rest
+            self.__dict__.update(
+                numerator=tuple(tuple(map(exact_int, u)) for u in self.numerator),
+                denominator=tuple(tuple(map(exact_int, v)) for v in self.denominator))
         if not self.denominator:
             raise ValueError("term needs at least one denominator factor")
         if len(set(map(len, itertools.chain(self.numerator, self.denominator)))) > 1:
@@ -314,8 +322,8 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
         payload = [
             {
                 "mult": str(t.mult),
-                "num": [list(u) for u in t.numerator],
-                "den": [list(v) for v in t.denominator],
+                "num": t.numerator,  # json writes tuples as arrays
+                "den": t.denominator,
             }
             for t in expr.terms
         ]
@@ -325,14 +333,7 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
 
 def ratfun_from_json(text: str) -> RatFunExpr:
     """Parse the JSON produced by ``render(..., JSON)`` back into terms."""
-    payload = json.loads(text)
-    terms = []
-    for obj in payload:
-        terms.append(
-            RatFunTerm(
-                int(obj["mult"]),
-                tuple(tuple(int(x) for x in u) for u in obj["num"]),
-                tuple(tuple(int(x) for x in v) for v in obj["den"]),
-            )
-        )
-    return RatFunExpr(tuple(terms))
+    # "mult" is rendered as a string; RatFunTerm checks the exponents
+    return RatFunExpr(tuple(
+        RatFunTerm(int(obj["mult"]), tuple(map(tuple, obj["num"])), tuple(map(tuple, obj["den"])))
+        for obj in json.loads(text)))

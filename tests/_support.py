@@ -42,6 +42,11 @@ def cols_from_rows(rows) -> IntMat:
     return tuple(tuple(rows[i][j] for i in range(m)) for j in range(n))
 
 
+def mat_mul(a: IntMat, b: IntMat) -> tuple:
+    """Matrix product of two column-tuple matrices, one ``mat_vec`` per column of b."""
+    return tuple(mat_vec(a, col) for col in b)
+
+
 def cofactor_det(rows) -> int:
     """Independent determinant oracle by Laplace expansion."""
     n = len(rows)

@@ -28,11 +28,12 @@ from symcones import (
 )
 from symcones.cli import RunConfig, parse_system, run
 from symcones.elimination import elimination_rounds, expand_equalities
-from symcones.exactmath import det, identity, is_forward, mat_mul, prim, scaled_inverse
+from symcones.exactmath import det, identity, is_forward, prim, scaled_inverse
 from _support import (
     box_points,
     decompose_along_random_direction,
     decompose_along_random_directions,
+    mat_mul,
     random_full_dim_cone,
     random_system,
 )

@@ -91,9 +91,26 @@ def test_macmahon_lift_refuses_no_rows():
     # before the dimension is read off a first row
     with pytest.raises(ValueError, match="at least one constraint"):
         macmahon_lift([], [])
-    # the lift builds its cone unchecked, so it refuses a cone with no generators itself
-    with pytest.raises(ValueError, match="inconsistent system dimensions"):
+    # the lift checks its rows by building an LDSystem, which refuses d = 0
+    with pytest.raises(ValueError, match="system needs at least one variable"):
         macmahon_lift([()], [0])
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    ([], []),  # no rows
+    ([()], [0]),  # no variables
+    ([(1, 2), (3,)], [0, 0]),  # ragged rows
+    ([(1, 2)], [0, 0]),  # too many right-hand sides
+    ([(1, 2), (3, 4)], [0]),  # too few
+])
+def test_macmahon_lift_and_ldsystem_refuse_malformed_shapes_alike(rows, rhs):
+    # the lift validates through LDSystem, so both raise the same error
+    errors = []
+    for build in (macmahon_lift, lambda r, b: LDSystem(r, [">="] * len(r), b)):
+        with pytest.raises(ValueError) as info:
+            build(rows, rhs)
+        errors.append((info.type, str(info.value)))
+    assert errors[0] == errors[1]
 
 
 def test_entry_points_refuse_inexact_integers():
@@ -112,14 +129,15 @@ def test_entry_points_refuse_inexact_integers():
     # a float bit of 1.0 once reached the solve JSON as "open": [0, 1.0]
     with pytest.raises(TypeError, match="exact integer"):
         SymbolicCone(((1, 0), (0, 1)), (0, 0), (1.0, 0))
-    for rows, relations, rhs in ((((1.5, 1),), (Relation.EQ,), (2,)),
-                                 (((1, 1),), (Relation.EQ,), (Fraction(2),)),
-                                 (((True, 1),), (Relation.EQ,), (2,))):
-        with pytest.raises(TypeError, match="exact integers"):
-            LDSystem(rows, relations, rhs)
-    # a bare "=" would otherwise be read as >= by satisfies
-    with pytest.raises(TypeError, match="Relation"):
-        LDSystem(((1, 1),), ("=",), (2,))
+    with pytest.raises(TypeError, match="exact integer"):
+        LDSystem(((1.5, 1),), (Relation.EQ,), (2,))
+    # system is LDSystem, the one constructor: it converts integral entries,
+    # and a bare "=" becomes Relation.EQ, so satisfies reads it as an equation
+    assert system is LDSystem
+    for rows, relations, rhs in ((((1, 1),), (Relation.EQ,), (Fraction(2),)),
+                                 (((True, 1),), (Relation.EQ,), (2,)),
+                                 (((1, 1),), ("=",), (2,))):
+        assert LDSystem(rows, relations, rhs) == LDSystem(((1, 1),), (Relation.EQ,), (2,))
     # integer inputs, integral Fractions and bools among them, are taken as before
     sys_ = system([(Fraction(2, 2), True)], ["="], [Fraction(4, 2)])
     assert sys_ == LDSystem(((1, 1),), (Relation.EQ,), (2,))
@@ -173,6 +191,20 @@ def test_eliminate_zero_rounds():
     c = canonicalize(macmahon_lift([(2, 3)], (5,)))
     result = eliminate(c, 0)
     assert result == ConeCombination({c: 1})
+
+
+def test_elimination_refuses_a_round_count_out_of_range():
+    c = macmahon_lift([(1, 2)], [3])  # k = 2 generators in R^3: 0 or 1 rounds
+    # -1 rounds once returned the input, and 5 reported "the first -2 rows"
+    for rounds in (-1, 2, 5):
+        message = re.escape(f"rounds must lie in 0..1, got {rounds}")
+        with pytest.raises(ValueError, match=message):
+            eliminate(c, rounds)
+        with pytest.raises(ValueError, match=message):
+            next(elimination_rounds(c, rounds))
+    with pytest.raises(TypeError, match="exact integer"):
+        eliminate(c, 1.5)
+    assert eliminate(c, True) == eliminate(c, Fraction(1)) == eliminate(c, 1)
 
 
 def test_eliminate_single_inequality_box_oracle():

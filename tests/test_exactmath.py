@@ -10,7 +10,6 @@ from symcones.exactmath import (
     has_full_column_rank,
     identity,
     lll_reduce,
-    mat_mul,
     prim,
     scaled_inverse,
     snf,
@@ -20,6 +19,7 @@ from _support import (
     cols_from_rows,
     cramer_solve,
     gauss_rank,
+    mat_mul,
     random_full_dim_cone,
     reference_lll,
     reference_smith_diagonal,

@@ -61,6 +61,31 @@ def test_term_refuses_a_zero_denominator_exponent(denominator):
         RatFunTerm(1, numerator, ())
 
 
+@pytest.mark.parametrize("mult, numerator, denominator", [
+    (1.5, ((0,),), ((1,),)),  # once rendered "1.5 * 1 / ((1-z1))"
+    (1, ((0.5,),), ((1,),)),  # once rendered "z1^0.5"
+    (1, ((0,),), ((2.0,),)),
+    (1, ((Fraction(1, 2),),), ((1,),)),
+    (1, (("1",),), ((1,),)),
+])
+def test_term_refuses_inexact_integers(mult, numerator, denominator):
+    # evaluate_count on such a term died with "both arguments should be
+    # Rational instances"; construction refuses it, as cone() does
+    with pytest.raises(TypeError, match="exact integer"):
+        RatFunTerm(mult, numerator, denominator)
+
+
+def test_term_converts_integral_fractions_and_json_refuses_a_float_exponent():
+    term = RatFunTerm(Fraction(-2), ((Fraction(1), 0),), ((1, Fraction(3)),))
+    assert term == RatFunTerm(-2, ((1, 0),), ((1, 3),))
+    assert all(type(x) is int for x in (term.mult, *term.numerator[0], *term.denominator[0]))
+    text = render(RatFunExpr((term,)), "json")
+    assert ratfun_from_json(text) == RatFunExpr((term,))
+    # the reader once truncated 0.5 to 0
+    with pytest.raises(TypeError, match="exact integer"):
+        ratfun_from_json(text.replace("[1, 0]", "[0.5, 0]"))
+
+
 def test_term_fp_fig1_cone():
     term = _fp_term(canonicalize(cone([(1, 0), (1, 3)])))
     assert term.mult == 1
