@@ -55,20 +55,18 @@ class LDSystem:
     rhs: IntVec
 
     def __post_init__(self):
-        rows, rhs = tuple(map(tuple, self.rows)), tuple(self.rhs)
-        if not set(map(type, chain(*rows, rhs))) <= {int}:  # all ints: no call per entry
-            rows, rhs = tuple(tuple(map(exact_int, r)) for r in rows), tuple(map(exact_int, rhs))
-        relations = tuple(r if type(r) is Relation else Relation(r) for r in self.relations)
-        self.__dict__.update(rows=rows, relations=relations, rhs=rhs)
-        m = len(rows)
+        self.__dict__.update(rows=tuple(tuple(map(exact_int, r)) for r in self.rows),
+                             relations=tuple(map(Relation, self.relations)),
+                             rhs=tuple(map(exact_int, self.rhs)))
+        m = len(self.rows)
         if m == 0:
             raise ValueError("system needs at least one constraint")
-        d = len(rows[0])
+        d = len(self.rows[0])
         if d == 0:
             raise ValueError("system needs at least one variable")
-        if set(map(len, rows)) != {d}:
+        if set(map(len, self.rows)) != {d}:
             raise ValueError("constraint rows must have equal length")
-        if len(relations) != m or len(rhs) != m:
+        if len(self.relations) != m or len(self.rhs) != m:
             raise ValueError("relations and right-hand side must match row count")
 
     @property
@@ -208,8 +206,9 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     """
     rounds = exact_int(rounds)
     if not 0 <= rounds <= c.ambient_dim - c.dim:
-        raise ValueError(f"rounds must lie in 0..{c.ambient_dim - c.dim}, got {rounds}: {c.dim} "
-                         f"generators are not linearly independent on fewer than {c.dim} rows")
+        why = "" if rounds < 0 else (f": {c.dim} generators are not linearly independent"
+                                     f" on fewer than {c.dim} rows")
+        raise ValueError(f"rounds must lie in 0..{c.ambient_dim - c.dim}, got {rounds}{why}")
     if not all(map(is_forward, c.generators)):
         raise ValueError("elimination needs forward generators")
     keep = c.ambient_dim - rounds

@@ -43,7 +43,8 @@ class InfiniteSetError(ValueError):
 class RatFunTerm:
     """One summand: mult * (sum of z^u for u in numerator) / prod (1 - z^v).
 
-    The multiplicity and exponents must be exact integers (``exact_int``).
+    ``mult`` goes through ``exact_int``. An exponent must be an integer that
+    ``math.gcd`` takes (kept as given, bools too) or an integral Fraction.
     Denominator vectors coming out of the solver pipeline are non-zero,
     forward and primitive. A term with an empty numerator is the zero term
     (a cone whose affine hull misses the lattice).
@@ -322,8 +323,8 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
         payload = [
             {
                 "mult": str(t.mult),
-                "num": t.numerator,  # json writes tuples as arrays
-                "den": t.denominator,
+                "num": [list(u) for u in t.numerator],
+                "den": [list(v) for v in t.denominator],
             }
             for t in expr.terms
         ]
