@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cones import ConeCombination, _product_sums, _share_inverse_pairs
-from .elimination import LDSystem, Relation, solve_rounds
+from .elimination import LDSystem, Relation, expand_equalities, solve_rounds
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
@@ -130,11 +130,8 @@ def _primitive(row: tuple[int, ...], offset: int) -> tuple[tuple[int, ...], int]
 
 
 def _oracle_forms(sys_: LDSystem) -> list[tuple[tuple[int, ...], int]]:
-    """A x >= b as ``_primitive`` (row, offset) half-spaces, each = row also as its opposite."""
-    forms = list(zip(sys_.rows, sys_.rhs))
-    forms += [(tuple(-a for a in row), -beta) for row, rel, beta
-              in zip(sys_.rows, sys_.relations, sys_.rhs) if rel is Relation.EQ]
-    return [_primitive(*form) for form in forms]
+    """The ``expand_equalities`` rows of the system as ``_primitive`` (row, offset) half-spaces."""
+    return list(map(_primitive, *expand_equalities(sys_)))
 
 
 def _line_values(forms, lines: dict, box: int) -> tuple[list[int], list[int]]:
@@ -190,15 +187,15 @@ def _first_gap(intervals, width: int) -> tuple[int, int] | None:
 def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) -> tuple[int, str]:
     box, d = config.box, sys_.num_variables
     width = box + 1
-    # one half-space per >= row, two per = row, k facets + d - k hull pairs per k-cone
-    half_spaces = sum(1 + (rel is Relation.EQ) for rel in sys_.relations)
-    half_spaces += sum(2 * d - c.dim for c in combination)
+    oracle = _oracle_forms(sys_)
+    # one half-space per oracle row, k facets + d - k hull pairs per k-cone
+    half_spaces = len(oracle) + sum(2 * d - c.dim for c in combination)
     if (values := width ** (d - 1) * half_spaces) > MAX_CHECK_VALUES:
         raise ParseError(f"check would cut {values} x_d bounds (lines x half-spaces), "
                          f"more than {MAX_CHECK_VALUES}; use a smaller --box")
     _share_inverse_pairs(combination)
     # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
-    scans = [(_oracle_forms(sys_), -1)]
+    scans = [(oracle, -1)]
     scans += [([_primitive(row, offset + bit) for row, offset, bit in c._facets], m)
               for c, m in combination.items()]
     # a block fixes x_1..x_k to head; its lines run over x_{k+1}..x_{d-1}

@@ -234,7 +234,8 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     summing by canonical key is the one mutable step, and the one point
     needing exclusivity if callers ever parallelize over cones. ``_collect``
     sums package-built cones (canonical, of one dimension) unchecked;
-    ``__init__``, ``add`` and ``__getitem__`` canonicalize any other cone.
+    ``__init__``, ``add`` and ``__getitem__`` canonicalize any other cone,
+    and ``add`` takes its multiplicity through ``exact_int``.
     """
 
     __slots__ = ("_entries",)
@@ -259,6 +260,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         return out
 
     def add(self, c: SymbolicCone, multiplicity: int = 1) -> None:
+        multiplicity = exact_int(multiplicity)
         if multiplicity == 0:
             return
         c = canonicalize(c)

@@ -101,12 +101,15 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
     The rows are checked by building the ``LDSystem`` of ``A x >= b``.
     """
     checked = LDSystem(rows, (Relation.GEQ,) * len(rows), rhs)
-    d = checked.num_variables
-    gens = tuple(
-        tuple(1 if i == j else 0 for i in range(d)) + tuple(r[j] for r in checked.rows)
-        for j in reversed(range(d))
-    )
-    return _canonical_cone(gens, (0,) * d + tuple(-b for b in checked.rhs), 1, (0,) * d)
+    return _lift(checked.rows, checked.rhs)
+
+
+def _lift(rows: IntMat, rhs: IntVec) -> SymbolicCone:
+    """``macmahon_lift`` of rows an ``LDSystem`` has already checked, unchecked."""
+    d = len(rows[0])
+    gens = tuple(tuple(1 if i == j else 0 for i in range(d)) + tuple(r[j] for r in rows)
+                 for j in reversed(range(d)))
+    return _canonical_cone(gens, (0,) * d + tuple(-b for b in rhs), 1, (0,) * d)
 
 
 def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
@@ -247,9 +250,10 @@ def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
 
 
 def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
-    """``elimination_rounds`` of the lifted system, one per expanded row."""
+    """``elimination_rounds`` of the lifted system, one per expanded row; the
+    rows were checked when ``sys`` was built, so the lift checks none."""
     rows, rhs = expand_equalities(sys)
-    return elimination_rounds(macmahon_lift(rows, rhs), len(rows))
+    return elimination_rounds(_lift(rows, rhs), len(rows))
 
 
 def solve(sys: LDSystem) -> ConeCombination:

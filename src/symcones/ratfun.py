@@ -11,6 +11,9 @@ are structured sums, rendered as-is. Every term's numerator comes from
 ``enum_fundpar``, which gives a cone of index 1 its one point in closed
 form, whatever the method or index threshold.
 
+A term is checked once, when it is built: ``RatFunTerm`` converts what
+callers give it, and ``combination_to_ratfun`` builds its own terms unchecked.
+
 Counting substitutes z_i -> exp(lam_i t) for a positive integer direction
 lam non-orthogonal to every denominator exponent and expands at t = 0 with
 exact series, once per set of dots lam . v: the constant coefficient is the
@@ -43,11 +46,11 @@ class InfiniteSetError(ValueError):
 class RatFunTerm:
     """One summand: mult * (sum of z^u for u in numerator) / prod (1 - z^v).
 
-    ``mult`` goes through ``exact_int``. An exponent must be an integer that
-    ``math.gcd`` takes (kept as given, bools too) or an integral Fraction.
-    Denominator vectors coming out of the solver pipeline are non-zero,
-    forward and primitive. A term with an empty numerator is the zero term
-    (a cone whose affine hull misses the lattice).
+    The one validating constructor: ``mult`` and every exponent go through
+    ``exact_int`` and both containers are stored as tuples, so a term of lists
+    equals and hashes as its tuple twin. Denominator vectors coming out of the
+    solver pipeline are non-zero, forward and primitive. A term with an empty
+    numerator is the zero term (a cone whose affine hull misses the lattice).
     """
 
     mult: int
@@ -55,13 +58,9 @@ class RatFunTerm:
     denominator: tuple[IntVec, ...]
 
     def __post_init__(self):
-        self.__dict__["mult"] = exact_int(self.mult)
-        try:  # one C call per vector and no copy: math.gcd takes only integers
-            sum(itertools.starmap(math.gcd, itertools.chain(self.numerator, self.denominator)))
-        except TypeError:  # integral Fractions become ints, exact_int refuses the rest
-            self.__dict__.update(
-                numerator=tuple(tuple(map(exact_int, u)) for u in self.numerator),
-                denominator=tuple(tuple(map(exact_int, v)) for v in self.denominator))
+        self.__dict__.update(mult=exact_int(self.mult),
+                             numerator=tuple(tuple(map(exact_int, u)) for u in self.numerator),
+                             denominator=tuple(tuple(map(exact_int, v)) for v in self.denominator))
         if not self.denominator:
             raise ValueError("term needs at least one denominator factor")
         if len(set(map(len, itertools.chain(self.numerator, self.denominator)))) > 1:
@@ -95,6 +94,15 @@ class RatFunExpr:
         return self.terms[0].dimension if self.terms else None
 
 
+def _term(mult: int, numerator: tuple[IntVec, ...], denominator: tuple[IntVec, ...]) -> RatFunTerm:
+    """A term, unchecked: the caller (``combination_to_ratfun``) guarantees an
+    int ``mult`` and tuples of int vectors of one length, and a non-empty
+    denominator of non-zero vectors."""
+    out = object.__new__(RatFunTerm)
+    out.__dict__.update(mult=mult, numerator=numerator, denominator=denominator)
+    return out
+
+
 def _forward_normalized(mult: int, nums: tuple[IntVec, ...], dens: tuple[IntVec, ...]):
     """Flip backward denominator factors: z^u/(1-z^v) = -z^(u-v)/(1-z^-v)."""
     for i, v in enumerate(dens):
@@ -117,15 +125,17 @@ def combination_to_ratfun(
     ``fp`` enumerates each fundamental parallelepiped directly; the number
     of numerator monomials per term is then the index of the cone.
     ``barvinok`` first rewrites each cone as a signed sum of cones with
-    index at most ``index_threshold`` (unimodular by default), half-opened
-    along that cone's xi = V·(±1), giving one short term per output cone,
-    with backward denominator factors flipped forward; ``fp`` refuses any
-    other ``index_threshold`` than 1. Either way a term's numerator is its
-    cone's lex-sorted ``enum_fundpar`` points, cones share V^-1 per V, and
+    index at most ``index_threshold`` (an exact integer, unimodular by
+    default), half-opened along that cone's xi = V·(±1), giving one short
+    term per output cone; ``fp`` refuses any other ``index_threshold`` than
+    1. Either way a term's numerator is its cone's lex-sorted
+    ``enum_fundpar`` points, backward denominator factors are flipped
+    forward (cones from ``solve`` have none), cones share V^-1 per V, and
     zero terms are dropped.
     """
     if method not in (FP, BARVINOK):
         raise ValueError(f"unknown conversion method: {method!r}")
+    index_threshold = exact_int(index_threshold)
     if method == BARVINOK:
         combination = decompose_combination(combination, index_threshold)
     elif index_threshold != 1:
@@ -134,12 +144,8 @@ def combination_to_ratfun(
     terms = []
     for c, mult in combination.sorted_items():
         nums = tuple(sorted(enum_fundpar(c)))
-        if not nums:
-            continue
-        dens = c.generators
-        if method == BARVINOK:
-            mult, nums, dens = _forward_normalized(mult, nums, dens)
-        terms.append(RatFunTerm(mult, nums, dens))
+        if nums:
+            terms.append(_term(*_forward_normalized(mult, nums, c.generators)))
     return RatFunExpr(tuple(terms))
 
 
@@ -254,44 +260,32 @@ LATEX = "latex"
 JSON = "json"
 
 
-def _monomial_plain(u: IntVec) -> str:
-    parts = []
-    for i, e in enumerate(u):
-        if e == 0:
-            continue
-        name = f"z{i + 1}"
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
-def _monomial_latex(u: IntVec, vector_exponents: bool) -> str:
-    if vector_exponents:
-        return "z^{(" + ",".join(str(e) for e in u) + ")}"
-    parts = []
-    for i, e in enumerate(u):
-        if e == 0:
-            continue
-        name = f"z_{{{i + 1}}}"
-        parts.append(name if e == 1 else f"{name}^{{{e}}}")
-    return " ".join(parts) if parts else "1"
+def _monomial(u: IntVec, var: str, power: str, sep: str) -> str:
+    """z^u as ``sep``-joined factors: ``var`` formats the 1-based index of a
+    variable, ``power`` that variable and an exponent other than 1."""
+    parts = [var.format(i) if e == 1 else power.format(var.format(i), e)
+             for i, e in enumerate(u, 1) if e]
+    return sep.join(parts) or "1"
 
 
 def _render_term_plain(t: RatFunTerm) -> tuple[int, str]:
-    num = " + ".join(_monomial_plain(u) for u in t.numerator)
+    num = " + ".join(_monomial(u, "z{}", "{}^{}", "*") for u in t.numerator)
     if len(t.numerator) > 1:
         num = f"({num})"
-    den = "*".join(f"(1-{_monomial_plain(v)})" for v in t.denominator)
+    den = "*".join("(1-" + _monomial(v, "z{}", "{}^{}", "*") + ")" for v in t.denominator)
     mag = abs(t.mult)
     prefix = "" if mag == 1 else f"{mag} * "
     return (1 if t.mult >= 0 else -1), f"{prefix}{num} / ({den})"
 
 
 def _render_term_latex(t: RatFunTerm, vector_exponents: bool) -> tuple[int, str]:
-    num = " + ".join(_monomial_latex(u, vector_exponents) for u in t.numerator)
-    den = " ".join(
-        f"\\left(1 - {_monomial_latex(v, vector_exponents)}\\right)"
-        for v in t.denominator
-    )
+    def monomial(u):
+        if vector_exponents:
+            return "z^{(" + ",".join(map(str, u)) + ")}"
+        return _monomial(u, "z_{{{}}}", "{}^{{{}}}", " ")
+
+    num = " + ".join(map(monomial, t.numerator))
+    den = " ".join(f"\\left(1 - {monomial(v)}\\right)" for v in t.denominator)
     mag = abs(t.mult)
     prefix = "" if mag == 1 else f"{mag} \\, "
     return (1 if t.mult >= 0 else -1), f"{prefix}\\frac{{{num}}}{{{den}}}"
@@ -320,21 +314,14 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
             [_render_term_latex(t, vector_exponents) for t in expr.terms]
         )
     if fmt == JSON:
-        payload = [
-            {
-                "mult": str(t.mult),
-                "num": [list(u) for u in t.numerator],
-                "den": [list(v) for v in t.denominator],
-            }
-            for t in expr.terms
-        ]
-        return json.dumps(payload)
+        # json.dumps writes the exponent tuples as arrays, so they go in uncopied
+        return json.dumps([{"mult": str(t.mult), "num": t.numerator, "den": t.denominator}
+                           for t in expr.terms])
     raise ValueError(f"unknown format: {fmt!r}")
 
 
 def ratfun_from_json(text: str) -> RatFunExpr:
     """Parse the JSON produced by ``render(..., JSON)`` back into terms."""
-    # "mult" is rendered as a string; RatFunTerm checks the exponents
-    return RatFunExpr(tuple(
-        RatFunTerm(int(obj["mult"]), tuple(map(tuple, obj["num"])), tuple(map(tuple, obj["den"])))
-        for obj in json.loads(text)))
+    # "mult" is rendered as a string; RatFunTerm converts and checks the exponent lists
+    return RatFunExpr(tuple(RatFunTerm(int(obj["mult"]), obj["num"], obj["den"])
+                            for obj in json.loads(text)))

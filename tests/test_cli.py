@@ -686,6 +686,16 @@ GOLDEN_SHA256 = [
     (RunConfig("ratfun", method="barvinok", fmt="json"),
      system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
      "a35a2b3993d13e9bc1ff3df55e89bf814182ae139c67941e24ea935a5054261d"),
+    # the same knapsack's display formats, recorded before the plain and
+    # LaTeX monomials shared one writer
+    (RunConfig("ratfun", method="barvinok"), system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
+     "71c9083a07161dbe48dc1ee3bf4f64ef009926ee3201df99249dbe4bc265dba3"),
+    (RunConfig("ratfun", method="barvinok", fmt="latex"),
+     system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
+     "4119c3a5ee8dfcd0b1b33d0412d58324cd81118a10db1337761b5282985d3153"),
+    (RunConfig("ratfun", method="barvinok", fmt="latex", vector_exponents=True),
+     system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
+     "42d121683b6d82385a33b89364ed7f4caaafba5fc55c6260838697ce8010543f"),
 ]
 
 

@@ -219,6 +219,14 @@ def test_combination_add_validates_user_built_cones():
     comb = ConeCombination()
     comb.add(cone([(2, 0), (0, 3)], openness=(1, 0)))
     assert list(comb) == [cone([(0, 1), (1, 0)], openness=(0, 1))]
+    # so is its multiplicity, which combination_to_ratfun's unchecked terms
+    # take as it is
+    with pytest.raises(TypeError, match="exact integer"):
+        comb.add(cone([(1, 0), (0, 1)]), 1.5)
+    with pytest.raises(TypeError, match="exact integer"):
+        ConeCombination({cone([(1, 0), (0, 1)]): 2.0})
+    comb.add(cone([(1, 0), (0, 1)]), Fraction(4, 2))
+    assert sorted(comb.values()) == [1, 2] and all(type(m) is int for m in comb.values())
 
 
 # --- membership -----------------------------------------------------------------

@@ -144,6 +144,22 @@ def test_entry_points_refuse_inexact_integers():
             == cone([(2, 0), (0, 1)], openness=[1, 0]))
 
 
+def test_solve_checks_a_built_system_once(monkeypatch):
+    # solve_rounds lifts the rows the system's constructor already checked,
+    # so solving a built system constructs no second LDSystem; the public
+    # macmahon_lift keeps its check
+    sys_ = table_system((2, 4), (3, 2, 1))
+    want = solve(sys_)
+
+    def refused(self):
+        raise AssertionError("an LDSystem was built")
+
+    monkeypatch.setattr(LDSystem, "__post_init__", refused)
+    assert solve(sys_) == want and len(want) > 1
+    with pytest.raises(AssertionError, match="LDSystem was built"):
+        macmahon_lift(*expand_equalities(sys_))
+
+
 # --- one elimination round ----------------------------------------------------------
 
 def test_eliminate_last_coordinate_first_omega_rule():

@@ -86,6 +86,27 @@ def test_term_converts_integral_fractions_and_json_refuses_a_float_exponent():
         ratfun_from_json(text.replace("[1, 0]", "[0.5, 0]"))
 
 
+def test_term_converts_list_containers_to_an_equal_hashable_term():
+    # the containers were once kept as given: a term of lists was unequal to
+    # its tuple twin, and hash() of it raised TypeError
+    term = RatFunTerm(1, [[0]], [[1]])
+    twin = RatFunTerm(1, ((0,),), ((1,),))
+    assert term == twin and hash(term) == hash(twin)
+    assert all(type(x) is tuple for x in (term.numerator, term.denominator,
+                                          *term.numerator, *term.denominator))
+
+
+def test_term_stores_and_renders_a_true_exponent_as_one():
+    # a bool exponent was once kept as given, and JSON wrote it as true
+    term = RatFunTerm(True, ((True, 0),), ((1, True),))
+    assert term == RatFunTerm(1, ((1, 0),), ((1, 1),))
+    assert all(type(x) is int for x in (term.mult, *term.numerator[0], *term.denominator[0]))
+    expr = RatFunExpr((term,))
+    assert render(expr, "json") == '[{"mult": "1", "num": [[1, 0]], "den": [[1, 1]]}]'
+    assert render(expr) == "z1 / ((1-z1*z2))"
+    assert render(expr, "latex") == "\\frac{z_{1}}{\\left(1 - z_{1} z_{2}\\right)}"
+
+
 def test_term_fp_fig1_cone():
     term = _fp_term(canonicalize(cone([(1, 0), (1, 3)])))
     assert term.mult == 1
@@ -185,6 +206,18 @@ def test_unknown_method_rejected():
         combination_to_ratfun(ConeCombination(), "magic")
 
 
+@pytest.mark.parametrize("method", ["fp", "barvinok"])
+def test_index_threshold_is_an_exact_integer_on_both_routes(method):
+    # True is the integer 1 on both routes; fp once accepted 1.0, which
+    # barvinok refused, and refused "1" as a barvinok-only option
+    comb = solve(system([(2, 3)], [">="], [5]))
+    assert (combination_to_ratfun(comb, method, index_threshold=True)
+            == combination_to_ratfun(comb, method))
+    for threshold in (1.0, "1"):
+        with pytest.raises(TypeError, match="exact integer"):
+            combination_to_ratfun(comb, method, index_threshold=threshold)
+
+
 def test_fp_refuses_an_index_threshold():
     # only the Barvinok route reads the threshold, so fp refuses any other
     # value than the default, before any cone is converted
@@ -202,17 +235,55 @@ def test_fp_refuses_an_index_threshold():
     ("barvinok", system([(2, 3, 5, 7, 11, 13)], ["="], [60])),
 ])
 def test_combination_to_ratfun_builds_one_term_per_cone(monkeypatch, method, sys_):
+    # every term comes from the unchecked _term, once per cone, and none
+    # goes through the validating RatFunTerm constructor
+    from symcones import ratfun
+
     built = []
-    real = RatFunTerm.__post_init__
+    real = ratfun._term
 
-    def counted(self):
-        built.append(self)
-        real(self)
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
 
-    monkeypatch.setattr(RatFunTerm, "__post_init__", counted)
+    def refused(self):
+        raise AssertionError("a package-built term went through RatFunTerm's check")
+
+    monkeypatch.setattr(ratfun, "_term", counted)
+    monkeypatch.setattr(RatFunTerm, "__post_init__", refused)
     expr = combination_to_ratfun(solve(sys_), method)
     assert len(expr.terms) > 1
     assert built == list(expr.terms)
+
+
+def test_fp_flips_backward_generators_into_the_same_function():
+    # fp flips a user-built cone's backward denominator factors forward, as
+    # Barvinok does; each flipped term is the same rational function, so its
+    # Laurent coefficients equal those of the unflipped term, under any
+    # direction that avoids the denominators
+    from symcones.exactmath import is_forward
+    from symcones.ratfun import _pick_direction, _summed_laurent
+
+    rng = random.Random(27)
+    flipped_terms = 0
+    for _ in range(20):
+        d = rng.randint(1, 3)
+        comb = ConeCombination()
+        for _ in range(rng.randint(1, 3)):
+            comb.add(random_full_dim_cone(rng, d, 3, max_det=12, rational_apex=True,
+                                          random_openness=True), rng.choice((-2, -1, 1, 3)))
+        raw = [(m, tuple(sorted(enum_fundpar(c))), c.generators) for c, m in comb.sorted_items()]
+        expr = combination_to_ratfun(comb)
+        assert len(expr) == len(raw)
+        assert all(is_forward(v) for t in expr for v in t.denominator)
+        lam = _pick_direction([v for _, _, dens in raw for v in dens], d)
+        for t, term in zip(expr, raw):
+            assert (_summed_laurent([(t.mult, t.numerator, t.denominator)], lam)
+                    == _summed_laurent([term], lam))
+            flipped_terms += t.denominator != term[2]
+        assert (_summed_laurent([(t.mult, t.numerator, t.denominator) for t in expr], lam)
+                == _summed_laurent(raw, lam))
+    assert flipped_terms >= 10
 
 
 # --- counting ---------------------------------------------------------------------
@@ -457,6 +528,7 @@ def test_count_builds_no_terms(monkeypatch):
         raise AssertionError("count took the rational-function term route")
 
     monkeypatch.setattr(RatFunTerm, "__post_init__", refuse)
+    monkeypatch.setattr(ratfun, "_term", refuse)
     monkeypatch.setattr(RatFunExpr, "__init__", refuse)
     monkeypatch.setattr(ratfun, "combination_to_ratfun", refuse)
     monkeypatch.setattr(ratfun, "_forward_normalized", refuse)
