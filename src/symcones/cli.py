@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .cones import ConeCombination, _product_sums, _share_inverse_pairs
-from .elimination import LDSystem, Relation, expand_equalities, solve_rounds
+from .elimination import LDSystem, expand_equalities, solve_rounds
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
@@ -60,7 +60,7 @@ class RunConfig:
 def parse_system(text: str) -> LDSystem:
     """Parse the constraint grammar above into an LDSystem."""
     rows: list[tuple[int, ...]] = []
-    relations: list[Relation] = []
+    relations: list[str] = []
     rhs: list[int] = []
     width: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -87,7 +87,7 @@ def parse_system(text: str) -> LDSystem:
                 f"line {lineno}: expected {width} coefficients, got {len(coeffs)}"
             )
         rows.append(coeffs)
-        relations.append(Relation.GEQ if tokens[pos] == ">=" else Relation.EQ)
+        relations.append(tokens[pos])
         rhs.append(beta)
     if not rows:
         raise ParseError("no constraints found in input")

@@ -9,10 +9,10 @@ symbolic cones, so the set of solutions comes out as an exact signed sum
 of half-open simplicial cones in R^d - no triangulation, no rational
 function arithmetic along the way.
 
-``elimination_rounds`` is the only loop over the rounds: it checks its
-input once, then ``ConeCombination._collect`` sums what ``_eliminate`` emits,
-once per round. ``eliminate`` and ``solve`` return its last combination, and
-the CLI walks ``solve_rounds`` to print one ``--verbose`` line per round.
+``elimination_rounds`` is the only loop over the rounds: once per round,
+``ConeCombination._collect`` sums what ``_eliminate`` emits. ``eliminate``
+checks its input once and keeps the last combination; ``solve_rounds``, whose
+lift needs no check, feeds ``solve`` and the CLI's ``--verbose`` lines.
 
 A step branches only on the generators V and the sign of q_n, which many
 cones of a round share: ``_plan`` builds the output generators, order,
@@ -188,24 +188,36 @@ def _eliminate(c: SymbolicCone, mult: int, plans: dict) -> Iterator[tuple[int, S
 
 
 def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
-    """Yield the collected combination after each elimination round.
+    """Yield the collected combination after each elimination round, unchecked.
 
     This is the one elimination loop: ``eliminate`` and ``solve`` keep its
     last combination, and the CLI's ``--verbose`` lines describe each one.
     ``ConeCombination._collect`` sums the canonical cones ``_eliminate`` emits
     once per round; cancellation between rounds is what keeps intermediate
-    combinations small, so this is not an optional optimization.
+    combinations small, so this is not an optional optimization. Callers
+    pass what ``eliminate`` accepts; ``solve_rounds`` does so by construction.
+    """
+    # the input needs no canonical form: the plans make every output canonical
+    current = {c: 1}
+    plans: dict = {}
+    for _ in range(rounds):
+        current = ConeCombination._collect(chain.from_iterable(
+            _eliminate(parent, mult, plans) for parent, mult in current.items()))
+        yield current
 
-    The input is checked once, before the first round, and refused with
-    ``ValueError`` unless ``rounds`` (an exact integer) lies in 0..n - k
-    and the generators are forward and pass one rank test. Every cone of
-    round r has k forward generators in the projection of span(V0), V0
-    being the input generators, that drops the last r coordinates (see
-    ``_plan``). If the first n - rounds rows of V0 have full column rank,
-    the last projection is injective on span(V0), hence so is every
-    earlier one, and by induction every round's V' is independent: the
-    rounds need no check of their own. For ``macmahon_lift`` those rows
-    are the identity, columns reversed.
+
+def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
+    """``eliminate_last_coordinate`` applied ``rounds`` times: the last
+    combination of ``elimination_rounds``, or the canonical input cone with
+    multiplicity 1 when ``rounds`` is 0.
+
+    Refuses with ``ValueError`` unless ``rounds`` (an exact integer) lies in
+    0..n - k, the generators V0 are forward, and the first n - rounds rows of
+    V0 have full column rank. Every cone of round r has k forward generators
+    in the projection of span(V0) that drops the last r coordinates (see
+    ``_plan``). The last projection is then injective on span(V0), hence so
+    is every earlier one, and every round's V' is independent: the rounds
+    need no check of their own.
     """
     rounds = exact_int(rounds)
     if not 0 <= rounds <= c.ambient_dim - c.dim:
@@ -217,21 +229,6 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     keep = c.ambient_dim - rounds
     if not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
         raise ValueError(f"generators not linearly independent on the first {keep} rows")
-    # the input needs no canonical form: the plans make every output canonical
-    current = {c: 1}
-    plans: dict = {}
-    for _ in range(rounds):
-        current = ConeCombination._collect(chain.from_iterable(
-            _eliminate(parent, mult, plans) for parent, mult in current.items()))
-        yield current
-
-
-def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
-    """Apply ``eliminate_last_coordinate`` the given number of times.
-
-    Returns the last combination of ``elimination_rounds``, or the
-    canonical input cone with multiplicity 1 when ``rounds`` is 0.
-    """
     last = deque(elimination_rounds(c, rounds), maxlen=1)
     return last.pop() if last else ConeCombination({canonicalize(c): 1})
 
@@ -250,8 +247,10 @@ def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
 
 
 def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
-    """``elimination_rounds`` of the lifted system, one per expanded row; the
-    rows were checked when ``sys`` was built, so the lift checks none."""
+    """``elimination_rounds`` of the lifted system, one per expanded row,
+    unchecked: ``sys`` was checked when built, and the lift meets every check
+    of ``eliminate``, with d forward generators for m rounds and, as its first
+    d rows, the identity with its columns reversed."""
     rows, rhs = expand_equalities(sys)
     return elimination_rounds(_lift(rows, rhs), len(rows))
 

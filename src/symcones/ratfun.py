@@ -133,12 +133,11 @@ def combination_to_ratfun(
     forward (cones from ``solve`` have none), cones share V^-1 per V, and
     zero terms are dropped.
     """
-    if method not in (FP, BARVINOK):
-        raise ValueError(f"unknown conversion method: {method!r}")
-    index_threshold = exact_int(index_threshold)
     if method == BARVINOK:
         combination = decompose_combination(combination, index_threshold)
-    elif index_threshold != 1:
+    elif method != FP:
+        raise ValueError(f"unknown conversion method: {method!r}")
+    elif exact_int(index_threshold) != 1:
         raise ValueError("index_threshold applies only to the barvinok method")
     _share_inverse_pairs(combination)
     terms = []
@@ -305,14 +304,14 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
     """Deterministic text form of an expression in plain, LaTeX or JSON.
 
     JSON is lossless (an array of term objects, big integers as decimal
-    strings); plain and LaTeX are write-only display formats.
+    strings), zero terms included; plain and LaTeX are write-only display
+    formats that skip zero terms, so an expression of none prints ``0``.
     """
     if fmt == PLAIN:
-        return _join_signed([_render_term_plain(t) for t in expr.terms])
+        return _join_signed([_render_term_plain(t) for t in expr.terms if not t.is_zero])
     if fmt == LATEX:
-        return _join_signed(
-            [_render_term_latex(t, vector_exponents) for t in expr.terms]
-        )
+        return _join_signed([_render_term_latex(t, vector_exponents)
+                             for t in expr.terms if not t.is_zero])
     if fmt == JSON:
         # json.dumps writes the exponent tuples as arrays, so they go in uncopied
         return json.dumps([{"mult": str(t.mult), "num": t.numerator, "den": t.denominator}

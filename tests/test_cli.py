@@ -32,6 +32,7 @@ from _support import (
     reference_run_check,
     table_system,
 )
+from cli_cases import CASES, failures
 
 
 # --- parsing ----------------------------------------------------------------
@@ -115,8 +116,8 @@ def _assert_renders_like_json_dumps(combination, dimension=None):
 
 
 @pytest.mark.parametrize("sys_", [
-    # 30 seeded systems in d = 2..4; seed 12 is the golden
-    # random_system(Random(12), 3, 3), apex denominators up to 25
+    # 30 seeded systems in d = 2..4; seed 12 is random_system(Random(12), 3, 3),
+    # the recorded case solve-random-12, apex denominators up to 25
     *(random_system(random.Random(seed), (seed + 1) % 3 + 2, 3) for seed in range(30)),
     table_system((2, 4, 6), (4, 4, 4)),
     table_system((3, 6), (3, 3, 3)),
@@ -650,66 +651,37 @@ def test_console_invocation_round_trip(tmp_path):
     assert proc.stdout.strip() == "101"
 
 
-# sha256 of outputs recorded before the apex became integer numerators over
-# one denominator; the JSON must not change by a byte
-GOLDEN_SHA256 = [
-    (RunConfig("solve"), table_system((2, 4, 6), (4, 4, 4)),
-     "23f56e85b3986304ae60c4f0c662b0e58f7d1e9a9d60eb6da02fc5399edb9222"),
-    (RunConfig("solve"), table_system((3, 6), (3, 3, 3)),
-     "f576b2e7bd4f477bf22e6ac710ec611b5b30c534ec93b66bd9185b79b84ebc57"),
-    # apex denominators up to 25
-    (RunConfig("solve"), random_system(random.Random(12), 3, 3),
-     "55543a6a178df88183b8fd20e53bbbb435779d6fe368f5d02d0ed5c81a3c044b"),
-    # recorded when xi became V @ (+-1)
-    (RunConfig("ratfun", method="barvinok", fmt="json"), random_system(random.Random(1), 3, 3),
-     "695b4c2840543ef3ea3feb6c8921bd024b278a326d6f95d809d6f9758e500fac"),
-    # recorded while index-1 cones took their point from a separate closed
-    # form on the Barvinok route and from a Smith form on the fp route
-    (RunConfig("ratfun", method="fp", fmt="json"), table_system((6, 6, 6), (6, 6, 6)),
-     "a0a1becc09138c54207f2f8bf079b1703e77a7c7321df13cf99c6c9f6781118f"),
-    # recorded when xi became V @ (+-1)
-    (RunConfig("ratfun", method="barvinok", fmt="json", index_threshold=3),
-     random_system(random.Random(1), 3, 3),
-     "5446a484cd2ae2ec55cd24558a04ee6f586fc81f68c51089e314c3ef5da2c394"),
-    # recorded while parallelepipeds of index > 1 were enumerated through an
-    # integer/fractional split of the apex: indices up to 324, apex
-    # denominators up to 25, open generators
-    (RunConfig("ratfun", method="fp", fmt="json"), random_system(random.Random(12), 3, 3),
-     "fd17b613ada37f2d78d690eaaa6df381cd6f3c94fdbd7cb2f6c0a3874090b23d"),
-    # panel draw 4 of the random-systems benchmark at scale 1: 8 cones, 3726
-    # points, Smith diagonals up to (1, 8, 8, 16) and (1, 13, 13, 13): several
-    # Smith factors above 1 enter each bulk pass
-    (RunConfig("ratfun", method="fp", fmt="json"),
-     system([(5, -3, -1, 0), (5, 3, 5, -2), (1, -2, -1, 1)], [">="] * 3, [-4, 2, 0]),
-     "fd615f62c00b3dded37d7cfbd932bd6de13227491fd0526d9889622373dd1831"),
-    # twelve cones over six generator matrices: Barvinok trees are shared
-    (RunConfig("ratfun", method="barvinok", fmt="json"),
-     system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
-     "a35a2b3993d13e9bc1ff3df55e89bf814182ae139c67941e24ea935a5054261d"),
-    # the same knapsack's display formats, recorded before the plain and
-    # LaTeX monomials shared one writer
-    (RunConfig("ratfun", method="barvinok"), system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
-     "71c9083a07161dbe48dc1ee3bf4f64ef009926ee3201df99249dbe4bc265dba3"),
-    (RunConfig("ratfun", method="barvinok", fmt="latex"),
-     system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
-     "4119c3a5ee8dfcd0b1b33d0412d58324cd81118a10db1337761b5282985d3153"),
-    (RunConfig("ratfun", method="barvinok", fmt="latex", vector_exponents=True),
-     system([(2, 3, 5, 7, 11, 13)], ["="], [60]),
-     "42d121683b6d82385a33b89364ed7f4caaafba5fc55c6260838697ce8010543f"),
-]
+CASE = {case[0]: case for case in CASES}
 
 
-def _golden_id(case) -> str:
-    """The case's subcommand, the values of its non-default config fields and
-    a digest of its system, so re-recording an output keeps the test name."""
-    config, sys_, _ = case
-    changed = [str(getattr(config, f.name)) for f in dataclasses.fields(config)
-               if f.name != "subcommand" and getattr(config, f.name) != f.default]
-    system = hashlib.sha256(repr(sys_).encode()).hexdigest()[:8]
-    return "-".join([config.subcommand, *changed, system])
+@pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+def test_recorded_cli_output(case):
+    assert failures(case) == []
 
 
-def test_package_built_cones_skip_the_validating_door(monkeypatch):
+def test_cli_case_runner_reports_each_broken_copy():
+    name, argv, stdin, status, digest = CASE["solve-random-12"]
+    broken = [
+        ((name, argv, stdin, status, "0" * 64), f"stdout sha256 {digest}"),
+        ((name, argv, stdin, 2, digest), "exit status 0, expected 2"),
+        ((name, [*argv, "--verbose"], stdin, status, digest), "stderr is not empty"),
+    ]
+    for case, why in broken:
+        assert any(why in found for found in failures(case))
+
+
+def _case_digest_in_process(name, monkeypatch, capsys) -> str:
+    """The sha256 of a case's stdout, without its final newline, from ``main``
+    run in this process; asserts the case's status and an empty stderr."""
+    _, argv, stdin, status, _ = CASE[name]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main([*argv, "-"]) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return hashlib.sha256(captured.out.removesuffix("\n").encode()).hexdigest()
+
+
+def test_package_built_cones_skip_the_validating_door(monkeypatch, capsys):
     # elimination rounds and Barvinok leaves are canonical by construction,
     # so neither is collected through ConeCombination.add
     from symcones import decompose_combination
@@ -722,18 +694,17 @@ def test_package_built_cones_skip_the_validating_door(monkeypatch):
 
     monkeypatch.setattr(ConeCombination, "add", refused)
     assert len(decompose_combination(comb)) > len(comb)
-    config, digest = next((config, digest) for config, sys_, digest in GOLDEN_SHA256
-                          if sys_ == knapsack)
-    _, output, _ = run(config, knapsack)
-    assert hashlib.sha256(output.encode()).hexdigest() == digest
+    name = "ratfun-barvinok-json-knapsack"
+    assert parse_system(CASE[name][2]) == knapsack
+    assert _case_digest_in_process(name, monkeypatch, capsys) == CASE[name][4]
     assert run(RunConfig("count"), knapsack)[1] == "893"
 
 
-def test_fp_route_builds_no_smith_transforms(monkeypatch):
+def test_fp_route_builds_no_smith_transforms(monkeypatch, capsys):
     # enum_fundpar reads U^-1, W^-1 and the diagonal from the Smith loop
     # alone; four of this system's five cones have index > 1, with Smith
     # groups (1, 18, 18), (1, 5, 25) twice and (1, 13, 13), and the bytes
-    # stay the golden ones
+    # stay the recorded ones
     from symcones import exactmath
 
     def refused(m):
@@ -743,16 +714,7 @@ def test_fp_route_builds_no_smith_transforms(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("symcones")]:
         if getattr(module, "snf", None) is snf:
             monkeypatch.setattr(module, "snf", refused)
-    config = RunConfig("ratfun", method="fp", fmt="json")
-    sys_ = random_system(random.Random(12), 3, 3)
-    digest = next(d for c, s, d in GOLDEN_SHA256 if (c, s) == (config, sys_))
-    assert digest.startswith("fd17b613")
-    _, output, _ = run(config, sys_)
-    assert hashlib.sha256(output.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("config, sys_, digest", GOLDEN_SHA256,
-                         ids=[_golden_id(case) for case in GOLDEN_SHA256])
-def test_output_matches_recorded_sha256(config, sys_, digest):
-    _, output, _ = run(config, sys_)
-    assert hashlib.sha256(output.encode()).hexdigest() == digest
+    name = "ratfun-fp-json-random-12"
+    assert parse_system(CASE[name][2]) == random_system(random.Random(12), 3, 3)
+    assert CASE[name][4].startswith("fd17b613")
+    assert _case_digest_in_process(name, monkeypatch, capsys) == CASE[name][4]
