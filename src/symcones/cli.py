@@ -35,6 +35,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
+from .barvinok import decompose_combination
 from .cones import ConeCombination, _product_sums, _share_inverse_pairs
 from .elimination import LDSystem, expand_equalities, solve_rounds
 from .ratfun import combination_to_ratfun, count_lattice_points, render
@@ -241,10 +242,12 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     if config.subcommand == "solve":
         return 0, combination_to_json(combination, sys_.num_variables), diagnostics
     if config.subcommand == "ratfun":
-        expr = combination_to_ratfun(
-            combination, config.method, index_threshold=config.index_threshold
-        )
-        text = render(expr, config.fmt, vector_exponents=config.vector_exponents)
+        if config.method == "barvinok":
+            combination = decompose_combination(combination, config.index_threshold)
+        elif config.method != "fp":
+            raise ParseError(f"unknown conversion method: {config.method!r}")
+        text = render(combination_to_ratfun(combination), config.fmt,
+                      vector_exponents=config.vector_exponents)
         return 0, text, diagnostics
     if config.subcommand == "count":
         return 0, str(count_lattice_points(combination)), diagnostics

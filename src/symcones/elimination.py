@@ -75,6 +75,8 @@ class LDSystem:
 
     def satisfies(self, x: Sequence[int]) -> bool:
         """Direct check of A x >= b (resp. =) and x >= 0; the test oracle."""
+        if len(x) != self.num_variables:
+            raise ValueError("point has wrong dimension")
         if any(v < 0 for v in x):
             return False
         for row, rel, beta in zip(self.rows, self.relations, self.rhs):

@@ -9,7 +9,7 @@ and a signed combination of cones turns into the matching signed sum of
 such terms. Nothing here attempts cross-term normalization; expressions
 are structured sums, rendered as-is. Every term's numerator comes from
 ``enum_fundpar``, which gives a cone of index 1 its one point in closed
-form, whatever the method or index threshold.
+form, so a Barvinok leaf's term costs no enumeration.
 
 A term is checked once, when it is built: ``RatFunTerm`` converts what
 callers give it, and ``combination_to_ratfun`` builds its own terms unchecked.
@@ -33,9 +33,6 @@ from typing import Iterable, Iterator
 from .barvinok import decompose_combination
 from .cones import ConeCombination, _share_inverse_pairs, enum_fundpar
 from .exactmath import IntVec, exact_int, is_forward, vec_dot, vec_sub
-
-FP = "fp"
-BARVINOK = "barvinok"
 
 
 class InfiniteSetError(ValueError):
@@ -114,31 +111,16 @@ def _forward_normalized(mult: int, nums: tuple[IntVec, ...], dens: tuple[IntVec,
     return mult, nums, dens
 
 
-def combination_to_ratfun(
-    combination: ConeCombination,
-    method: str = FP,
-    *,
-    index_threshold: int = 1,
-) -> RatFunExpr:
-    """Turn a signed cone combination into a rational-function expression.
+def combination_to_ratfun(combination: ConeCombination) -> RatFunExpr:
+    """Turn a signed cone combination into a rational-function expression,
+    one term per cone, whose numerator monomials are the cone's lex-sorted
+    ``enum_fundpar`` points: as many as its index.
 
-    ``fp`` enumerates each fundamental parallelepiped directly; the number
-    of numerator monomials per term is then the index of the cone.
-    ``barvinok`` first rewrites each cone as a signed sum of cones with
-    index at most ``index_threshold`` (an exact integer, unimodular by
-    default), half-opened along that cone's xi = V·(±1), giving one short
-    term per output cone; ``fp`` refuses any other ``index_threshold`` than
-    1. Either way a term's numerator is its cone's lex-sorted
-    ``enum_fundpar`` points, backward denominator factors are flipped
-    forward (cones from ``solve`` have none), cones share V^-1 per V, and
-    zero terms are dropped.
+    Barvinok's short terms are ``combination_to_ratfun(decompose_combination(
+    combination, index_threshold))``. Backward denominator factors are
+    flipped forward (Barvinok leaves may have them; cones from ``solve`` have
+    none), cones share V^-1 per V, and zero terms are dropped.
     """
-    if method == BARVINOK:
-        combination = decompose_combination(combination, index_threshold)
-    elif method != FP:
-        raise ValueError(f"unknown conversion method: {method!r}")
-    elif exact_int(index_threshold) != 1:
-        raise ValueError("index_threshold applies only to the barvinok method")
     _share_inverse_pairs(combination)
     terms = []
     for c, mult in combination.sorted_items():
@@ -320,7 +302,10 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
 
 
 def ratfun_from_json(text: str) -> RatFunExpr:
-    """Parse the JSON produced by ``render(..., JSON)`` back into terms."""
-    # "mult" is rendered as a string; RatFunTerm converts and checks the exponent lists
-    return RatFunExpr(tuple(RatFunTerm(int(obj["mult"]), obj["num"], obj["den"])
-                            for obj in json.loads(text)))
+    """Parse the JSON produced by ``render(..., JSON)`` back into terms of one length."""
+    # render writes "mult" as a string; RatFunTerm converts and checks anything else
+    terms = tuple(RatFunTerm(int(m) if isinstance(m := obj["mult"], str) else m,
+                             obj["num"], obj["den"]) for obj in json.loads(text))
+    if len(lengths := sorted({t.dimension for t in terms})) > 1:
+        raise ValueError(f"terms have exponent vectors of lengths {lengths}")
+    return RatFunExpr(terms)

@@ -31,7 +31,7 @@ from symcones import (
     ConeCombination, LDSystem, Relation, SymbolicCone, canonicalize, cone, contains,
     eval_combination,
 )
-from symcones.barvinok import _leaves, _tree
+from symcones.barvinok import _leaves, _tree, decompose_combination
 from symcones.exactmath import IntMat, det, mat_vec
 from symcones.ratfun import _pick_direction, combination_to_ratfun, evaluate_count
 
@@ -231,9 +231,9 @@ def reference_summed_laurent(terms, direction) -> list[Fraction]:
 
 def reference_term_count(combination: ConeCombination) -> int:
     """``count_lattice_points`` by the term route: ``evaluate_count`` of the
-    ``combination_to_ratfun(..., "barvinok")`` expression, under lam picked
-    from its forward-flipped denominators."""
-    expr = combination_to_ratfun(combination, "barvinok")
+    ``combination_to_ratfun(decompose_combination(...))`` expression, under
+    lam picked from its forward-flipped denominators."""
+    expr = combination_to_ratfun(decompose_combination(combination))
     if not expr.terms:
         return 0
     lam = _pick_direction([v for t in expr for v in t.denominator], expr.dimension)

@@ -275,12 +275,14 @@ def test_decompose_combination_checks_the_threshold_before_any_cone():
 def test_decompose_combination_takes_the_threshold_as_an_exact_integer():
     # 1.5 was once compared as it was, so it acted as 1
     comb = ConeCombination({cone([(1, 0), (1, 2)]): 1})
-    for threshold in (1.5, 2.0, "2"):
+    for threshold in (1.5, 1.0, 2.0, "1", "2"):
         with pytest.raises(TypeError, match="exact integer"):
             decompose_combination(comb, threshold)
         with pytest.raises(TypeError, match="exact integer"):
             barvinok_decompose(cone([(1, 0), (1, 2)]), threshold)
     assert decompose_combination(comb, Fraction(2)) == decompose_combination(comb, 2) == comb
+    # True is the integer 1: unimodular leaves, as by default
+    assert decompose_combination(comb, True) == decompose_combination(comb) != comb
 
 
 

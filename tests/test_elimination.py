@@ -116,11 +116,11 @@ def test_macmahon_lift_and_ldsystem_refuse_malformed_shapes_alike(rows, rhs):
 def test_entry_points_refuse_inexact_integers():
     # 1.5 and 2.7 were once truncated, so x1 + x2 = 2 was solved instead
     # and 3 solutions were counted where there are none
-    for rows, rhs in (([(1.5, 1)], [2.7]), ([(1, 1)], [2.0]), ([(Fraction(3, 2), 1)], [2]),
-                      ([("1", 1)], [2])):
-        with pytest.raises(TypeError, match="exact integer"):
+    for rows, rhs in (([(1.5, 1)], [2.7]), ([(1.5, 1)], [2]), ([(1, 1)], [2.0]),
+                      ([(Fraction(3, 2), 1)], [2]), ([("1", 1)], [2])):
+        with pytest.raises(TypeError, match="^expected an exact integer"):
             system(rows, ["="], rhs)
-        with pytest.raises(TypeError, match="exact integer"):
+        with pytest.raises(TypeError, match="^expected an exact integer"):
             macmahon_lift(rows, rhs)
     with pytest.raises(TypeError, match="exact integer"):
         cone([(1.9, 0), (0, 1)], openness=[0, 1])
@@ -136,6 +136,7 @@ def test_entry_points_refuse_inexact_integers():
     # Relation.EQ, so satisfies reads it as an equation
     assert system is LDSystem
     sys_ = system([(Fraction(2, 2), True)], ["="], [Fraction(4, 2)])
+    assert sys_ == LDSystem([(1, True)], ["="], [Fraction(4, 2)])
     assert sys_ == LDSystem(((1, 1),), (Relation.EQ,), (2,))
     assert all(type(x) is int for x in (*sys_.rows[0], *sys_.rhs))
     assert count_lattice_points(solve(sys_)) == 3
@@ -280,6 +281,11 @@ def test_satisfies_oracle():
     assert sys_.satisfies((1, 2))
     assert not sys_.satisfies((2, 2))
     assert not sys_.satisfies((-1, 5))
+    # a point of the wrong length was once zipped short against each row
+    sys_ = system([(1, 1)], ["="], [2])
+    for point in ((2,), (1, 1, 5), (-1,)):
+        with pytest.raises(ValueError, match="^point has wrong dimension$"):
+            sys_.satisfies(point)
 
 
 # --- structural invariants ---------------------------------------------------------

@@ -12,6 +12,7 @@ from symcones import (
     cone,
     combination_to_ratfun,
     count_lattice_points,
+    decompose_combination,
     enum_fundpar,
     eval_combination,
     ratfun_from_json,
@@ -71,7 +72,7 @@ def test_term_refuses_a_zero_denominator_exponent(denominator):
 def test_term_refuses_inexact_integers(mult, numerator, denominator):
     # evaluate_count on such a term died with "both arguments should be
     # Rational instances"; construction refuses it, as cone() does
-    with pytest.raises(TypeError, match="exact integer"):
+    with pytest.raises(TypeError, match="^expected an exact integer"):
         RatFunTerm(mult, numerator, denominator)
 
 
@@ -84,6 +85,19 @@ def test_term_converts_integral_fractions_and_json_refuses_a_float_exponent():
     # the reader once truncated 0.5 to 0
     with pytest.raises(TypeError, match="exact integer"):
         ratfun_from_json(text.replace("[1, 0]", "[0.5, 0]"))
+    # and a JSON-number mult 1.5 to 1; an integral number is taken as it is
+    one = '[{"mult": %s, "num": [[0]], "den": [[1]]}]'
+    with pytest.raises(TypeError, match="exact integer"):
+        ratfun_from_json(one % "1.5")
+    assert ratfun_from_json(one % "-2") == ratfun_from_json(one % '"-2"')
+
+
+def test_json_refuses_terms_of_different_lengths():
+    # the expression once read as dimension 1, and evaluate_count died in zip()
+    text = ('[{"mult": "1", "num": [[0]], "den": [[1]]}, '
+            '{"mult": "1", "num": [[0, 0]], "den": [[1, 0], [0, 1]]}]')
+    with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
+        ratfun_from_json(text)
 
 
 def test_term_converts_list_containers_to_an_equal_hashable_term():
@@ -195,38 +209,24 @@ def test_barvinok_expression_denominators_forward_and_single_monomial():
     from symcones.exactmath import is_forward
 
     comb = solve(system([(2, 3)], [">="], [5]))
-    expr = combination_to_ratfun(comb, "barvinok")
+    expr = combination_to_ratfun(decompose_combination(comb))
     for t in expr.terms:
         assert len(t.numerator) == 1
         assert all(is_forward(v) for v in t.denominator)
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError, match="unknown conversion method"):
-        combination_to_ratfun(ConeCombination(), "magic")
+    # run refuses it after elimination, as it refuses an unknown subcommand
+    sys_ = system([(2, 3)], [">="], [5])
+    with pytest.raises(ValueError, match="^unknown conversion method: 'magic'$"):
+        run(RunConfig("ratfun", method="magic"), sys_)
 
 
-@pytest.mark.parametrize("method", ["fp", "barvinok"])
-def test_index_threshold_is_an_exact_integer_on_both_routes(method):
-    # True is the integer 1 on both routes; fp once accepted 1.0, which
-    # barvinok refused, and refused "1" as a barvinok-only option
-    comb = solve(system([(2, 3)], [">="], [5]))
-    assert (combination_to_ratfun(comb, method, index_threshold=True)
-            == combination_to_ratfun(comb, method))
-    for threshold in (1.0, "1"):
-        with pytest.raises(TypeError, match="exact integer"):
-            combination_to_ratfun(comb, method, index_threshold=threshold)
+def test_combination_to_ratfun_takes_no_options():
+    # Barvinok is a step before it, not a mode of it
+    import inspect
 
-
-def test_fp_refuses_an_index_threshold():
-    # only the Barvinok route reads the threshold, so fp refuses any other
-    # value than the default, before any cone is converted
-    comb = solve(system([(2, 3)], [">="], [5]))
-    for threshold in (0, 2, 3):
-        for c in (comb, ConeCombination()):
-            with pytest.raises(ValueError, match="only to the barvinok method"):
-                combination_to_ratfun(c, "fp", index_threshold=threshold)
-    assert combination_to_ratfun(comb, "fp", index_threshold=1).terms
+    assert list(inspect.signature(combination_to_ratfun).parameters) == ["combination"]
 
 
 @pytest.mark.parametrize("method, sys_", [
@@ -249,9 +249,12 @@ def test_combination_to_ratfun_builds_one_term_per_cone(monkeypatch, method, sys
     def refused(self):
         raise AssertionError("a package-built term went through RatFunTerm's check")
 
+    comb = solve(sys_)
+    if method == "barvinok":
+        comb = decompose_combination(comb)
     monkeypatch.setattr(ratfun, "_term", counted)
     monkeypatch.setattr(RatFunTerm, "__post_init__", refused)
-    expr = combination_to_ratfun(solve(sys_), method)
+    expr = combination_to_ratfun(comb)
     assert len(expr.terms) > 1
     assert built == list(expr.terms)
 
@@ -357,7 +360,7 @@ def test_count_agrees_between_fp_and_unimodular_routes(data):
         leaves = decompose_along_random_directions(comb, random.Random(seed))
         assert count_lattice_points(leaves) == want
     for expr in (combination_to_ratfun(comb),
-                 combination_to_ratfun(comb, "barvinok", index_threshold=3)):
+                 combination_to_ratfun(decompose_combination(comb, 3))):
         assert ratfun_from_json(render(expr, "json")) == expr
         dens = [v for t in expr.terms for v in t.denominator]
         assert evaluate_count(expr, _pick_direction(dens, d)) == want
@@ -449,7 +452,7 @@ def test_grouped_laurent_matches_per_term_reference():
         rng = random.Random(s)
         sys_ = random_system(rng, rng.randint(2, 3), rng.randint(2, 3), entry_bound=3)
         leaves = decompose_along_random_directions(solve(sys_), random.Random(s))
-        expr = combination_to_ratfun(leaves, "barvinok")
+        expr = combination_to_ratfun(decompose_combination(leaves))
         if not expr.terms:
             continue
         lam = _pick_direction([v for t in expr.terms for v in t.denominator], expr.dimension)
@@ -493,7 +496,6 @@ def test_grouped_laurent_matches_reference_on_unflipped_leaves():
     # included: the sum must equal the per-term reference over those raw
     # terms and over the forward-flipped terms the renderer builds, at every
     # order, so counts and refusals agree between the two routes
-    from symcones.barvinok import decompose_combination
     from symcones.exactmath import is_forward
     from symcones.ratfun import _pick_direction, _summed_laurent
 
@@ -511,7 +513,7 @@ def test_grouped_laurent_matches_reference_on_unflipped_leaves():
         want = reference_summed_laurent(raw, lam)
         assert _summed_laurent(raw, lam) == want
         flipped = [(t.mult, t.numerator, t.denominator)
-                   for t in combination_to_ratfun(comb, "barvinok")]
+                   for t in combination_to_ratfun(leaves)]
         assert reference_summed_laurent(flipped, lam) == want
         seen[any(want[:-1])] += 1
         backward += sum(not all(map(is_forward, dens)) for _, _, dens in raw)
