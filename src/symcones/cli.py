@@ -53,7 +53,7 @@ class RunConfig:
     seed: int = 0  # unused; kept because bench/tracing.py reads config.seed
     box: int = 8
     assert_bounded: bool = False  # unused; kept because bench/run.py sets it
-    index_threshold: int = 1
+    index_threshold: int | None = None  # Barvinok only; None means 1
     verbose: bool = False
     vector_exponents: bool = False
 
@@ -226,15 +226,20 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     """Execute one subcommand; returns (status, output, diagnostic lines)."""
     if config.box < 0:
         raise ParseError(f"--box must be at least 0, got {config.box}")
+    if config.index_threshold is not None and config.method == "fp":
+        raise ParseError("--index-threshold applies only to --method barvinok")
+    if config.vector_exponents and config.fmt != "latex":
+        raise ParseError("--vector-exponents applies only to --format latex")
     d = sys_.num_variables
     diagnostics = []
     # there is at least one round, so ``combination`` is always bound
     for i, combination in enumerate(solve_rounds(sys_), start=1):
         if config.verbose:
-            bits = max(
-                (abs(x).bit_length() for c in combination for g in c.generators for x in g),
-                default=0,
-            )
+            # the lifted generator's entries: g, and row.g for the rows still pending
+            pending = expand_equalities(sys_)[0][:-i]
+            bits = max((abs(x).bit_length() for c in combination for g in c.generators
+                        for x in (*g, *(sum(map(operator.mul, r, g)) for r in pending))),
+                       default=0)
             diagnostics.append(
                 f"iteration {i}: {len(combination)} cones "
                 f"(bound {math.comb(d + i, d)}), max generator entry {bits} bits"
@@ -243,7 +248,8 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
         return 0, combination_to_json(combination, sys_.num_variables), diagnostics
     if config.subcommand == "ratfun":
         if config.method == "barvinok":
-            combination = decompose_combination(combination, config.index_threshold)
+            threshold = 1 if config.index_threshold is None else config.index_threshold
+            combination = decompose_combination(combination, threshold)
         elif config.method != "fp":
             raise ParseError(f"unknown conversion method: {config.method!r}")
         text = render(combination_to_ratfun(combination), config.fmt,
@@ -268,8 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ratfun_p.add_argument("--method", choices=["fp", "barvinok"], default="fp")
     ratfun_p.add_argument("--format", dest="fmt", choices=["json", "plain", "latex"],
                           default="plain")
-    # absent unless given, so that main can refuse it with --method fp
-    ratfun_p.add_argument("--index-threshold", type=int, default=argparse.SUPPRESS)
+    ratfun_p.add_argument("--index-threshold", type=int)
     ratfun_p.add_argument(
         "--vector-exponents",
         action="store_true",
@@ -288,13 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # RunConfig's defaults stand in for the flags a subcommand does not take
-    # and for ratfun's --index-threshold when it is not given
     config = RunConfig(**{k: v for k, v in vars(args).items() if k != "input"})
     try:
-        if config.method == "fp" and "index_threshold" in vars(args):
-            raise ParseError("--index-threshold applies only to --method barvinok")
-        if config.vector_exponents and config.fmt != "latex":
-            raise ParseError("--vector-exponents applies only to --format latex")
         if args.input == "-":
             text = sys.stdin.read()
         else:

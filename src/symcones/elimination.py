@@ -1,41 +1,36 @@
 """Pipeline from a linear Diophantine system to a signed cone combination.
 
 Given integer constraints ``A x >= b`` (rows may also be equations) over
-non-negative integer vectors x, the solver lifts the positive orthant into
-dimension d+m with one slack coordinate per constraint, then repeatedly
-intersects with the half-space where the last coordinate is non-negative
-and projects that coordinate away. Both steps have closed-form effects on
-symbolic cones, so the set of solutions comes out as an exact signed sum
-of half-open simplicial cones in R^d - no triangulation, no rational
-function arithmetic along the way.
+non-negative integer vectors x, the paper lifts the orthant to dimension d+m
+with one slack coordinate per row (``macmahon_lift``) and eliminates the
+slacks one at a time. Every vector in the lift's span is (x, A x), so
+``solve`` never writes them: from the orthant cone in R^d, each round
+intersects every cone with one half-space row.x >= beta, the expanded rows
+taken last first (``solve_rounds``). The step has a closed form on symbolic
+cones, so the solutions come out as an exact signed sum of half-open
+simplicial cones in R^d, with no triangulation along the way.
 
-``elimination_rounds`` is the only loop over the rounds: once per round,
+``_rounds`` is the only loop over the rounds: once per round,
 ``ConeCombination._collect`` sums what ``_eliminate`` emits. ``eliminate``
-checks its input once and keeps the last combination; ``solve_rounds``, whose
-lift needs no check, feeds ``solve`` and the CLI's ``--verbose`` lines.
-
-A step branches only on the generators V and the sign of q_n, which many
-cones of a round share: ``_plan`` builds the output generators, order,
-toggles and signs once per (V, sign q_n) and call, and per cone
-``_eliminate`` computes only each output apex (one gcd) and its bits.
+checks a user cone once, runs the rounds with unit rows in its own space and
+drops the eliminated coordinates once (``_project``). A step branches only
+on the generators V and the sign of q_n = row.q - beta: ``_plan`` builds the
+vertex cones' generators, order, toggles and signs once per (V, sign q_n)
+and round, and per cone ``_eliminate`` computes only each apex and its bits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .cones import (
-    ConeCombination,
-    SymbolicCone,
-    _canonical_cone,
-    canonicalize,
-)
-from .exactmath import IntMat, IntVec, exact_int, has_full_column_rank, is_forward, prim
+from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
+from .exactmath import IntMat, IntVec, exact_int, has_full_column_rank, identity, is_forward, prim
 
 
 class Relation(enum.Enum):
@@ -97,91 +92,74 @@ def macmahon_lift(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Symbolic
 
     Generator j is e_j extended by column j of A, listed for j = d..1: the
     identity block makes them primitive, independent and lex sorted, so the
-    cone is canonical as built. The apex is (0, -b). Intersecting with the
-    half-spaces where the m slack coordinates are non-negative and projecting
-    them away recovers the solution set of the system, one coordinate at a time.
-    The rows are checked by building the ``LDSystem`` of ``A x >= b``.
+    cone is canonical as built. The apex is (0, -b). ``eliminate`` of its m
+    slack coordinates is ``solve``, which skips the lift. The rows are checked
+    by building the ``LDSystem`` of ``A x >= b``.
     """
     checked = LDSystem(rows, (Relation.GEQ,) * len(rows), rhs)
-    return _lift(checked.rows, checked.rhs)
-
-
-def _lift(rows: IntMat, rhs: IntVec) -> SymbolicCone:
-    """``macmahon_lift`` of rows an ``LDSystem`` has already checked, unchecked."""
-    d = len(rows[0])
-    gens = tuple(tuple(1 if i == j else 0 for i in range(d)) + tuple(r[j] for r in rows)
+    d = len(checked.rows[0])
+    gens = tuple(tuple(1 if i == j else 0 for i in range(d)) + tuple(r[j] for r in checked.rows)
                  for j in reversed(range(d)))
-    return _canonical_cone(gens, (0,) * d + tuple(-b for b in rhs), 1, (0,) * d)
+    return _canonical_cone(gens, (0,) * d + tuple(-b for b in checked.rhs), 1, (0,) * d)
 
 
 def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
-    """Intersect with {x_n >= 0}, drop x_n, return the exact signed sum.
-
-    This is ``eliminate(c, 1)``, so it refuses with ``ValueError`` a cone
-    that is not forward or on which forgetting the last coordinate is not
-    injective on the affine hull (both hold all along the lifted
-    pipeline), even when the result would be empty. The result is a
-    Lawrence-Varchenko style decomposition: one vertex cone per generator
-    crossing the hyperplane, each flipped forward with its sign recorded as
-    multiplicity, plus the cone itself when its apex already lies on or
-    above the hyperplane. Empty when the cone lies strictly below. The
-    identity holds exactly, not merely modulo lines.
-    """
+    """Intersect with {x_n >= 0}, drop x_n, return the exact signed sum: one
+    vertex cone per generator crossing the hyperplane, each flipped forward
+    with its sign as multiplicity, plus the cone itself when its apex lies on
+    or above it (Lawrence-Varchenko, exact pointwise, not modulo lines).
+    This is ``eliminate(c, 1)``, with its checks."""
     return eliminate(c, 1)
 
 
-def _plan(v: IntMat, nonneg: bool) -> tuple:
-    """All that one elimination step does to a cone with generators V and
-    q_n >= 0 (``nonneg``) or q_n < 0, but its apex and bits.
+def _plan(v: IntMat, row: IntVec, nonneg: bool) -> tuple:
+    """The vertex cones of row.x >= beta on a cone with generators V and
+    q_n = row.q - beta >= 0 (``nonneg``) or q_n < 0, but their apexes and bits.
 
-    Without x_n, vertex cone j (v_j crossing x_n = 0 against q) has the
-    columns -sg v_j and sg (last[i] v_j - last[j] v_i) for i != j, sg the
-    sign of q_n; the projected cone (q_n >= 0) has V' (V without x_n). As
-    last[j] != 0 the vertex columns are an invertible transform of V in
-    span(V), so a rank test of V' shows every output independent.
-
-    One ``(sign, gens, perm, toggles, l, head)`` per output cone: its
-    sorted primitive forward columns, sign (-1)^(number reversed), and
-    position p takes the bit of parent generator perm[p] (k: the crossing
-    generator's 0) XOR toggles[p]. The apex is (num_i l - q_n head_i) /
-    (den l), with l = last[j] and head = v_j without x_n for vertex cone
-    j, l = 1 and head = 0 for the projected cone.
+    With l_j = row.v_j and sg the sign of q_n, vertex cone j (l_j sg < 0) has
+    the columns -sg v_j and sg (l_i v_j - l_j v_i) for i != j: an invertible
+    transform of V in span(V), so independent when V is. One ``(sign, gens,
+    perm, toggles, l_j, v_j)`` each: its sorted primitive forward columns,
+    sign (-1)^(number reversed), and position p takes the bit of parent
+    generator perm[p] (k: the crossing generator's 0) XOR toggles[p]. The
+    apex is (num l_j - q_n v_j) / (den l_j).
     """
-    k, m = len(v), len(v[0]) - 1
+    k = len(v)
     sg = 1 if nonneg else -1
-    specs = []
-    for j, vj in enumerate(v):
-        lj, head = vj[-1], vj[:m]
-        if lj * sg < 0:
-            cols = [tuple(sg * (g[-1] * a - lj * b) for a, b in zip(head, g)) for g in v]
-            cols[j] = tuple(-sg * x for x in head)
-            specs.append((cols, j, lj, head))
-    if nonneg:
-        specs.append(([g[:m] for g in v], k, 1, (0,) * m))
+    lengths = [sg * sum(map(operator.mul, row, g)) for g in v]  # sg l_i
     plan = []
-    for cols, j, lj, head in specs:
+    for j, (vj, lj) in enumerate(zip(v, lengths)):
+        if lj >= 0:
+            continue
+        cols = [tuple([li * a - lj * b for a, b in zip(vj, g)]) for g, li in zip(v, lengths)]
+        cols[j] = tuple([-sg * x for x in vj])
         # (forward column, toggle, parent index); the columns are distinct,
         # so this is canonicalize's order
         cols = sorted((g, 0, i) if is_forward(g) else (tuple(-x for x in g), 1, i)
                       for i, g in enumerate(map(prim, cols)))
         toggles = tuple(t for _, t, _ in cols)
         plan.append(((-1) ** sum(toggles), tuple(g for g, _, _ in cols),
-                     tuple(k if i == j else i for _, _, i in cols), toggles, lj, head))
+                     tuple(k if i == j else i for _, _, i in cols), toggles, sg * lj, vj))
     return tuple(plan)
 
 
-def _eliminate(c: SymbolicCone, mult: int, plans: dict) -> Iterator[tuple[int, SymbolicCone]]:
-    """The ``(multiplicity, cone)`` pairs of mult * ``eliminate(c, 1)``,
-    unchecked: the ``_plan`` of (V, q_n >= 0), built once per key in ``plans``,
-    and per cone only each output apex, in lowest terms by one gcd, and its bits."""
-    num, den, q_n = c.num, c.den, c.num[-1]
+def _eliminate(c: SymbolicCone, mult: int, row: IntVec, beta: int,
+               plans: dict) -> Iterator[tuple[int, SymbolicCone]]:
+    """The ``(multiplicity, cone)`` pairs of mult * [c and row.x >= beta],
+    unchecked: ``c`` itself when its apex satisfies the row, then the vertex
+    cones of the ``_plan`` of (V, q_n >= 0), built once per key in ``plans``,
+    each apex in lowest terms by one gcd."""
+    num, den = c.num, c.den
+    q_n = sum(map(operator.mul, row, num)) - beta * den
+    if q_n >= 0:
+        yield mult, c
     key = (c.generators, q_n >= 0)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = _plan(*key)
+        plan = plans[key] = _plan(key[0], row, key[1])
     bits = c.openness + (0,)
-    for sign, gens, perm, toggles, lj, head in plan:
-        apex = [a * lj - q_n * b for a, b in zip(num, head)]
+    for sign, gens, perm, toggles, lj, vj in plan:
+        apex = [a * lj - q_n * b for a, b in zip(num, vj)]
         # divide by the gcd, taking the sign of den * l along
         f = math.gcd(den * lj, *apex) if lj > 0 else -math.gcd(den * lj, *apex)
         out_bits = tuple([bits[i] ^ t for i, t in zip(perm, toggles)])
@@ -189,37 +167,50 @@ def _eliminate(c: SymbolicCone, mult: int, plans: dict) -> Iterator[tuple[int, S
                                            out_bits)
 
 
-def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
-    """Yield the collected combination after each elimination round, unchecked.
-
-    This is the one elimination loop: ``eliminate`` and ``solve`` keep its
-    last combination, and the CLI's ``--verbose`` lines describe each one.
-    ``ConeCombination._collect`` sums the canonical cones ``_eliminate`` emits
-    once per round; cancellation between rounds is what keeps intermediate
-    combinations small, so this is not an optional optimization. Callers
-    pass what ``eliminate`` accepts; ``solve_rounds`` does so by construction.
-    """
-    # the input needs no canonical form: the plans make every output canonical
+def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[ConeCombination]:
+    """Yield [c and the first i half-spaces row.x >= beta] for each i, in c's
+    space, unchecked; c is canonical and forward. Cancellation in each round's
+    one ``_collect`` keeps the rounds small. Plans are per round, as the row is."""
     current = {c: 1}
-    plans: dict = {}
-    for _ in range(rounds):
+    for row, beta in zip(rows, rhs):
+        plans: dict = {}
         current = ConeCombination._collect(chain.from_iterable(
-            _eliminate(parent, mult, plans) for parent, mult in current.items()))
+            _eliminate(parent, mult, row, beta, plans) for parent, mult in current.items()))
         yield current
 
 
+def _project(combination: Mapping[SymbolicCone, int], keep: int) -> ConeCombination:
+    """Every cone without all but its first ``keep`` coordinates, unchecked.
+    The projection is injective on each span, so cones stay distinct and
+    forward; only ``prim``, the order with the bits and the apex's gcd change."""
+    out = []
+    for c, mult in combination.items():
+        pairs = sorted(zip([prim(g[:keep]) for g in c.generators], c.openness))
+        num, f = c.num[:keep], math.gcd(c.den, *c.num[:keep])
+        out.append((mult, _canonical_cone(tuple(g for g, _ in pairs), tuple([a // f for a in num]),
+                                          c.den // f, tuple(b for _, b in pairs))))
+    return ConeCombination._collect(out)
+
+
+def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
+    """Yield ``eliminate(c, r)`` for r = 1..rounds, unchecked: callers pass
+    what ``eliminate`` accepts. The rounds run with the rows x_n >= 0,
+    x_{n-1} >= 0, ... in R^n, and each is projected once."""
+    n = c.ambient_dim
+    for r, combination in enumerate(_rounds(canonicalize(c), identity(n)[::-1], (0,) * rounds)):
+        yield _project(combination, n - r - 1)
+
+
 def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
-    """``eliminate_last_coordinate`` applied ``rounds`` times: the last
-    combination of ``elimination_rounds``, or the canonical input cone with
-    multiplicity 1 when ``rounds`` is 0.
+    """``eliminate_last_coordinate`` applied ``rounds`` times; the canonical
+    input cone with multiplicity 1 when ``rounds`` is 0.
 
     Refuses with ``ValueError`` unless ``rounds`` (an exact integer) lies in
     0..n - k, the generators V0 are forward, and the first n - rounds rows of
-    V0 have full column rank. Every cone of round r has k forward generators
-    in the projection of span(V0) that drops the last r coordinates (see
-    ``_plan``). The last projection is then injective on span(V0), hence so
-    is every earlier one, and every round's V' is independent: the rounds
-    need no check of their own.
+    V0 have full column rank. Every cone of every round has k forward
+    generators in span(V0) (see ``_plan``), on which the final projection is
+    then injective: the rounds need no check, and one projection at the end
+    gives each round's projections.
     """
     rounds = exact_int(rounds)
     if not 0 <= rounds <= c.ambient_dim - c.dim:
@@ -231,8 +222,9 @@ def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
     keep = c.ambient_dim - rounds
     if not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
         raise ValueError(f"generators not linearly independent on the first {keep} rows")
-    last = deque(elimination_rounds(c, rounds), maxlen=1)
-    return last.pop() if last else ConeCombination({canonicalize(c): 1})
+    start = canonicalize(c)
+    last = deque(_rounds(start, identity(c.ambient_dim)[::-1], (0,) * rounds), maxlen=1)
+    return _project(last.pop() if last else {start: 1}, keep)
 
 
 def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
@@ -249,12 +241,20 @@ def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
 
 
 def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
-    """``elimination_rounds`` of the lifted system, one per expanded row,
-    unchecked: ``sys`` was checked when built, and the lift meets every check
-    of ``eliminate``, with d forward generators for m rounds and, as its first
-    d rows, the identity with its columns reversed."""
+    """``_rounds`` from the orthant cone (e_d..e_1) in R^d, one per expanded
+    row, rows last first: round i is the signed cone sum of the solutions of
+    the last i rows. Unchecked, as ``sys`` was checked when built.
+
+    These are ``eliminate``'s rounds on ``macmahon_lift`` without the slack
+    coordinates: every vector in the lift's span is (x, A x) and the rows are
+    integers, so gcd(x, A x) = gcd(x). ``prim``, the forward test, lex order
+    and the apex's lowest terms (gcd(num_x, den) divides A num_x - b den) read
+    the prefix x alone, and each round's cones match the lifted ones one to one.
+    """
     rows, rhs = expand_equalities(sys)
-    return elimination_rounds(_lift(rows, rhs), len(rows))
+    d = sys.num_variables
+    orthant = _canonical_cone(identity(d)[::-1], (0,) * d, 1, (0,) * d)
+    return _rounds(orthant, rows[::-1], rhs[::-1])
 
 
 def solve(sys: LDSystem) -> ConeCombination:

@@ -1,12 +1,13 @@
 """Every recorded CLI output, and the one runner that checks them.
 
-A case is ``(name, argv, stdin, status, expected)``. ``failures`` runs it as
+A case is ``(name, argv, stdin, status, expected)``, or with a sixth field,
+the exact stderr of a ``--verbose`` run. ``failures`` runs it as
 ``python -S -m symcones <argv> -`` with only ``src/`` on ``PYTHONPATH``, so a
 third-party import in the package fails it, and gives each run 30 s.
 
-- Status 0: stderr is empty and stdout ends in one newline. Without it,
-  stdout equals ``expected``, or its SHA-256 does when ``expected`` is a
-  64-digit hex digest.
+- Status 0: stderr equals the sixth field, empty when there is none, and
+  stdout ends in one newline. Without it, stdout equals ``expected``, or its
+  SHA-256 does when ``expected`` is a 64-digit hex digest.
 - Status 2: stdout is empty, and stderr is one line starting ``error: ``.
 
 Run every case with ``PYTHONPATH=src python -S tests/cli_cases.py``: it exits
@@ -31,6 +32,9 @@ RANDOM_12 = "2 -1 5 >= 0\n3 5 0 >= 2\n-3 1 -5 >= -1\n"
 RANDOM_1 = "-3 4 -4 >= 1\n-1 -4 2 >= -2\n2 2 5 >= -4\n"
 KNAPSACK = "2 3 5 7 11 13 = 60\n"
 RS00 = "4 -3 -2 -3 >= -15\n-2 -3 5 5 >= 9\n-4 -3 -1 -5 >= -9\n2 2 5 -4 >= 6\n"
+TABLE_246_444 = ("1 1 1 0 0 0 0 0 0 = 2\n0 0 0 1 1 1 0 0 0 = 4\n0 0 0 0 0 0 1 1 1 = 6\n"
+                 "1 0 0 1 0 0 1 0 0 = 4\n0 1 0 0 1 0 0 1 0 = 4\n")
+DRAW_37_3 = "-1 5 -2 4 -3 >= 5\n-4 -3 1 4 -5 >= -3\n-4 3 5 -1 -4 >= 3\n"
 
 CASES = [
     # -S drops site-packages, so a third-party import in src/ fails here
@@ -61,10 +65,22 @@ CASES = [
     ("check-empty-over-cap", ["check"],
      "1 1 1 1 1 1 1 1 1 >= 100\n-1 -1 -1 -1 -1 -1 -1 -1 -1 >= -5\n", 2, None),
     # elimination plans shared per (V, sign q_n)
-    ("solve-table-246-444", ["solve"],
-     "1 1 1 0 0 0 0 0 0 = 2\n0 0 0 1 1 1 0 0 0 = 4\n0 0 0 0 0 0 1 1 1 = 6\n"
-     "1 0 0 1 0 0 1 0 0 = 4\n0 1 0 0 1 0 0 1 0 = 4\n", 0,
+    ("solve-table-246-444", ["solve"], TABLE_246_444, 0,
      "23f56e85b3986304ae60c4f0c662b0e58f7d1e9a9d60eb6da02fc5399edb9222"),
+    # cones per round and the largest entry of a lifted generator (x, row.x
+    # over the rows not yet eliminated), recorded while solve still lifted
+    ("solve-verbose-table-246-444", ["solve", "--verbose"], TABLE_246_444, 0,
+     "23f56e85b3986304ae60c4f0c662b0e58f7d1e9a9d60eb6da02fc5399edb9222",
+     "".join(f"iteration {i}: {n} cones (bound {b}), max generator entry 1 bits\n"
+             for i, (n, b) in enumerate([(4, 10), (6, 55), (24, 220), (36, 715), (80, 2002),
+                                         (96, 5005), (208, 11440), (272, 24310),
+                                         (464, 48620), (672, 92378)], start=1))),
+    # the first three rows of draw 37: x-space generators alone give bits 3/5/8
+    ("solve-verbose-draw-37-3", ["solve", "--verbose"], DRAW_37_3, 0,
+     "373fad5ae8ac7e57dc9de4806168e04281521f381a5f4e0e2b88c5ac7b179401",
+     "iteration 1: 2 cones (bound 6), max generator entry 5 bits\n"
+     "iteration 2: 7 cones (bound 21), max generator entry 8 bits\n"
+     "iteration 3: 10 cones (bound 56), max generator entry 8 bits\n"),
     # recorded before the apex became integer numerators over one denominator
     ("solve-table-36-333", ["solve"],
      "1 1 1 0 0 0 = 3\n0 0 0 1 1 1 = 6\n1 0 0 1 0 0 = 3\n0 1 0 0 1 0 = 3\n", 0,
@@ -118,7 +134,7 @@ CASES = [
 
 def failures(case) -> list[str]:
     """What went wrong when running ``case``; empty when it passes."""
-    _, argv, stdin, status, expected = case
+    _, argv, stdin, status, expected, *verbose = case
     try:
         proc = subprocess.run([sys.executable, "-S", "-m", "symcones", *argv, "-"],
                               input=stdin.encode(), capture_output=True,
@@ -130,8 +146,9 @@ def failures(case) -> list[str]:
     if proc.returncode != status:
         found.append(f"exit status {proc.returncode}, expected {status}")
     if status == 0:
-        if err:
-            found.append(f"stderr is not empty: {err.splitlines()[0]!r}")
+        if err != "".join(verbose):
+            found.append(f"stderr {err[:200]!r}, expected {''.join(verbose)[:200]!r}"
+                         if verbose else f"stderr is not empty: {err.splitlines()[0]!r}")
         body = out[:-1]
         if not out.endswith(b"\n"):
             found.append("stdout does not end in a newline")

@@ -624,6 +624,34 @@ def test_main_refused_input_prints_one_error_line(monkeypatch, capsys, argv, mes
         assert captured.err.count("\n") == 1
 
 
+def test_run_owns_the_flag_rules(monkeypatch):
+    # a config whose index_threshold did nothing was once run with --method fp;
+    # run refuses it before solving, with main's message, and main checks
+    # nothing of its own
+    sys_ = parse_system("2 3 >= 5\n")
+
+    def no_solve(sys_):
+        raise AssertionError("solved before the flags were checked")
+
+    assert RunConfig("ratfun").index_threshold is None
+    import symcones.cli
+
+    monkeypatch.setattr(symcones.cli, "solve_rounds", no_solve)
+    for config, message in (
+        (RunConfig("ratfun", index_threshold=3), "--index-threshold applies only to --method barvinok"),
+        (RunConfig("ratfun", method="fp", index_threshold=1.5),
+         "--index-threshold applies only to --method barvinok"),
+        (RunConfig("ratfun", vector_exponents=True), "--vector-exponents applies only to --format latex"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            run(config, sys_)
+    monkeypatch.undo()
+    # Barvinok reads None as 1
+    barvinok = RunConfig("ratfun", method="barvinok", fmt="json")
+    assert run(barvinok, sys_) == run(dataclasses.replace(barvinok, index_threshold=1), sys_)
+    assert run(barvinok, sys_) != run(dataclasses.replace(barvinok, index_threshold=3), sys_)
+
+
 def test_main_ratfun_barvinok_takes_index_threshold(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 = 4\n"))
     argv = ["ratfun", "--method", "barvinok", "--index-threshold", "2", "-"]
@@ -666,6 +694,11 @@ def test_cli_case_runner_reports_each_broken_copy():
         ((name, argv, stdin, 2, digest), "exit status 0, expected 2"),
         ((name, [*argv, "--verbose"], stdin, status, digest), "stderr is not empty"),
     ]
+    # bits read off x-space generators alone, not the lifted ones
+    name, argv, stdin, status, digest, lines = CASE["solve-verbose-draw-37-3"]
+    x_only = lines.replace("5 bits", "3 bits").replace("8 bits\ni", "5 bits\ni", 1)
+    assert x_only.count(" 3 bits") == x_only.count(" 5 bits") == x_only.count(" 8 bits") == 1
+    broken.append(((name, argv, stdin, status, digest, x_only), "stderr 'iteration 1"))
     for case, why in broken:
         assert any(why in found for found in failures(case))
 

@@ -25,7 +25,7 @@ from symcones import (
 )
 from symcones.cli import RunConfig, run
 from symcones.elimination import elimination_rounds, expand_equalities, solve_rounds
-from symcones.exactmath import is_forward, mat_vec, prim
+from symcones.exactmath import identity, is_forward, mat_vec, prim
 from _support import (
     assert_canonical_by_construction,
     box_points,
@@ -447,10 +447,10 @@ def test_elimination_refuses_a_dependent_projection_before_any_round(monkeypatch
     empty_first = cone([(1, 0, -1), (0, 1, 0)], (0, 0, -5))
     import symcones.elimination
 
-    def no_round(c, rounds):
+    def no_round(c, rows, rhs):
         raise AssertionError("a round ran before the check")
 
-    monkeypatch.setattr(symcones.elimination, "elimination_rounds", no_round)
+    monkeypatch.setattr(symcones.elimination, "_rounds", no_round)
     for c, rounds in ((dependent, 1), (empty_first, 2)):
         with pytest.raises(ValueError, match="not linearly independent"):
             eliminate(c, rounds)
@@ -511,22 +511,26 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
         made.append(out)
         return out
 
-    def counted_eliminate(c, mult, plans):
-        pairs = list(real_eliminate(c, mult, plans))
+    def counted_eliminate(c, mult, row, beta, plans):
+        pairs = list(real_eliminate(c, mult, row, beta, plans))
         # the parent's multiplicity times the sign of each unit pair
-        assert pairs == [(mult * sign, c2) for sign, c2 in real_eliminate(c, 1, plans)]
+        assert pairs == [(mult * sign, c2) for sign, c2 in real_eliminate(c, 1, row, beta, plans)]
         calls.append((c, mult, pairs))
         return pairs
 
     monkeypatch.setattr(ConeCombination, "__init__", counted_init)
     monkeypatch.setattr(ConeCombination, "_collect", classmethod(counted_collect))
     monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
-    rows, rhs = expand_equalities(table_system((2, 4, 6), (4, 4, 4)))
-    lifted = macmahon_lift(rows, rhs)
-    parents, emitted = {lifted: 1}, 0
-    for combination in elimination_rounds(lifted, len(rows)):
+    rounds = solve_rounds(table_system((2, 4, 6), (4, 4, 4)))
+    parents, emitted = None, 0
+    for combination in rounds:
         assert len(made) == 1 and made[0] is combination
-        # every parent is eliminated once, with its own multiplicity
+        # every parent is eliminated once, with its own multiplicity; the
+        # first round's one parent is the orthant cone
+        if parents is None:
+            (orthant, mult), = {c: m for c, m, _ in calls}.items()
+            assert mult == 1 and orthant.generators == tuple(reversed(identity(9)))
+            parents = {orthant: 1}
         assert len(calls) == len(parents)
         assert {c for c, _, _ in calls} == set(parents)
         assert all(mult == parents[c] for c, mult, _ in calls)
@@ -550,36 +554,45 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
 def test_elimination_builds_one_plan_per_generator_key(
     monkeypatch, row_sums, col_sums, plans, parents
 ):
-    # one plan per distinct (V, q_n >= 0) among all parents of all rounds
+    # one plan per distinct (V, q_n >= 0) among the parents of each round;
+    # the expanded rows of a table are distinct, so the row names the round
     import symcones.elimination
 
     built = []
     real_plan = symcones.elimination._plan
 
-    def counted_plan(v, nonneg):
-        built.append((v, nonneg))
-        return real_plan(v, nonneg)
+    def counted_plan(v, row, nonneg):
+        built.append((v, row, nonneg))
+        return real_plan(v, row, nonneg)
 
     monkeypatch.setattr(symcones.elimination, "_plan", counted_plan)
-    rows, rhs = expand_equalities(table_system(row_sums, col_sums))
-    sizes = [1] + [len(comb) for comb in elimination_rounds(macmahon_lift(rows, rhs), len(rows))]
+    sys_ = table_system(row_sums, col_sums)
+    sizes = [1] + [len(comb) for comb in solve_rounds(sys_)]
     assert sum(sizes[:-1]) == parents
     assert len(built) == len(set(built)) == plans
+    assert len(set(expand_equalities(sys_)[0])) == len(sizes) - 1
 
 
 def test_plan_step_matches_per_cone_reference():
-    # every round of seeded random lifted systems and two bench tables: the
-    # (sign, cone) multiset of each parent, from plans shared across the
-    # parents of a run, equals a Fraction rebuild of that parent alone
-    from symcones.elimination import _eliminate
+    # every round of seeded random lifted systems and two bench tables, on
+    # the user-cone path: the (sign, cone) multiset of each parent, from
+    # plans shared across the parents of a round, intersected with x_n >= 0
+    # in R^n and then projected, equals a Fraction rebuild of that parent alone
+    from symcones.elimination import _eliminate, _project
 
     def check_rounds(sys_) -> Counter:
         rows, rhs = expand_equalities(sys_)
         lift = macmahon_lift(rows, rhs)
-        parents, plans, seen = [canonicalize(lift)], {}, Counter()
-        for comb in elimination_rounds(lift, len(rows)):
+        parents, seen = [canonicalize(lift)], Counter()
+        for r, comb in enumerate(elimination_rounds(lift, len(rows))):
+            n = lift.ambient_dim - r
+            row, plans = tuple(int(i == n - 1) for i in range(n)), {}
             for c in parents:
-                assert Counter(_eliminate(c, 1, plans)) == reference_elimination_step(c)
+                got = Counter()
+                for sign, c2 in _eliminate(c, 1, row, 0, plans):
+                    (projected, mult), = _project({c2: sign}, n - 1).items()
+                    got[mult, projected] += 1
+                assert got == reference_elimination_step(c)
                 seen["below" if c.num[-1] < 0 else "above"] += 1
                 seen["open"] += any(c.openness)
             parents = list(comb)
@@ -592,3 +605,65 @@ def test_plan_step_matches_per_cone_reference():
     assert seen["below"] > 40 and seen["above"] > 40 and seen["open"] > 40
     for row_sums, col_sums in (((3, 6), (3, 3, 3)), ((2, 4, 6), (4, 4, 4))):
         assert sum(check_rounds(table_system(row_sums, col_sums)).values()) > 0
+
+
+def _random_mixed_system(rng, d, equalities, inequalities) -> LDSystem:
+    rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(equalities + inequalities)]
+    relations = ["="] * equalities + [">="] * inequalities
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return system([rows[i] for i in order], [relations[i] for i in order],
+                  [rng.randint(-3, 6) for _ in order])
+
+
+def test_solve_rounds_match_brute_force_of_the_last_rows():
+    # round i of solve_rounds is the solution set of the last i expanded
+    # rows over x >= 0, pointwise on a box around it
+    rng = random.Random(30)
+    seen = Counter()
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        sys_ = _random_mixed_system(rng, d, rng.randint(1, 2), rng.randint(0, 1))
+        rows, rhs = expand_equalities(sys_)
+        hi = 4 if d < 4 else 3
+        for i, comb in enumerate(solve_rounds(sys_), start=1):
+            last = system(rows[-i:], [">="] * i, rhs[-i:])
+            for x in box_points(d, -1, hi):
+                want = int(min(x) >= 0 and last.satisfies(x))
+                assert eval_combination(comb, x) == want, (sys_, i, x)
+                seen[want] += 1
+        assert i == len(rows)
+    assert seen[1] > 500 and seen[0] > 500, seen
+
+
+@pytest.mark.parametrize("sys_", [
+    table_system((2, 4), (2, 2, 2)), table_system((2, 4, 6), (4, 4, 4)),
+], ids=["table-23", "table-33"])
+def test_solve_equals_eliminate_of_the_lift_on_tables(sys_):
+    rows, rhs = expand_equalities(sys_)
+    assert solve(sys_) == eliminate(macmahon_lift(rows, rhs), len(rows))
+
+
+def test_solve_equals_eliminate_of_the_lift_on_random_systems():
+    # the rows are integers, so gcd(x, A x) = gcd(x): eliminating rows in R^d
+    # gives the lifted route's cones field by field, round by round
+    rng = random.Random(29)
+    relations = Counter()
+    for _ in range(50):
+        d = rng.randint(1, 4)
+        sys_ = _random_mixed_system(rng, d, rng.randint(0, 2), rng.randint(1, 2))
+        rows, rhs = expand_equalities(sys_)
+        lift = macmahon_lift(rows, rhs)
+        assert list(solve_rounds(sys_)) == [
+            _project_slack(comb, d) for comb in elimination_rounds(lift, len(rows))]
+        assert solve(sys_) == eliminate(lift, len(rows))
+        relations.update(sys_.relations)
+    assert min(relations.values()) > 40, relations
+
+
+def _project_slack(comb: ConeCombination, d: int) -> ConeCombination:
+    """A lifted round with its remaining slack coordinates dropped, by ``cone``."""
+    out = ConeCombination()
+    for c, mult in comb.items():
+        out.add(cone([g[:d] for g in c.generators], c.apex[:d], c.openness), mult)
+    return out
