@@ -107,8 +107,9 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     """Intersect with {x_n >= 0}, drop x_n, return the exact signed sum: one
     vertex cone per generator crossing the hyperplane, each flipped forward
     with its sign as multiplicity, plus the cone itself when its apex lies on
-    or above it (Lawrence-Varchenko, exact pointwise, not modulo lines).
-    This is ``eliminate(c, 1)``, with its checks."""
+    or above it; empty when the cone lies strictly below. Exact pointwise, not
+    modulo lines. This is ``eliminate(c, 1)``: a backward generator or a
+    projection not injective on the cone is refused, even if the result is empty."""
     return eliminate(c, 1)
 
 
@@ -121,10 +122,9 @@ def _plan(v: IntMat, row: IntVec, nonneg: bool) -> tuple:
     transform of V in span(V), so independent when V is. One ``(sign, gens,
     perm, toggles, l_j, v_j)`` each: its sorted primitive forward columns,
     sign (-1)^(number reversed), and position p takes the bit of parent
-    generator perm[p] (k: the crossing generator's 0) XOR toggles[p]. The
+    generator perm[p] (k = len(V): the crossing generator's 0) XOR toggles[p]. The
     apex is (num l_j - q_n v_j) / (den l_j).
     """
-    k = len(v)
     sg = 1 if nonneg else -1
     lengths = [sg * sum(map(operator.mul, row, g)) for g in v]  # sg l_i
     plan = []
@@ -139,7 +139,7 @@ def _plan(v: IntMat, row: IntVec, nonneg: bool) -> tuple:
                       for i, g in enumerate(map(prim, cols)))
         toggles = tuple(t for _, t, _ in cols)
         plan.append(((-1) ** sum(toggles), tuple(g for g, _, _ in cols),
-                     tuple(k if i == j else i for _, _, i in cols), toggles, sg * lj, vj))
+                     tuple(len(v) if i == j else i for _, _, i in cols), toggles, sg * lj, vj))
     return tuple(plan)
 
 

@@ -146,9 +146,10 @@ def failures(case) -> list[str]:
     if proc.returncode != status:
         found.append(f"exit status {proc.returncode}, expected {status}")
     if status == 0:
-        if err != "".join(verbose):
-            found.append(f"stderr {err[:200]!r}, expected {''.join(verbose)[:200]!r}"
-                         if verbose else f"stderr is not empty: {err.splitlines()[0]!r}")
+        want = "".join(verbose)
+        if err != want:
+            found.append(f"stderr {err[:200]!r}, expected {want[:200]!r}"
+                         if want else f"stderr is not empty: {err.splitlines()[0]!r}")
         body = out[:-1]
         if not out.endswith(b"\n"):
             found.append("stdout does not end in a newline")

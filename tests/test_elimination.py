@@ -146,7 +146,7 @@ def test_entry_points_refuse_inexact_integers():
 
 
 def test_solve_checks_a_built_system_once(monkeypatch):
-    # solve_rounds lifts the rows the system's constructor already checked,
+    # solve_rounds runs the rows the system's constructor already checked,
     # so solving a built system constructs no second LDSystem; the public
     # macmahon_lift keeps its check
     sys_ = table_system((2, 4), (3, 2, 1))
@@ -416,7 +416,7 @@ def test_vertex_apexes_match_fraction_recomputation():
 
 def test_solve_runs_one_rank_test(monkeypatch):
     # the bench 3x3 table: eliminate runs one test on the lift, and solve
-    # none, as the lift passes it by construction; none per round and none
+    # none, as its rows pass it by construction; none per round and none
     # in canonicalize
     import symcones.cones
     import symcones.elimination
@@ -543,8 +543,9 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
         made.clear()
         calls.clear()
         parents = combination
-    # a path around _eliminate would pass the sums above with nothing emitted
-    assert emitted and len(combination) > 0
+    # a path around _eliminate would pass the sums above with nothing
+    # emitted; the lifted route emitted these 2502 cones too
+    assert emitted == 2502 and len(combination) == 672
 
 
 @pytest.mark.parametrize("row_sums, col_sums, plans, parents", [
@@ -644,6 +645,14 @@ def test_solve_equals_eliminate_of_the_lift_on_tables(sys_):
     assert solve(sys_) == eliminate(macmahon_lift(rows, rhs), len(rows))
 
 
+def _project_slack(comb: ConeCombination, d: int) -> ConeCombination:
+    """A lifted round with its remaining slack coordinates dropped, by ``cone``."""
+    out = ConeCombination()
+    for c, mult in comb.items():
+        out.add(cone([g[:d] for g in c.generators], c.apex[:d], c.openness), mult)
+    return out
+
+
 def test_solve_equals_eliminate_of_the_lift_on_random_systems():
     # the rows are integers, so gcd(x, A x) = gcd(x): eliminating rows in R^d
     # gives the lifted route's cones field by field, round by round
@@ -659,11 +668,3 @@ def test_solve_equals_eliminate_of_the_lift_on_random_systems():
         assert solve(sys_) == eliminate(lift, len(rows))
         relations.update(sys_.relations)
     assert min(relations.values()) > 40, relations
-
-
-def _project_slack(comb: ConeCombination, d: int) -> ConeCombination:
-    """A lifted round with its remaining slack coordinates dropped, by ``cone``."""
-    out = ConeCombination()
-    for c, mult in comb.items():
-        out.add(cone([g[:d] for g in c.generators], c.apex[:d], c.openness), mult)
-    return out
