@@ -232,11 +232,12 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
         raise ParseError("--vector-exponents applies only to --format latex")
     d = sys_.num_variables
     diagnostics = []
+    rows = expand_equalities(sys_)[0] if config.verbose else ()
     # there is at least one round, so ``combination`` is always bound
     for i, combination in enumerate(solve_rounds(sys_), start=1):
         if config.verbose:
             # the lifted generator's entries: g, and row.g for the rows still pending
-            pending = expand_equalities(sys_)[0][:-i]
+            pending = rows[:-i]
             bits = max((abs(x).bit_length() for c in combination for g in c.generators
                         for x in (*g, *(sum(map(operator.mul, r, g)) for r in pending))),
                        default=0)

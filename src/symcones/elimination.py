@@ -17,6 +17,9 @@ drops the eliminated coordinates once (``_project``). A step branches only
 on the generators V and the sign of q_n = row.q - beta: ``_plan`` builds the
 vertex cones' generators, order, toggles and signs once per (V, sign q_n)
 and round, and per cone ``_eliminate`` computes only each apex and its bits.
+The plans of one V share a table of pair columns w_ab = l_a v_b - l_b v_a
+(l_i = row.v_i): column i of vertex cone j is sg w_ij = -sg w_ji, with sg
+the sign of q_n, so each pair is made primitive once per V and round.
 """
 
 from __future__ import annotations
@@ -113,69 +116,95 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
     return eliminate(c, 1)
 
 
-def _plan(v: IntMat, row: IntVec, nonneg: bool) -> tuple:
+def _plan(v: IntMat, lengths: list[int], pairs: dict, nonneg: bool) -> tuple:
     """The vertex cones of row.x >= beta on a cone with generators V and
     q_n = row.q - beta >= 0 (``nonneg``) or q_n < 0, but their apexes and bits.
 
-    With l_j = row.v_j and sg the sign of q_n, vertex cone j (l_j sg < 0) has
-    the columns -sg v_j and sg (l_i v_j - l_j v_i) for i != j: an invertible
-    transform of V in span(V), so independent when V is. One ``(sign, gens,
-    perm, toggles, l_j, v_j)`` each: its sorted primitive forward columns,
-    sign (-1)^(number reversed), and position p takes the bit of parent
-    generator perm[p] (k = len(V): the crossing generator's 0) XOR toggles[p]. The
-    apex is (num l_j - q_n v_j) / (den l_j).
+    With l_i = row.v_i (``lengths``) and sg the sign of q_n, vertex cone j
+    (sg l_j < 0) has the crossing column -sg v_j and the columns sg w_ij for
+    i != j, where w_ab = l_a v_b - l_b v_a: an invertible transform of V in
+    span(V), so independent when V is. As w_ab = -w_ba and sg enters only as a
+    sign, ``pairs`` (shared by both signs of one V and row) keeps one forward
+    ``prim`` of w_ab and its flip bit per pair a < b, made on first use. The
+    round's generators are primitive and forward, so a column with l_i = 0 is
+    v_i and the crossing column is v_j, flipped when q_n >= 0: neither needs
+    ``prim``. One ``(sign, gens, perm, toggles, l_j, v_j)`` per vertex cone:
+    its sorted primitive forward columns, sign (-1)^(number reversed), and
+    position p takes the bit of parent generator perm[p] (k = len(V): the
+    crossing generator's 0) XOR toggles[p]. The apex is
+    (num l_j - q_n v_j) / (den l_j).
     """
     sg = 1 if nonneg else -1
-    lengths = [sg * sum(map(operator.mul, row, g)) for g in v]  # sg l_i
     plan = []
     for j, (vj, lj) in enumerate(zip(v, lengths)):
-        if lj >= 0:
+        if sg * lj >= 0:
             continue
-        cols = [tuple([li * a - lj * b for a, b in zip(vj, g)]) for g, li in zip(v, lengths)]
-        cols[j] = tuple([-sg * x for x in vj])
         # (forward column, toggle, parent index); the columns are distinct,
         # so this is canonicalize's order
-        cols = sorted((g, 0, i) if is_forward(g) else (tuple(-x for x in g), 1, i)
-                      for i, g in enumerate(map(prim, cols)))
-        toggles = tuple(t for _, t, _ in cols)
-        plan.append(((-1) ** sum(toggles), tuple(g for g, _, _ in cols),
-                     tuple(len(v) if i == j else i for _, _, i in cols), toggles, sg * lj, vj))
+        cols = [(vj, int(nonneg), len(v))]
+        for i, (vi, li) in enumerate(zip(v, lengths)):
+            if i == j:
+                continue
+            if li == 0:
+                cols.append((vi, 0, i))
+                continue
+            a, b = (i, j) if i < j else (j, i)
+            entry = pairs.get((a, b))
+            if entry is None:
+                w = prim([lengths[a] * y - lengths[b] * x for x, y in zip(v[a], v[b])])
+                entry = pairs[a, b] = (w, 0) if is_forward(w) else (tuple([-x for x in w]), 1)
+            # sg w_ij is sg w_ab for i < j and -sg w_ab for i > j
+            cols.append((entry[0], entry[1] ^ ((i < j) != nonneg), i))
+        cols.sort()
+        toggles = tuple([t for _, t, _ in cols])
+        plan.append(((-1) ** sum(toggles), tuple([g for g, _, _ in cols]),
+                     tuple([i for _, _, i in cols]), toggles, lj, vj))
     return tuple(plan)
 
 
 def _eliminate(c: SymbolicCone, mult: int, row: IntVec, beta: int,
-               plans: dict) -> Iterator[tuple[int, SymbolicCone]]:
+               tables: dict) -> list[tuple[int, SymbolicCone]]:
     """The ``(multiplicity, cone)`` pairs of mult * [c and row.x >= beta],
     unchecked: ``c`` itself when its apex satisfies the row, then the vertex
-    cones of the ``_plan`` of (V, q_n >= 0), built once per key in ``plans``,
-    each apex in lowest terms by one gcd."""
+    cones of the ``_plan`` of (V, q_n >= 0). ``tables`` holds one entry per V
+    and row: the lengths row.v_i, the pair columns both signs share, and the
+    plan of each sign, built on first use. Each apex is put in lowest terms by
+    one gcd."""
     num, den = c.num, c.den
     q_n = sum(map(operator.mul, row, num)) - beta * den
-    if q_n >= 0:
-        yield mult, c
-    key = (c.generators, q_n >= 0)
-    plan = plans.get(key)
+    nonneg = q_n >= 0
+    out = [(mult, c)] if nonneg else []
+    v = c.generators
+    table = tables.get(v)
+    if table is None:
+        table = tables[v] = ([sum(map(operator.mul, row, g)) for g in v], {}, [None, None])
+    lengths, pairs, plans = table
+    plan = plans[nonneg]
     if plan is None:
-        plan = plans[key] = _plan(key[0], row, key[1])
+        plan = plans[nonneg] = _plan(v, lengths, pairs, nonneg)
     bits = c.openness + (0,)
     for sign, gens, perm, toggles, lj, vj in plan:
         apex = [a * lj - q_n * b for a, b in zip(num, vj)]
         # divide by the gcd, taking the sign of den * l along
-        f = math.gcd(den * lj, *apex) if lj > 0 else -math.gcd(den * lj, *apex)
-        out_bits = tuple([bits[i] ^ t for i, t in zip(perm, toggles)])
-        yield mult * sign, _canonical_cone(gens, tuple([a // f for a in apex]), den * lj // f,
-                                           out_bits)
+        f = math.gcd(den * lj, *apex)
+        if lj < 0:
+            f = -f
+        if f != 1:
+            apex = [a // f for a in apex]
+        out.append((mult * sign, _canonical_cone(
+            gens, tuple(apex), den * lj // f, tuple([bits[i] ^ t for i, t in zip(perm, toggles)]))))
+    return out
 
 
 def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[ConeCombination]:
     """Yield [c and the first i half-spaces row.x >= beta] for each i, in c's
     space, unchecked; c is canonical and forward. Cancellation in each round's
-    one ``_collect`` keeps the rounds small. Plans are per round, as the row is."""
+    one ``_collect`` keeps the rounds small. Plan tables are per round, as the row is."""
     current = {c: 1}
     for row, beta in zip(rows, rhs):
-        plans: dict = {}
+        tables: dict = {}
         current = ConeCombination._collect(chain.from_iterable(
-            _eliminate(parent, mult, row, beta, plans) for parent, mult in current.items()))
+            _eliminate(parent, mult, row, beta, tables) for parent, mult in current.items()))
         yield current
 
 
@@ -192,12 +221,17 @@ def _project(combination: Mapping[SymbolicCone, int], keep: int) -> ConeCombinat
     return ConeCombination._collect(out)
 
 
+def _unit_rows(n: int, rounds: int) -> list[IntVec]:
+    """The rows of x_n >= 0, x_{n-1} >= 0, ...: one per round, in R^n."""
+    return [tuple([0] * p + [1] + [0] * (n - 1 - p)) for p in range(n - 1, n - 1 - rounds, -1)]
+
+
 def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination]:
     """Yield ``eliminate(c, r)`` for r = 1..rounds, unchecked: callers pass
     what ``eliminate`` accepts. The rounds run with the rows x_n >= 0,
     x_{n-1} >= 0, ... in R^n, and each is projected once."""
     n = c.ambient_dim
-    for r, combination in enumerate(_rounds(canonicalize(c), identity(n)[::-1], (0,) * rounds)):
+    for r, combination in enumerate(_rounds(canonicalize(c), _unit_rows(n, rounds), (0,) * rounds)):
         yield _project(combination, n - r - 1)
 
 
@@ -223,7 +257,7 @@ def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
     if not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
         raise ValueError(f"generators not linearly independent on the first {keep} rows")
     start = canonicalize(c)
-    last = deque(_rounds(start, identity(c.ambient_dim)[::-1], (0,) * rounds), maxlen=1)
+    last = deque(_rounds(start, _unit_rows(c.ambient_dim, rounds), (0,) * rounds), maxlen=1)
     return _project(last.pop() if last else {start: 1}, keep)
 
 

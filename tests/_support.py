@@ -15,8 +15,10 @@ reference directions (``_leaves``); ``lattice_points_in_box``, a box
 scan through the package's own ``contains``; and ``reference_term_count``,
 the count by the package's rendered Barvinok terms (sorted, flipped
 forward, each a ``RatFunTerm``), against which the term-free count is
-checked; and ``reference_run_check``, ``check`` as a point-by-point scan
-through ``eval_combination``, against which the line scan is checked.
+checked; ``reference_run_check``, ``check`` as a point-by-point scan
+through ``eval_combination``, against which the line scan is checked; and
+``reference_plan``, the vertex-cone plan built column by column through the
+package's ``prim``, against which the shared pair table is checked.
 """
 
 from collections import Counter
@@ -25,6 +27,7 @@ from functools import lru_cache
 from itertools import combinations, product
 import json
 from math import ceil, factorial, floor, gcd, lcm
+import operator
 import random
 
 from symcones import (
@@ -32,7 +35,7 @@ from symcones import (
     eval_combination,
 )
 from symcones.barvinok import _leaves, _tree, decompose_combination
-from symcones.exactmath import IntMat, det, mat_vec
+from symcones.exactmath import IntMat, det, is_forward, mat_vec, prim
 from symcones.ratfun import _pick_direction, combination_to_ratfun, evaluate_count
 
 
@@ -434,6 +437,36 @@ def reference_elimination_step(c: SymbolicCone) -> Counter:
         gens = tuple(g for g, _ in pairs)
         out[sign, SymbolicCone(gens, apex[:-1], tuple(b for _, b in pairs))] += 1
     return out
+
+
+def reference_plan(v: IntMat, row, nonneg: bool) -> tuple:
+    """The vertex cones of row.x >= beta on a cone with generators V and
+    q_n = row.q - beta >= 0 (``nonneg``) or q_n < 0, but their apexes and bits.
+
+    With l_j = row.v_j and sg the sign of q_n, vertex cone j (l_j sg < 0) has
+    the columns -sg v_j and sg (l_i v_j - l_j v_i) for i != j: an invertible
+    transform of V in span(V), so independent when V is. One ``(sign, gens,
+    perm, toggles, l_j, v_j)`` each: its sorted primitive forward columns,
+    sign (-1)^(number reversed), and position p takes the bit of parent
+    generator perm[p] (k = len(V): the crossing generator's 0) XOR toggles[p]. The
+    apex is (num l_j - q_n v_j) / (den l_j).
+    """
+    sg = 1 if nonneg else -1
+    lengths = [sg * sum(map(operator.mul, row, g)) for g in v]  # sg l_i
+    plan = []
+    for j, (vj, lj) in enumerate(zip(v, lengths)):
+        if lj >= 0:
+            continue
+        cols = [tuple([li * a - lj * b for a, b in zip(vj, g)]) for g, li in zip(v, lengths)]
+        cols[j] = tuple([-sg * x for x in vj])
+        # (forward column, toggle, parent index); the columns are distinct,
+        # so this is canonicalize's order
+        cols = sorted((g, 0, i) if is_forward(g) else (tuple(-x for x in g), 1, i)
+                      for i, g in enumerate(map(prim, cols)))
+        toggles = tuple(t for _, t, _ in cols)
+        plan.append(((-1) ** sum(toggles), tuple(g for g, _, _ in cols),
+                     tuple(len(v) if i == j else i for _, _, i in cols), toggles, sg * lj, vj))
+    return tuple(plan)
 
 
 def box_points(dim: int, lo: int, hi: int):

@@ -34,6 +34,7 @@ from _support import (
     random_system,
     reference_elimination_apexes,
     reference_elimination_step,
+    reference_plan,
     table_system,
 )
 
@@ -511,10 +512,10 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
         made.append(out)
         return out
 
-    def counted_eliminate(c, mult, row, beta, plans):
-        pairs = list(real_eliminate(c, mult, row, beta, plans))
+    def counted_eliminate(c, mult, row, beta, tables):
+        pairs = real_eliminate(c, mult, row, beta, tables)
         # the parent's multiplicity times the sign of each unit pair
-        assert pairs == [(mult * sign, c2) for sign, c2 in real_eliminate(c, 1, row, beta, plans)]
+        assert pairs == [(mult * sign, c2) for sign, c2 in real_eliminate(c, 1, row, beta, tables)]
         calls.append((c, mult, pairs))
         return pairs
 
@@ -559,13 +560,20 @@ def test_elimination_builds_one_plan_per_generator_key(
     # the expanded rows of a table are distinct, so the row names the round
     import symcones.elimination
 
-    built = []
-    real_plan = symcones.elimination._plan
+    built, current_row = [], []
+    real_plan, real_eliminate = symcones.elimination._plan, symcones.elimination._eliminate
 
-    def counted_plan(v, row, nonneg):
+    def counted_eliminate(c, mult, row, beta, tables):
+        current_row[:] = [row]
+        return real_eliminate(c, mult, row, beta, tables)
+
+    def counted_plan(v, lengths, pairs, nonneg):
+        (row,) = current_row
+        assert lengths == [sum(a * b for a, b in zip(row, g)) for g in v]
         built.append((v, row, nonneg))
-        return real_plan(v, row, nonneg)
+        return real_plan(v, lengths, pairs, nonneg)
 
+    monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
     monkeypatch.setattr(symcones.elimination, "_plan", counted_plan)
     sys_ = table_system(row_sums, col_sums)
     sizes = [1] + [len(comb) for comb in solve_rounds(sys_)]
@@ -587,10 +595,10 @@ def test_plan_step_matches_per_cone_reference():
         parents, seen = [canonicalize(lift)], Counter()
         for r, comb in enumerate(elimination_rounds(lift, len(rows))):
             n = lift.ambient_dim - r
-            row, plans = tuple(int(i == n - 1) for i in range(n)), {}
+            row, tables = tuple(int(i == n - 1) for i in range(n)), {}
             for c in parents:
                 got = Counter()
-                for sign, c2 in _eliminate(c, 1, row, 0, plans):
+                for sign, c2 in _eliminate(c, 1, row, 0, tables):
                     (projected, mult), = _project({c2: sign}, n - 1).items()
                     got[mult, projected] += 1
                 assert got == reference_elimination_step(c)
@@ -606,6 +614,76 @@ def test_plan_step_matches_per_cone_reference():
     assert seen["below"] > 40 and seen["above"] > 40 and seen["open"] > 40
     for row_sums, col_sums in (((3, 6), (3, 3, 3)), ((2, 4, 6), (4, 4, 4))):
         assert sum(check_rounds(table_system(row_sums, col_sums)).values()) > 0
+
+
+def test_plan_matches_the_column_by_column_reference(monkeypatch):
+    # random forward primitive V (k <= n <= 6, entries in [-4, 4]) and rows,
+    # a third or more with some l_i = 0: both signs' plans, built from one
+    # pair table in either order, equal the reference plan, which prims every
+    # column of every vertex cone; each pair's column is prim'd once
+    import symcones.elimination
+    from symcones.elimination import _plan
+
+    calls = []
+    real_prim = symcones.elimination.prim
+
+    def counted_prim(w):
+        calls.append(w)
+        return real_prim(w)
+
+    monkeypatch.setattr(symcones.elimination, "prim", counted_prim)
+    rng = random.Random(31)
+    seen = Counter()
+    while seen["tables"] < 300:
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        v = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+        if gauss_rank(v) < k:
+            continue
+        v = tuple(sorted(g if is_forward(g) else tuple(-x for x in g) for g in map(prim, v)))
+        row = [rng.randint(-4, 4) for _ in range(n)]
+        if rng.random() < 0.4:
+            # project the row onto the orthogonal complement of one generator
+            vi = rng.choice(v)
+            dot, norm = sum(a * b for a, b in zip(row, vi)), sum(a * a for a in vi)
+            row = [norm * a - dot * b for a, b in zip(row, vi)]
+        row = tuple(row)
+        lengths = [sum(a * b for a, b in zip(row, g)) for g in v]
+        pairs, signs = {}, [True, False]
+        rng.shuffle(signs)
+        calls.clear()
+        for nonneg in signs:
+            plan = _plan(v, lengths, pairs, nonneg)
+            assert plan == reference_plan(v, row, nonneg), (v, row, nonneg)
+            seen["vertex cones"] += len(plan)
+        assert len(calls) == len(pairs) == len({tuple(w) for w in calls})
+        assert all(a < b and lengths[a] and lengths[b] for a, b in pairs)
+        seen["tables"] += 1
+        seen["zero length"] += 0 in lengths
+    assert seen["zero length"] * 3 >= seen["tables"], seen
+    assert seen["vertex cones"] > 500, seen
+
+
+@pytest.mark.parametrize("row_sums, col_sums, prims", [
+    ((3, 6), (3, 3, 3), 110),
+    ((2, 4, 6), (4, 4, 4), 475),
+])
+def test_solve_prims_each_pair_column_once(monkeypatch, row_sums, col_sums, prims):
+    # the two bench table shapes: one prim per pair {a, b} of a generator
+    # matrix and a round, whatever the signs and vertex cones that read it
+    # (402 and 1944 when every column of every plan was prim'd)
+    import symcones.elimination
+
+    calls = []
+    real_prim = symcones.elimination.prim
+
+    def counted_prim(w):
+        calls.append(w)
+        return real_prim(w)
+
+    monkeypatch.setattr(symcones.elimination, "prim", counted_prim)
+    solve(table_system(row_sums, col_sums))
+    assert len(calls) == prims
 
 
 def _random_mixed_system(rng, d, equalities, inequalities) -> LDSystem:
