@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .barvinok import decompose_combination
 from .cones import ConeCombination, _product_sums, _share_inverse_pairs
-from .elimination import LDSystem, expand_equalities, solve_rounds
+from .elimination import LDSystem, _solve_groups, expand_equalities
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
 
@@ -233,18 +233,19 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
     d = sys_.num_variables
     diagnostics = []
     rows = expand_equalities(sys_)[0] if config.verbose else ()
-    # there is at least one round, so ``combination`` is always bound
-    for i, combination in enumerate(solve_rounds(sys_), start=1):
+    # there is at least one round, so ``groups`` is always bound
+    for i, groups in enumerate(_solve_groups(sys_), start=1):
         if config.verbose:
             # the lifted generator's entries: g, and row.g for the rows still pending
             pending = rows[:-i]
-            bits = max((abs(x).bit_length() for c in combination for g in c.generators
+            bits = max((abs(x).bit_length() for v in groups for g in v
                         for x in (*g, *(sum(map(operator.mul, r, g)) for r in pending))),
                        default=0)
             diagnostics.append(
-                f"iteration {i}: {len(combination)} cones "
+                f"iteration {i}: {sum(map(len, groups.values()))} cones "
                 f"(bound {math.comb(d + i, d)}), max generator entry {bits} bits"
             )
+    combination = ConeCombination._from_groups(groups)
     if config.subcommand == "solve":
         return 0, combination_to_json(combination, sys_.num_variables), diagnostics
     if config.subcommand == "ratfun":

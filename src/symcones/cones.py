@@ -67,9 +67,6 @@ class SymbolicCone:
     openness: tuple[int, ...]
     # set only by _canonical_cone, never by callers
     _canonical = False
-    # cones are dict keys in every elimination round, so the hash is
-    # computed once, on first use
-    _hash = None
     _inverse = None  # see _inverse_pair
 
     def __init__(self, generators: Iterable[Sequence[int]], apex: Sequence[Scalar] | None = None,
@@ -98,13 +95,6 @@ class SymbolicCone:
         den = math.lcm(*(a.denominator for a in apex))
         num = tuple(a.numerator * (den // a.denominator) for a in apex)
         self.__dict__.update(generators=generators, num=num, den=den, openness=openness)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.generators, self.num, self.den, self.openness))
-            self.__dict__["_hash"] = h
-        return h
 
     @property
     def apex(self) -> RatVec:
@@ -233,8 +223,8 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     are dropped on the fly. Cones are immutable and cone operations pure;
     summing by canonical key is the one mutable step, and the one point
     needing exclusivity if callers ever parallelize over cones. ``_collect``
-    sums package-built cones (canonical, of one dimension) unchecked;
-    ``__init__``, ``add`` and ``__getitem__`` canonicalize any other cone,
+    and ``_from_groups`` take package-built cones (canonical, of one dimension)
+    unchecked; ``__init__``, ``add`` and ``__getitem__`` canonicalize others,
     and ``add`` takes its multiplicity through ``exact_int``.
     """
 
@@ -245,6 +235,14 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         if entries:
             for c, mult in entries.items():
                 self.add(c, mult)
+
+    @classmethod
+    def _from_groups(cls, groups: Mapping[IntMat, Mapping[tuple, int]]) -> ConeCombination:
+        """Build each cone of summed groups {V: {(num, den, bits): mult}} once, no mult 0."""
+        out = object.__new__(cls)
+        out._entries = {_canonical_cone(v, num, den, bits): mult
+                        for v, group in groups.items() for (num, den, bits), mult in group.items()}
+        return out
 
     @classmethod
     def _collect(cls, signed: Iterable[tuple[int, SymbolicCone]]) -> ConeCombination:
@@ -332,6 +330,13 @@ MAX_FUNDPAR_POINTS = 10**6
 FUNDPAR_BLOCK = 2**12
 
 
+def _refuse_over_cap(count: int) -> None:
+    if count > MAX_FUNDPAR_POINTS:
+        raise ValueError(f"fundamental parallelepiped has {count} lattice points, over the "
+                         f"enumeration cap of {MAX_FUNDPAR_POINTS}; use --method barvinok "
+                         f"with --index-threshold at most {MAX_FUNDPAR_POINTS}")
+
+
 def _product_sums(coeffs: Sequence[int], ranges: Sequence[range], start: int = 0) -> list[int]:
     """start + coeffs . j for every j in the product of ``ranges``, in product order."""
     sums = [start]
@@ -397,13 +402,7 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     coords = mat_vec(u_inv, num)  # den * U^-1 q
     if any(coords[i] % den for i in range(k, n)):
         return []
-    count = math.prod(diag)
-    if count > MAX_FUNDPAR_POINTS:
-        raise ValueError(
-            f"fundamental parallelepiped has {count} lattice points, over the "
-            f"enumeration cap of {MAX_FUNDPAR_POINTS}; use --method barvinok "
-            f"with --index-threshold at most {MAX_FUNDPAR_POINTS}"
-        )
+    _refuse_over_cap(math.prod(diag))
     s_k = diag[-1]
     modulus = s_k * den
     # modulus * lam = W^-1 m with m_i = (den * j_i - coords_i) * s_k / s_i,

@@ -6,20 +6,15 @@ with one slack coordinate per row (``macmahon_lift``) and eliminates the
 slacks one at a time. Every vector in the lift's span is (x, A x), so
 ``solve`` never writes them: from the orthant cone in R^d, each round
 intersects every cone with one half-space row.x >= beta, the expanded rows
-taken last first (``solve_rounds``). The step has a closed form on symbolic
-cones, so the solutions come out as an exact signed sum of half-open
-simplicial cones in R^d, with no triangulation along the way.
+taken last first, by the step's closed form on symbolic cones.
 
-``_rounds`` is the only loop over the rounds: once per round,
-``ConeCombination._collect`` sums what ``_eliminate`` emits. ``eliminate``
-checks a user cone once, runs the rounds with unit rows in its own space and
-drops the eliminated coordinates once (``_project``). A step branches only
-on the generators V and the sign of q_n = row.q - beta: ``_plan`` builds the
-vertex cones' generators, order, toggles and signs once per (V, sign q_n)
-and round, and per cone ``_eliminate`` computes only each apex and its bits.
-The plans of one V share a table of pair columns w_ab = l_a v_b - l_b v_a
-(l_i = row.v_i): column i of vertex cone j is sg w_ij = -sg w_ji, with sg
-the sign of q_n, so each pair is made primitive once per V and round.
+``_rounds`` is the only loop over the rounds, on groups {V: {(num, den,
+bits): mult}}. A step branches only on V and the sign of q_n = row.q - beta:
+``_plan`` builds the vertex cones' generators, order, toggles and signs once
+per (V, sign q_n) and round, from one table of pair columns per V, each entry
+resolved to its output group once; per cone the loop adds each apex and its
+bits to that group, dropping a sum of 0. Cone objects are built only from
+the last round, or as ``eliminate`` projects (``_project``).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 from .cones import ConeCombination, SymbolicCone, _canonical_cone, canonicalize
@@ -119,20 +113,15 @@ def eliminate_last_coordinate(c: SymbolicCone) -> ConeCombination:
 def _plan(v: IntMat, lengths: list[int], pairs: dict, nonneg: bool) -> tuple:
     """The vertex cones of row.x >= beta on a cone with generators V and
     q_n = row.q - beta >= 0 (``nonneg``) or q_n < 0, but their apexes and bits.
-
     With l_i = row.v_i (``lengths``) and sg the sign of q_n, vertex cone j
-    (sg l_j < 0) has the crossing column -sg v_j and the columns sg w_ij for
-    i != j, where w_ab = l_a v_b - l_b v_a: an invertible transform of V in
-    span(V), so independent when V is. As w_ab = -w_ba and sg enters only as a
-    sign, ``pairs`` (shared by both signs of one V and row) keeps one forward
-    ``prim`` of w_ab and its flip bit per pair a < b, made on first use. The
-    round's generators are primitive and forward, so a column with l_i = 0 is
-    v_i and the crossing column is v_j, flipped when q_n >= 0: neither needs
-    ``prim``. One ``(sign, gens, perm, toggles, l_j, v_j)`` per vertex cone:
-    its sorted primitive forward columns, sign (-1)^(number reversed), and
-    position p takes the bit of parent generator perm[p] (k = len(V): the
-    crossing generator's 0) XOR toggles[p]. The apex is
-    (num l_j - q_n v_j) / (den l_j).
+    (sg l_j < 0) has the crossing column -sg v_j and the columns sg w_ij,
+    i != j: independent when V is. As w_ab = -w_ba, ``pairs`` (shared by both
+    signs) keeps one forward ``prim`` of w_ab and its flip bit per pair a < b.
+    V is primitive and forward, so a column with l_i = 0 is v_i and the
+    crossing column is v_j, flipped when q_n >= 0. One ``(sign, gens, flips,
+    l_j, v_j)`` per vertex cone: sorted columns, sign (-1)^(number flipped),
+    and per position a pair (i, t): the bit of parent generator i (k = len(V):
+    the crossing generator's 0) XOR t. The apex is (num l_j - q_n v_j) / (den l_j).
     """
     sg = 1 if nonneg else -1
     plan = []
@@ -156,69 +145,73 @@ def _plan(v: IntMat, lengths: list[int], pairs: dict, nonneg: bool) -> tuple:
             # sg w_ij is sg w_ab for i < j and -sg w_ab for i > j
             cols.append((entry[0], entry[1] ^ ((i < j) != nonneg), i))
         cols.sort()
-        toggles = tuple([t for _, t, _ in cols])
-        plan.append(((-1) ** sum(toggles), tuple([g for g, _, _ in cols]),
-                     tuple([i for _, _, i in cols]), toggles, lj, vj))
+        plan.append(((-1) ** sum([t for _, t, _ in cols]), tuple([g for g, _, _ in cols]),
+                     tuple([(i, t) for _, t, i in cols]), lj, vj))
     return tuple(plan)
 
 
-def _eliminate(c: SymbolicCone, mult: int, row: IntVec, beta: int,
-               tables: dict) -> list[tuple[int, SymbolicCone]]:
-    """The ``(multiplicity, cone)`` pairs of mult * [c and row.x >= beta],
-    unchecked: ``c`` itself when its apex satisfies the row, then the vertex
-    cones of the ``_plan`` of (V, q_n >= 0). ``tables`` holds one entry per V
-    and row: the lengths row.v_i, the pair columns both signs share, and the
-    plan of each sign, built on first use. Each apex is put in lowest terms by
-    one gcd."""
-    num, den = c.num, c.den
-    q_n = sum(map(operator.mul, row, num)) - beta * den
-    nonneg = q_n >= 0
-    out = [(mult, c)] if nonneg else []
-    v = c.generators
-    table = tables.get(v)
-    if table is None:
-        table = tables[v] = ([sum(map(operator.mul, row, g)) for g in v], {}, [None, None])
-    lengths, pairs, plans = table
-    plan = plans[nonneg]
-    if plan is None:
-        plan = plans[nonneg] = _plan(v, lengths, pairs, nonneg)
-    bits = c.openness + (0,)
-    for sign, gens, perm, toggles, lj, vj in plan:
-        apex = [a * lj - q_n * b for a, b in zip(num, vj)]
-        # divide by the gcd, taking the sign of den * l along
-        f = math.gcd(den * lj, *apex)
-        if lj < 0:
-            f = -f
-        if f != 1:
-            apex = [a // f for a in apex]
-        out.append((mult * sign, _canonical_cone(
-            gens, tuple(apex), den * lj // f, tuple([bits[i] ^ t for i, t in zip(perm, toggles)]))))
-    return out
-
-
-def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[ConeCombination]:
-    """Yield [c and the first i half-spaces row.x >= beta] for each i, in c's
-    space, unchecked; c is canonical and forward. Cancellation in each round's
-    one ``_collect`` keeps the rounds small. Plan tables are per round, as the row is."""
-    current = {c: 1}
+def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[dict]:
+    """Yield [c and the first i half-spaces row.x >= beta] for each i as groups,
+    in c's space, unchecked; c is canonical and forward. A vertex cone's apex
+    is the parent's when q_n = 0, else put in lowest terms by one gcd."""
+    current = {c.generators: {(c.num, c.den, c.openness): 1}}
     for row, beta in zip(rows, rhs):
-        tables: dict = {}
-        current = ConeCombination._collect(chain.from_iterable(
-            _eliminate(parent, mult, row, beta, tables) for parent, mult in current.items()))
+        out: dict = {}
+        for v, group in current.items():
+            lengths = [sum(map(operator.mul, row, g)) for g in v]
+            pairs: dict = {}
+            plans: list = [None, None]
+            same = out.setdefault(v, {})
+            for key, mult in group.items():
+                num, den, bits = key
+                q_n = sum(map(operator.mul, row, num)) - beta * den
+                nonneg = q_n >= 0
+                plan = plans[nonneg]
+                if plan is None:
+                    plan = plans[nonneg] = [
+                        (out.setdefault(gens, {}), sign, flips, lj, vj)
+                        for sign, gens, flips, lj, vj in _plan(v, lengths, pairs, nonneg)]
+                if nonneg:
+                    if m := same.get(key, 0) + mult:
+                        same[key] = m
+                    else:
+                        del same[key]
+                bits += (0,)
+                for target, sign, flips, lj, vj in plan:
+                    cone_bits = tuple([bits[i] ^ t for i, t in flips])
+                    if q_n:
+                        apex = [a * lj - q_n * b for a, b in zip(num, vj)]
+                        # divide by the gcd, taking the sign of den * l along
+                        f = math.gcd(den * lj, *apex)
+                        if lj < 0:
+                            f = -f
+                        if f != 1:
+                            apex = [a // f for a in apex]
+                        child = (tuple(apex), den * lj // f, cone_bits)
+                    else:
+                        child = (num, den, cone_bits)
+                    if m := target.get(child, 0) + mult * sign:
+                        target[child] = m
+                    else:
+                        del target[child]
+        current = {v: group for v, group in out.items() if group}
         yield current
 
 
-def _project(combination: Mapping[SymbolicCone, int], keep: int) -> ConeCombination:
-    """Every cone without all but its first ``keep`` coordinates, unchecked.
-    The projection is injective on each span, so cones stay distinct and
-    forward; only ``prim``, the order with the bits and the apex's gcd change."""
-    out = []
-    for c, mult in combination.items():
-        pairs = sorted(zip([prim(g[:keep]) for g in c.generators], c.openness))
-        num, f = c.num[:keep], math.gcd(c.den, *c.num[:keep])
-        out.append((mult, _canonical_cone(tuple(g for g, _ in pairs), tuple([a // f for a in num]),
-                                          c.den // f, tuple(b for _, b in pairs))))
-    return ConeCombination._collect(out)
+def _project(groups: Mapping[IntMat, Mapping[tuple, int]], keep: int) -> ConeCombination:
+    """``_rounds``' groups without all but the first ``keep`` coordinates, unchecked.
+    The projection is injective on each span, so cones stay distinct and forward;
+    ``prim`` and the order change once per V, the bits and the apex's gcd per cone."""
+    out = {}
+    for v, group in groups.items():
+        cols = [prim(g[:keep]) for g in v]
+        order = sorted(range(len(v)), key=cols.__getitem__)
+        out[tuple([cols[i] for i in order])] = projected = {}
+        for (num, den, bits), mult in group.items():
+            f = math.gcd(den, *(num := num[:keep]))
+            projected[tuple([a // f for a in num]), den // f,
+                      tuple([bits[i] for i in order])] = mult
+    return ConeCombination._from_groups(out)
 
 
 def _unit_rows(n: int, rounds: int) -> list[IntVec]:
@@ -231,20 +224,18 @@ def elimination_rounds(c: SymbolicCone, rounds: int) -> Iterator[ConeCombination
     what ``eliminate`` accepts. The rounds run with the rows x_n >= 0,
     x_{n-1} >= 0, ... in R^n, and each is projected once."""
     n = c.ambient_dim
-    for r, combination in enumerate(_rounds(canonicalize(c), _unit_rows(n, rounds), (0,) * rounds)):
-        yield _project(combination, n - r - 1)
+    for r, groups in enumerate(_rounds(canonicalize(c), _unit_rows(n, rounds), (0,) * rounds)):
+        yield _project(groups, n - r - 1)
 
 
 def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
     """``eliminate_last_coordinate`` applied ``rounds`` times; the canonical
-    input cone with multiplicity 1 when ``rounds`` is 0.
-
-    Refuses with ``ValueError`` unless ``rounds`` (an exact integer) lies in
-    0..n - k, the generators V0 are forward, and the first n - rounds rows of
-    V0 have full column rank. Every cone of every round has k forward
-    generators in span(V0) (see ``_plan``), on which the final projection is
-    then injective: the rounds need no check, and one projection at the end
-    gives each round's projections.
+    input cone with multiplicity 1 when ``rounds`` is 0. Refuses with
+    ``ValueError`` unless ``rounds`` (an exact integer) lies in 0..n - k, the
+    generators V0 are forward, and the first n - rounds rows of V0 have full
+    column rank. Every cone of every round has k forward generators in span(V0)
+    (see ``_plan``), on which the final projection is then injective: the
+    rounds need no check, and one projection at the end gives each round's.
     """
     rounds = exact_int(rounds)
     if not 0 <= rounds <= c.ambient_dim - c.dim:
@@ -257,8 +248,10 @@ def eliminate(c: SymbolicCone, rounds: int) -> ConeCombination:
     if not has_full_column_rank(tuple(g[:keep] for g in c.generators)):
         raise ValueError(f"generators not linearly independent on the first {keep} rows")
     start = canonicalize(c)
-    last = deque(_rounds(start, _unit_rows(c.ambient_dim, rounds), (0,) * rounds), maxlen=1)
-    return _project(last.pop() if last else {start: 1}, keep)
+    if not rounds:
+        return ConeCombination({start: 1})
+    return _project(deque(_rounds(start, _unit_rows(c.ambient_dim, rounds), (0,) * rounds),
+                          maxlen=1).pop(), keep)
 
 
 def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
@@ -274,26 +267,27 @@ def expand_equalities(sys: LDSystem) -> tuple[tuple[IntVec, ...], IntVec]:
     return tuple(rows), tuple(rhs)
 
 
-def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
+def _solve_groups(sys: LDSystem) -> Iterator[dict]:
     """``_rounds`` from the orthant cone (e_d..e_1) in R^d, one per expanded
     row, rows last first: round i is the signed cone sum of the solutions of
-    the last i rows. Unchecked, as ``sys`` was checked when built.
-
-    These are ``eliminate``'s rounds on ``macmahon_lift`` without the slack
-    coordinates: every vector in the lift's span is (x, A x) and the rows are
-    integers, so gcd(x, A x) = gcd(x). ``prim``, the forward test, lex order
-    and the apex's lowest terms (gcd(num_x, den) divides A num_x - b den) read
-    the prefix x alone, and each round's cones match the lifted ones one to one.
-    """
+    the last i rows. Unchecked, as ``sys`` was checked when built. These are
+    ``eliminate``'s rounds on ``macmahon_lift`` without the slack coordinates:
+    the rows are integers, so gcd(x, A x) = gcd(x), and ``prim``, the forward
+    test, lex order and the apex's lowest terms (gcd(num_x, den) divides
+    A num_x - b den) read the prefix x alone."""
     rows, rhs = expand_equalities(sys)
     d = sys.num_variables
     orthant = _canonical_cone(identity(d)[::-1], (0,) * d, 1, (0,) * d)
     return _rounds(orthant, rows[::-1], rhs[::-1])
 
 
+def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
+    """Each round of ``_solve_groups``, the solutions of the last i rows, as a combination."""
+    return map(ConeCombination._from_groups, _solve_groups(sys))
+
+
 def solve(sys: LDSystem) -> ConeCombination:
     """Signed cone combination equal to the solution-set indicator on R^d:
-    the last of ``solve_rounds``. Infeasible systems come out as the empty
-    combination or one evaluating to 0 everywhere on the non-negative orthant.
-    """
-    return deque(solve_rounds(sys), maxlen=1).pop()
+    the last of ``solve_rounds``, the only one built. Infeasible systems give
+    an empty combination or one evaluating to 0 on the non-negative orthant."""
+    return ConeCombination._from_groups(deque(_solve_groups(sys), maxlen=1).pop())

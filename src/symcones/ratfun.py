@@ -31,7 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, _share_inverse_pairs, enum_fundpar
+from .cones import (ConeCombination, _inverse_pair, _refuse_over_cap, _share_inverse_pairs,
+                    enum_fundpar)
 from .exactmath import IntVec, exact_int, is_forward, vec_dot, vec_sub
 
 
@@ -119,11 +120,16 @@ def combination_to_ratfun(combination: ConeCombination) -> RatFunExpr:
     Barvinok's short terms are ``combination_to_ratfun(decompose_combination(
     combination, index_threshold))``. Backward denominator factors are
     flipped forward (Barvinok leaves may have them; cones from ``solve`` have
-    none), cones share V^-1 per V, and zero terms are dropped.
+    none), cones share V^-1 per V, and zero terms are dropped. A k = n cone over
+    the cap (its index is |det V|) is refused before any cone is listed.
     """
     _share_inverse_pairs(combination)
+    items = combination.sorted_items()
+    for c, _ in items:
+        if c.dim == c.ambient_dim:
+            _refuse_over_cap(abs(_inverse_pair(c)[1]))
     terms = []
-    for c, mult in combination.sorted_items():
+    for c, mult in items:
         nums = tuple(sorted(enum_fundpar(c)))
         if nums:
             terms.append(_term(*_forward_normalized(mult, nums, c.generators)))

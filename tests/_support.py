@@ -18,7 +18,9 @@ forward, each a ``RatFunTerm``), against which the term-free count is
 checked; ``reference_run_check``, ``check`` as a point-by-point scan
 through ``eval_combination``, against which the line scan is checked; and
 ``reference_plan``, the vertex-cone plan built column by column through the
-package's ``prim``, against which the shared pair table is checked.
+package's ``prim``, against which the shared pair table is checked; and
+``reference_rounds``, the elimination rounds one cone object at a time through
+the package's ``_plan``, against which the grouped rounds are checked.
 """
 
 from collections import Counter
@@ -35,6 +37,8 @@ from symcones import (
     eval_combination,
 )
 from symcones.barvinok import _leaves, _tree, decompose_combination
+from symcones.cones import _canonical_cone
+from symcones.elimination import _plan
 from symcones.exactmath import IntMat, det, is_forward, mat_vec, prim
 from symcones.ratfun import _pick_direction, combination_to_ratfun, evaluate_count
 
@@ -446,9 +450,9 @@ def reference_plan(v: IntMat, row, nonneg: bool) -> tuple:
     With l_j = row.v_j and sg the sign of q_n, vertex cone j (l_j sg < 0) has
     the columns -sg v_j and sg (l_i v_j - l_j v_i) for i != j: an invertible
     transform of V in span(V), so independent when V is. One ``(sign, gens,
-    perm, toggles, l_j, v_j)`` each: its sorted primitive forward columns,
-    sign (-1)^(number reversed), and position p takes the bit of parent
-    generator perm[p] (k = len(V): the crossing generator's 0) XOR toggles[p]. The
+    flips, l_j, v_j)`` each: its sorted primitive forward columns, sign
+    (-1)^(number reversed), and per position p a pair (i, t): it takes the bit
+    of parent generator i (k = len(V): the crossing generator's 0) XOR t. The
     apex is (num l_j - q_n v_j) / (den l_j).
     """
     sg = 1 if nonneg else -1
@@ -463,10 +467,57 @@ def reference_plan(v: IntMat, row, nonneg: bool) -> tuple:
         # so this is canonicalize's order
         cols = sorted((g, 0, i) if is_forward(g) else (tuple(-x for x in g), 1, i)
                       for i, g in enumerate(map(prim, cols)))
-        toggles = tuple(t for _, t, _ in cols)
-        plan.append(((-1) ** sum(toggles), tuple(g for g, _, _ in cols),
-                     tuple(len(v) if i == j else i for _, _, i in cols), toggles, sg * lj, vj))
+        plan.append(((-1) ** sum(t for _, t, _ in cols), tuple(g for g, _, _ in cols),
+                     tuple((len(v) if i == j else i, t) for _, t, i in cols), sg * lj, vj))
     return tuple(plan)
+
+
+def reference_eliminate(c: SymbolicCone, mult: int, row, beta: int, tables: dict) -> list:
+    """The ``(multiplicity, cone)`` pairs of mult * [c and row.x >= beta],
+    one cone object each: ``c`` itself when its apex satisfies the row, then
+    the vertex cones of the package's ``_plan`` of (V, q_n >= 0). ``tables``
+    holds one entry per V and row: the lengths row.v_i, the pair columns both
+    signs share, and the plan of each sign, built on first use. Each apex is
+    put in lowest terms by one gcd."""
+    num, den = c.num, c.den
+    q_n = sum(map(operator.mul, row, num)) - beta * den
+    nonneg = q_n >= 0
+    out = [(mult, c)] if nonneg else []
+    v = c.generators
+    table = tables.get(v)
+    if table is None:
+        table = tables[v] = ([sum(map(operator.mul, row, g)) for g in v], {}, [None, None])
+    lengths, pairs, plans = table
+    plan = plans[nonneg]
+    if plan is None:
+        plan = plans[nonneg] = _plan(v, lengths, pairs, nonneg)
+    bits = c.openness + (0,)
+    for sign, gens, flips, lj, vj in plan:
+        apex = [a * lj - q_n * b for a, b in zip(num, vj)]
+        # divide by the gcd, taking the sign of den * l along
+        f = gcd(den * lj, *apex)
+        if lj < 0:
+            f = -f
+        if f != 1:
+            apex = [a // f for a in apex]
+        out.append((mult * sign, _canonical_cone(
+            gens, tuple(apex), den * lj // f, tuple([bits[i] ^ t for i, t in flips]))))
+    return out
+
+
+def reference_rounds(c: SymbolicCone, rows, rhs):
+    """Yield [c and the first i half-spaces row.x >= beta] for each i as a
+    combination, one cone at a time: each round sums what
+    ``reference_eliminate`` emits for every parent in one ``_collect``, with
+    plan tables per round. Yields ``(combination, emitted)``, emitted being
+    the number of pairs summed."""
+    current = ConeCombination({c: 1})
+    for row, beta in zip(rows, rhs):
+        tables: dict = {}
+        signed = [pair for parent, mult in current.items()
+                  for pair in reference_eliminate(parent, mult, row, beta, tables)]
+        current = ConeCombination._collect(signed)
+        yield current, len(signed)
 
 
 def box_points(dim: int, lo: int, hi: int):

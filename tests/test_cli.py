@@ -636,7 +636,7 @@ def test_run_owns_the_flag_rules(monkeypatch):
     assert RunConfig("ratfun").index_threshold is None
     import symcones.cli
 
-    monkeypatch.setattr(symcones.cli, "solve_rounds", no_solve)
+    monkeypatch.setattr(symcones.cli, "_solve_groups", no_solve)
     for config, message in (
         (RunConfig("ratfun", index_threshold=3), "--index-threshold applies only to --method barvinok"),
         (RunConfig("ratfun", method="fp", index_threshold=1.5),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 from collections import Counter
@@ -33,8 +34,10 @@ from _support import (
     gauss_rank,
     random_system,
     reference_elimination_apexes,
+    reference_eliminate,
     reference_elimination_step,
     reference_plan,
+    reference_rounds,
     table_system,
 )
 
@@ -494,59 +497,69 @@ def test_elimination_refuses_backward_generators():
 
 
 def test_solve_collects_each_emitted_cone_once(monkeypatch):
-    # the bench 3x3 table: each round sums the signed pairs _eliminate
-    # emits for each of its parents into exactly one combination, the one
-    # it yields, with no per-cone combination in between
+    # the bench 3x3 table: each round sums the signed pairs that eliminating
+    # each parent of the round before emits into exactly one combination, the
+    # one it yields, with no per-cone combination or collect in between; solve
+    # and the CLI build one combination in all, from the last round
     import symcones.elimination
 
-    made, calls = [], []
-    real_init, real_collect = ConeCombination.__init__, ConeCombination._collect.__func__
-    real_eliminate = symcones.elimination._eliminate
+    sys_ = table_system((2, 4, 6), (4, 4, 4))
+    rows, rhs = expand_equalities(sys_)
+    rows, rhs = rows[::-1], rhs[::-1]
+    orthant = canonicalize(cone(identity(9)[::-1]))
+    reference = list(reference_rounds(orthant, rows, rhs))
+
+    made, collected, plans = [], [], {}
+    real_init, real_build = ConeCombination.__init__, ConeCombination._from_groups.__func__
+    real_collect, real_plan = ConeCombination._collect.__func__, symcones.elimination._plan
 
     def counted_init(self, entries=None):
         made.append(self)
         real_init(self, entries)
 
-    def counted_collect(cls, signed):
-        out = real_collect(cls, signed)
+    def counted_build(cls, groups):
+        out = real_build(cls, groups)
         made.append(out)
         return out
 
-    def counted_eliminate(c, mult, row, beta, tables):
-        pairs = real_eliminate(c, mult, row, beta, tables)
-        # the parent's multiplicity times the sign of each unit pair
-        assert pairs == [(mult * sign, c2) for sign, c2 in real_eliminate(c, 1, row, beta, tables)]
-        calls.append((c, mult, pairs))
-        return pairs
+    def counted_collect(cls, signed):
+        collected.append(signed)
+        return real_collect(cls, signed)
+
+    def counted_plan(v, lengths, pairs, nonneg):
+        plan = real_plan(v, lengths, pairs, nonneg)
+        assert (v, nonneg) not in plans
+        plans[v, nonneg] = len(plan)
+        return plan
 
     monkeypatch.setattr(ConeCombination, "__init__", counted_init)
+    monkeypatch.setattr(ConeCombination, "_from_groups", classmethod(counted_build))
     monkeypatch.setattr(ConeCombination, "_collect", classmethod(counted_collect))
-    monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
-    rounds = solve_rounds(table_system((2, 4, 6), (4, 4, 4)))
-    parents, emitted = None, 0
-    for combination in rounds:
-        assert len(made) == 1 and made[0] is combination
-        # every parent is eliminated once, with its own multiplicity; the
-        # first round's one parent is the orthant cone
-        if parents is None:
-            (orthant, mult), = {c: m for c, m, _ in calls}.items()
-            assert mult == 1 and orthant.generators == tuple(reversed(identity(9)))
-            parents = {orthant: 1}
-        assert len(calls) == len(parents)
-        assert {c for c, _, _ in calls} == set(parents)
-        assert all(mult == parents[c] for c, mult, _ in calls)
-        expected = Counter()
-        for _, _, pairs in calls:
-            for mult, c in pairs:
-                expected[c] += mult
-            emitted += len(pairs)
-        assert dict(combination.items()) == {c: m for c, m in expected.items() if m}
+    monkeypatch.setattr(symcones.elimination, "_plan", counted_plan)
+    parents, emitted = {orthant: 1}, 0
+    for row, beta, combination, (want, want_emitted) in zip(
+            rows, rhs, solve_rounds(sys_), reference, strict=True):
+        assert made == [combination] and not collected
+        # every parent is eliminated once, with its own multiplicity: it keeps
+        # itself when q_n >= 0 and adds one vertex cone per entry of the plan
+        # of its (V, sign q_n); the first round's one parent is the orthant cone
+        signs = {c: sum(map(operator.mul, row, c.num)) >= beta * c.den for c in parents}
+        assert set(plans) == {(c.generators, nonneg) for c, nonneg in signs.items()}
+        round_emitted = sum(nonneg + plans[c.generators, nonneg] for c, nonneg in signs.items())
+        assert round_emitted == want_emitted
+        emitted += round_emitted
+        assert dict(combination.items()) == dict(want.items())
         made.clear()
-        calls.clear()
+        plans.clear()
         parents = combination
-    # a path around _eliminate would pass the sums above with nothing
+    # a path around the plans would pass the sums above with nothing
     # emitted; the lifted route emitted these 2502 cones too
     assert emitted == 2502 and len(combination) == 672
+    monkeypatch.setattr(symcones.elimination, "_plan", real_plan)
+    assert solve(sys_) == combination and len(made) == 1
+    made.clear()
+    run(RunConfig("solve", verbose=True), sys_)
+    assert len(made) == 1 and not collected
 
 
 @pytest.mark.parametrize("row_sums, col_sums, plans, parents", [
@@ -561,11 +574,7 @@ def test_elimination_builds_one_plan_per_generator_key(
     import symcones.elimination
 
     built, current_row = [], []
-    real_plan, real_eliminate = symcones.elimination._plan, symcones.elimination._eliminate
-
-    def counted_eliminate(c, mult, row, beta, tables):
-        current_row[:] = [row]
-        return real_eliminate(c, mult, row, beta, tables)
+    real_plan = symcones.elimination._plan
 
     def counted_plan(v, lengths, pairs, nonneg):
         (row,) = current_row
@@ -573,13 +582,18 @@ def test_elimination_builds_one_plan_per_generator_key(
         built.append((v, row, nonneg))
         return real_plan(v, lengths, pairs, nonneg)
 
-    monkeypatch.setattr(symcones.elimination, "_eliminate", counted_eliminate)
     monkeypatch.setattr(symcones.elimination, "_plan", counted_plan)
     sys_ = table_system(row_sums, col_sums)
-    sizes = [1] + [len(comb) for comb in solve_rounds(sys_)]
+    rows = expand_equalities(sys_)[0]
+    # the rounds are lazy: each row's plans are built while its round is pulled
+    rounds, sizes = solve_rounds(sys_), [1]
+    for row in rows[::-1]:
+        current_row[:] = [row]
+        sizes.append(len(next(rounds)))
+    assert next(rounds, None) is None
     assert sum(sizes[:-1]) == parents
     assert len(built) == len(set(built)) == plans
-    assert len(set(expand_equalities(sys_)[0])) == len(sizes) - 1
+    assert len(set(rows)) == len(sizes) - 1
 
 
 def test_plan_step_matches_per_cone_reference():
@@ -587,7 +601,7 @@ def test_plan_step_matches_per_cone_reference():
     # the user-cone path: the (sign, cone) multiset of each parent, from
     # plans shared across the parents of a round, intersected with x_n >= 0
     # in R^n and then projected, equals a Fraction rebuild of that parent alone
-    from symcones.elimination import _eliminate, _project
+    from symcones.elimination import _project
 
     def check_rounds(sys_) -> Counter:
         rows, rhs = expand_equalities(sys_)
@@ -598,8 +612,9 @@ def test_plan_step_matches_per_cone_reference():
             row, tables = tuple(int(i == n - 1) for i in range(n)), {}
             for c in parents:
                 got = Counter()
-                for sign, c2 in _eliminate(c, 1, row, 0, tables):
-                    (projected, mult), = _project({c2: sign}, n - 1).items()
+                for sign, c2 in reference_eliminate(c, 1, row, 0, tables):
+                    groups = {c2.generators: {(c2.num, c2.den, c2.openness): sign}}
+                    (projected, mult), = _project(groups, n - 1).items()
                     got[mult, projected] += 1
                 assert got == reference_elimination_step(c)
                 seen["below" if c.num[-1] < 0 else "above"] += 1
@@ -614,6 +629,48 @@ def test_plan_step_matches_per_cone_reference():
     assert seen["below"] > 40 and seen["above"] > 40 and seen["open"] > 40
     for row_sums, col_sums in (((3, 6), (3, 3, 3)), ((2, 4, 6), (4, 4, 4))):
         assert sum(check_rounds(table_system(row_sums, col_sums)).values()) > 0
+
+
+def test_grouped_rounds_match_the_per_cone_reference():
+    # every round of the one driver, on the solve path (rows in R^d from the
+    # orthant) and on the eliminate path (unit rows on the lift), equals the
+    # per-cone reference cone for cone and multiplicity for multiplicity, with
+    # no empty group: the two bench table shapes at scales 1 and 3, and 60
+    # seeded random systems with d in 2..5 and both = and >= rows
+    from symcones.elimination import _rounds, _solve_groups, _unit_rows
+
+    def check(start, rows, rhs, rounds) -> int:
+        pairs = list(zip(rounds, reference_rounds(start, rows, rhs), strict=True))
+        assert len(pairs) == len(rows)
+        for groups, (want, _) in pairs:
+            assert all(groups.values())
+            assert sum(map(len, groups.values())) == len(want)
+            assert dict(ConeCombination._from_groups(groups).items()) == dict(want.items())
+        return sum(len(want) for _, (want, _) in pairs)
+
+    def check_system(sys_) -> int:
+        rows, rhs = expand_equalities(sys_)
+        d = sys_.num_variables
+        orthant = canonicalize(cone(identity(d)[::-1]))
+        cones = check(orthant, rows[::-1], rhs[::-1], _solve_groups(sys_))
+        lift = canonicalize(macmahon_lift(rows, rhs))
+        unit = _unit_rows(lift.ambient_dim, len(rows))
+        zeros = (0,) * len(rows)
+        return cones + check(lift, unit, zeros, _rounds(lift, unit, zeros))
+
+    for scale in (1, 3):
+        for row_sums, col_sums in (((1, 2, 3), (2, 2, 2)), ((1, 2), (1, 1, 1))):
+            sys_ = table_system([scale * a for a in row_sums], [scale * a for a in col_sums])
+            assert check_system(sys_) > 0
+    rng = random.Random(32)
+    relations, cones = Counter(), 0
+    for _ in range(60):
+        d = rng.randint(2, 5)
+        sys_ = _random_mixed_system(rng, d, rng.randint(0, 2), rng.randint(1, 2))
+        cones += check_system(sys_)
+        relations.update(sys_.relations)
+        relations[f"d={d}"] += 1
+    assert min(relations.values()) >= 8 and cones > 1000, (relations, cones)
 
 
 def test_plan_matches_the_column_by_column_reference(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -414,6 +415,30 @@ def test_fp_and_check_invert_each_generator_matrix_once(monkeypatch, config, sys
     assert status == 0
     assert len(seen) == len(generators) == calls
     assert len(comb) > len(generators)
+
+
+def test_fp_refuses_a_cone_over_the_cap_before_listing_any(monkeypatch):
+    # 28 cones of indices up to 2825761, four at 823543: the first cone over
+    # the cap in sorted order is not the first cone, and listing the ones
+    # before it took 13.6 s; their indices, |det V| from the inverse pairs,
+    # are enough to refuse it, with the message enum_fundpar would give
+    import symcones.ratfun
+
+    sys_ = system([(3, 2, 0, -1, -2), (-3, 1, -3, 1, 0), (-1, 2, -1, 0, 2), (2, -2, 3, 2, 3)],
+                  [">=", "=", "=", ">="], [0, -1, 2, 3])
+    indices = [abs(det(c.generators)) for c, _ in solve(sys_).sorted_items()]
+    over = [i for i, index in enumerate(indices) if index > 10**6]
+    assert len(indices) == 28 and over[0] > 0 and indices[over[0]] == 2825761
+    listed = []
+    monkeypatch.setattr(symcones.ratfun, "enum_fundpar", listed.append)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        run(RunConfig("ratfun", method="fp"), sys_)
+    assert time.perf_counter() - start < 2
+    assert not listed
+    assert str(refused.value) == (
+        "fundamental parallelepiped has 2825761 lattice points, over the enumeration cap of "
+        "1000000; use --method barvinok with --index-threshold at most 1000000")
 
 
 def test_evaluate_count_rejects_orthogonal_direction():
