@@ -20,19 +20,17 @@ same for every cone, it acts as one generic direction, so this one xi serves
 every input. The decomposition is thus a function of the cone alone.
 
 The recursion reads V alone: ``decompose_combination`` builds one ``_tree``
-per distinct V per call, ``_leaves`` sets each cone's apex and bits on it,
-and ``ConeCombination._collect`` sums the canonical leaves. Only the root is
-inverted by ``scaled_inverse``: a child's pair follows from its parent's by
-an integer pivot, and a leaf hands its pair to its cones.
+per group of the combination and reads its leaves' bits (``_leaves``) once
+per openness in the group; each cone's apex goes to each leaf's output
+group. Only the root is inverted by ``scaled_inverse``: a child's pair
+follows from its parent's by an integer pivot, and a leaf hands its pair on.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import Iterator
 
-from .cones import ConeCombination, SymbolicCone, _canonical_cone, _inverse_pair
+from .cones import ConeCombination, SymbolicCone, _inverse_pair
 from .exactmath import IntMat, IntVec, exact_int, lll_reduce, mat_vec, scaled_inverse, vec_dot
 
 
@@ -120,9 +118,8 @@ def _tree(generators: IntMat, index_threshold: int) -> list[tuple[int, IntMat, I
     return leaves
 
 
-def _leaves(c: SymbolicCone, mult: int, tree: list,
-            xi: IntVec) -> Iterator[tuple[int, SymbolicCone]]:
-    """The ``(multiplicity, leaf)`` pairs of mult * [C]: C's apex on each leaf.
+def _leaves(tree: list, xi: IntVec) -> list[tuple[int, IntMat, tuple[int, ...], tuple]]:
+    """The ``(sign, gens, bits, pair)`` of each leaf of ``tree``, half-opened along xi.
 
     Facet j of a leaf is closed iff its inner normal, row j of gens^-1, sees
     xi positively; row j of adj has the signs of d times that normal, so bit
@@ -131,10 +128,8 @@ def _leaves(c: SymbolicCone, mult: int, tree: list,
     perturbation xi + eps e_1 + eps^2 e_2 + ... (Koeppe and Verdoolaege
     2008): the sign of d times the first non-zero entry of row j.
     """
-    for sign, gens, rows, pair in tree:
-        values = (vec_dot(row, xi) or next(a for a in row if a) for row in rows)
-        bits = tuple(0 if value * pair[1] > 0 else 1 for value in values)
-        yield mult * sign, _canonical_cone(gens, c.num, c.den, bits, pair)
+    return [(sign, gens, tuple([0 if (vec_dot(row, xi) or next(a for a in row if a)) * pair[1] > 0
+                                else 1 for row in rows]), pair) for sign, gens, rows, pair in tree]
 
 
 def barvinok_decompose(
@@ -166,10 +161,21 @@ def decompose_combination(
     index_threshold = exact_int(index_threshold)
     if index_threshold < 1:
         raise ValueError("index_threshold must be at least 1")
-    if any(c.dim != c.ambient_dim for c in combination):
+    if any(len(v) != len(v[0]) for v in combination._groups):
         raise ValueError("decomposition requires a full-dimensional cone")
-    trees = {v: _tree(v, index_threshold) for v in {c.generators for c in combination}}
-    return ConeCombination._collect(chain.from_iterable(
-        _leaves(c, mult, trees[c.generators],
-                mat_vec(c.generators, [1 if bit == 0 else -1 for bit in c.openness]))
-        for c, mult in combination.items()))
+    out, pairs = {}, {}
+    for v, group in combination._groups.items():
+        tree = _tree(v, index_threshold)
+        pairs.update((gens, pair) for _, gens, _, pair in tree)
+        plans: dict = {}  # per openness of C: each leaf's output group, sign and bits
+        for (num, den, bits), mult in group.items():
+            if bits not in plans:
+                xi = mat_vec(v, [1 - 2 * bit for bit in bits])
+                plans[bits] = [(out.setdefault(gens, {}), sign, leaf_bits)
+                               for sign, gens, leaf_bits, _ in _leaves(tree, xi)]
+            for target, sign, leaf_bits in plans[bits]:
+                if m := target.get(key := (num, den, leaf_bits), 0) + mult * sign:
+                    target[key] = m
+                else:
+                    del target[key]
+    return ConeCombination._from_groups({v: group for v, group in out.items() if group}, pairs)

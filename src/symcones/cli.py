@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, _product_sums, _share_inverse_pairs
+from .cones import ConeCombination, _product_sums
 from .elimination import LDSystem, _solve_groups, expand_equalities
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
@@ -98,21 +98,18 @@ def parse_system(text: str) -> LDSystem:
 def combination_to_json(combination: ConeCombination, dimension: int | None = None) -> str:
     """Bit-exact cone JSON: canonical column order, big integers as strings."""
     dim = combination.ambient_dim if dimension is None else dimension
-    # one text per distinct V: a list's repr is its JSON with ", " separators
-    generators: dict[tuple, str] = {}
     cones = []
-    for c, mult in combination.sorted_items():
-        gens = generators.get(c.generators)
-        if gens is None:
-            gens = generators[c.generators] = repr([list(g) for g in c.generators])
-        den = c.den
-        if den == 1:
-            apex = ", ".join(['{"num": "%d", "den": "1"}' % a for a in c.num])
-        else:
-            apex = ", ".join(['{"num": "%d", "den": "%d"}' % (a // g, den // g)
-                              for a, g in ((a, math.gcd(a, den)) for a in c.num)])
-        cones.append('{"mult": "%d", "generators": %s, "apex": [%s], "open": %r}'
-                     % (mult, gens, apex, list(c.openness)))
+    for v, group in combination._sorted_groups():
+        # a list's repr is its JSON with ", " separators
+        gens = repr([list(g) for g in v])
+        for (num, den, bits), mult in group:
+            if den == 1:
+                apex = ", ".join(['{"num": "%d", "den": "1"}' % a for a in num])
+            else:
+                apex = ", ".join(['{"num": "%d", "den": "%d"}' % (a // g, den // g)
+                                  for a, g in ((a, math.gcd(a, den)) for a in num)])
+            cones.append('{"mult": "%d", "generators": %s, "apex": [%s], "open": %r}'
+                         % (mult, gens, apex, list(bits)))
     return '{"dimension": %d, "cones": [%s]}' % (dim or 0, ", ".join(cones))
 
 
@@ -190,11 +187,11 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
     width = box + 1
     oracle = _oracle_forms(sys_)
     # one half-space per oracle row, k facets + d - k hull pairs per k-cone
-    half_spaces = len(oracle) + sum(2 * d - c.dim for c in combination)
+    half_spaces = len(oracle) + sum((2 * d - len(v)) * len(group)
+                                    for v, group in combination._groups.items())
     if (values := width ** (d - 1) * half_spaces) > MAX_CHECK_VALUES:
         raise ParseError(f"check would cut {values} x_d bounds (lines x half-spaces), "
                          f"more than {MAX_CHECK_VALUES}; use a smaller --box")
-    _share_inverse_pairs(combination)
     # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
     scans = [(oracle, -1)]
     scans += [([_primitive(row, offset + bit) for row, offset, bit in c._facets], m)

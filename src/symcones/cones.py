@@ -9,10 +9,10 @@ facet where it vanishes is excluded. The point set is
 
 The apex is stored as integer numerators over one positive common
 denominator in lowest terms, so a cone holds nothing but ints. Cones are
-immutable and hashable so that signed combinations can live in a
-dictionary keyed by the canonical form (primitive, lexicographically sorted
-generators), which is unique per point set and openness pattern. Membership
-is one integer test per facet row (``_facets``), for cones of every k <= n.
+immutable and hashable; the canonical form (primitive, lexicographically
+sorted generators) is unique per point set and openness pattern, and a
+``ConeCombination`` holds canonical cones grouped by generator matrix.
+Membership is one integer test per facet row (``_facets``), for every k <= n.
 A cone is checked once, when ``SymbolicCone`` (alias ``cone``) builds it;
 the package's own cones come from the unchecked ``_canonical_cone``.
 
@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, ItemsView, Iterator, Mapping, Sequence, ValuesView
+from typing import Iterable, ItemsView, Iterator, Mapping, Sequence
 
 from .exactmath import (
     IntMat,
@@ -110,13 +110,6 @@ class SymbolicCone:
         """Dimension n of the surrounding space."""
         return len(self.num)
 
-    def sort_key(self, den: int):
-        """Order by generators, apex value, openness; ``den`` is a common
-        multiple of the ``den`` of every cone compared."""
-        scale = den // self.den
-        num = self.num if scale == 1 else tuple([a * scale for a in self.num])
-        return (self.generators, num, self.openness)
-
     @cached_property
     def _facets(self) -> tuple[tuple[IntVec, int, int], ...]:
         """(row, offset, bit) triples: x in cone iff row.x - offset >= 0 on each, > 0 if bit.
@@ -172,15 +165,6 @@ def _inverse_pair(c: SymbolicCone) -> tuple[IntMat, int]:
     return c._inverse
 
 
-def _share_inverse_pairs(cones: Iterable[SymbolicCone]) -> None:
-    """One Bareiss per V: full-dimensional cones without a pair take their V's first."""
-    pairs: dict[IntMat, tuple[IntMat, int]] = {}
-    for c in cones:
-        if c.dim == c.ambient_dim:
-            c.__dict__["_inverse"] = c._inverse or pairs.get(c.generators)
-            pairs.setdefault(c.generators, _inverse_pair(c))
-
-
 def canonicalize(c: SymbolicCone) -> SymbolicCone:
     """Unique representative: primitive generator columns in lex order.
 
@@ -218,43 +202,28 @@ def _contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
 class ConeCombination(Mapping[SymbolicCone, int]):
     """Finite map from canonical symbolic cones to integer multiplicities.
 
-    Represents the indicator-function sum over its entries. Keys are always
-    canonical and share one ambient dimension; entries with multiplicity 0
-    are dropped on the fly. Cones are immutable and cone operations pure;
-    summing by canonical key is the one mutable step, and the one point
-    needing exclusivity if callers ever parallelize over cones. ``_collect``
-    and ``_from_groups`` take package-built cones (canonical, of one dimension)
-    unchecked; ``__init__``, ``add`` and ``__getitem__`` canonicalize others,
-    and ``add`` takes its multiplicity through ``exact_int``.
+    Represents the indicator-function sum over its entries, held grouped by
+    generator matrix as ``{V: {(num, den, bits): mult}}``, the form the
+    elimination rounds and the Barvinok leaves are summed in: no group is
+    empty, no multiplicity 0, and every V has one ambient dimension.
+    ``_from_groups`` wraps such groups unchecked; ``__init__``, ``add`` and
+    ``__getitem__`` canonicalize other cones, ``add`` takes its multiplicity
+    through ``exact_int`` and drops an emptied group. Cone objects are built
+    once, on first use as a mapping (``_built``), and iterate in group order.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_groups", "_pairs", "_cones", "_entries")
 
     def __init__(self, entries: Mapping[SymbolicCone, int] | None = None):
-        self._entries: dict[SymbolicCone, int] = {}
-        if entries:
-            for c, mult in entries.items():
-                self.add(c, mult)
+        self._groups, self._pairs, self._cones, self._entries = {}, {}, None, None
+        for c, mult in (entries or {}).items():
+            self.add(c, mult)
 
     @classmethod
-    def _from_groups(cls, groups: Mapping[IntMat, Mapping[tuple, int]]) -> ConeCombination:
-        """Build each cone of summed groups {V: {(num, den, bits): mult}} once, no mult 0."""
+    def _from_groups(cls, groups: dict, pairs: dict | None = None) -> ConeCombination:
+        """Wrap summed groups as above, unchecked, with inverse pairs already known by V."""
         out = object.__new__(cls)
-        out._entries = {_canonical_cone(v, num, den, bits): mult
-                        for v, group in groups.items() for (num, den, bits), mult in group.items()}
-        return out
-
-    @classmethod
-    def _collect(cls, signed: Iterable[tuple[int, SymbolicCone]]) -> ConeCombination:
-        """Sum ``(multiplicity, cone)`` pairs of canonical cones of one dimension, unchecked."""
-        out = object.__new__(cls)
-        out._entries = entries = {}
-        for mult, c in signed:
-            new = entries.get(c, 0) + mult
-            if new:
-                entries[c] = new
-            else:
-                del entries[c]
+        out._groups, out._pairs, out._cones, out._entries = groups, pairs or {}, None, None
         return out
 
     def add(self, c: SymbolicCone, multiplicity: int = 1) -> None:
@@ -262,56 +231,74 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         if multiplicity == 0:
             return
         c = canonicalize(c)
-        if self._entries:
-            n = next(iter(self._entries)).ambient_dim
-            if c.ambient_dim != n:
-                raise ValueError("mixed ambient dimensions in combination")
-        new = self._entries.get(c, 0) + multiplicity
-        if new == 0:
-            del self._entries[c]
+        if self._groups and c.ambient_dim != self.ambient_dim:
+            raise ValueError("mixed ambient dimensions in combination")
+        group = self._groups.setdefault(c.generators, {})
+        if new := group.get(key := (c.num, c.den, c.openness), 0) + multiplicity:
+            group[key] = new
         else:
-            self._entries[c] = new
+            del group[key]
+            if not group:
+                del self._groups[c.generators]
+        self._cones = self._entries = None
 
     def __getitem__(self, c: SymbolicCone) -> int:
-        return self._entries[canonicalize(c)]
+        c = canonicalize(c)
+        return self._groups[c.generators][c.num, c.den, c.openness]
 
-    # Mapping's defaults would canonicalize every key again in __getitem__
+    def _sorted_groups(self) -> list[tuple[IntMat, list[tuple[tuple, int]]]]:
+        """The groups in output order: V's sorted, each V's entries by apex value, then bits."""
+        den = math.lcm(*(d for group in self._groups.values() for _, d, _ in group))
+
+        def key(entry):
+            (num, d, bits), _ = entry
+            return (num if d == den else tuple([a * (den // d) for a in num])), bits
+        return [(v, sorted(self._groups[v].items(), key=key)) for v in sorted(self._groups)]
+
+    def _built(self) -> dict[IntMat, dict[tuple, SymbolicCone]]:
+        """Each group's cones by key, and ``_entries``, built once; each square V's pair too."""
+        if self._cones is None:
+            self._cones, self._entries = {}, {}
+            for v, group in self._groups.items():
+                pair = self._pairs.get(v)
+                if pair is None and len(v) == len(v[0]):
+                    pair = self._pairs[v] = scaled_inverse(v)
+                self._cones[v] = cones = {}
+                for (num, den, bits), mult in group.items():
+                    c = cones[num, den, bits] = _canonical_cone(v, num, den, bits, pair)
+                    self._entries[c] = mult
+        return self._cones
+
+    # Mapping's default would look every key up again in __getitem__
     def items(self) -> ItemsView[SymbolicCone, int]:
+        self._built()
         return self._entries.items()
 
-    def values(self) -> ValuesView[int]:
-        return self._entries.values()
-
     def __iter__(self) -> Iterator[SymbolicCone]:
+        self._built()
         return iter(self._entries)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._groups.values()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ConeCombination):
-            return self._entries == other._entries
+            return self._groups == other._groups
         return NotImplemented
 
     def __repr__(self):
-        parts = [f"{m:+d}*{c}" for c, m in self._entries.items()]
+        parts = [f"{m:+d}*{c}" for c, m in self.items()]
         return "ConeCombination(" + " ".join(parts) + ")" if parts else "ConeCombination()"
 
     @property
     def ambient_dim(self) -> int | None:
-        return next(iter(self._entries)).ambient_dim if self._entries else None
+        return len(next(iter(self._groups))[0]) if self._groups else None
 
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
-        """Entries in ``sort_key`` order, which sorts by V first: one sort of
-        the distinct V's, then one of each V's cones by apex value, openness."""
-        den = math.lcm(*(c.den for c in self._entries))
-        groups: dict[IntMat, list[tuple[SymbolicCone, int]]] = {}
-        for item in self._entries.items():
-            groups.setdefault(item[0].generators, []).append(item)
-        out = []
-        for v in sorted(groups):
-            out += sorted(groups[v], key=lambda item: item[0].sort_key(den)[1:])
-        return out
+        """Entries in output order: the built cones along ``_sorted_groups``."""
+        built = self._built()
+        return [(cones[key], mult) for v, group in self._sorted_groups()
+                for cones in (built[v],) for key, mult in group]
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:

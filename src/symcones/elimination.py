@@ -282,8 +282,9 @@ def _solve_groups(sys: LDSystem) -> Iterator[dict]:
 
 
 def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
-    """Each round of ``_solve_groups``, the solutions of the last i rows, as a combination."""
-    return map(ConeCombination._from_groups, _solve_groups(sys))
+    """Each round of ``_solve_groups`` as a combination of a copy of its groups."""
+    for groups in _solve_groups(sys):
+        yield ConeCombination._from_groups({v: dict(group) for v, group in groups.items()})
 
 
 def solve(sys: LDSystem) -> ConeCombination:

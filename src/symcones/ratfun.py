@@ -31,8 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import (ConeCombination, _inverse_pair, _refuse_over_cap, _share_inverse_pairs,
-                    enum_fundpar)
+from .cones import ConeCombination, _refuse_over_cap, enum_fundpar
 from .exactmath import IntVec, exact_int, is_forward, vec_dot, vec_sub
 
 
@@ -123,11 +122,9 @@ def combination_to_ratfun(combination: ConeCombination) -> RatFunExpr:
     none), cones share V^-1 per V, and zero terms are dropped. A k = n cone over
     the cap (its index is |det V|) is refused before any cone is listed.
     """
-    _share_inverse_pairs(combination)
     items = combination.sorted_items()
-    for c, _ in items:
-        if c.dim == c.ambient_dim:
-            _refuse_over_cap(abs(_inverse_pair(c)[1]))
+    for v in sorted(v for v in combination._groups if len(v) == len(v[0])):
+        _refuse_over_cap(abs(combination._pairs[v][1]))
     terms = []
     for c, mult in items:
         nums = tuple(sorted(enum_fundpar(c)))
@@ -236,7 +233,7 @@ def count_lattice_points(combination: ConeCombination) -> int:
     leaves = decompose_combination(combination)
     if not leaves:
         return 0
-    lam = _pick_direction((v for c in leaves for v in c.generators), leaves.ambient_dim)
+    lam = _pick_direction(itertools.chain.from_iterable(leaves._groups), leaves.ambient_dim)
     return _count(((m, enum_fundpar(c), c.generators) for c, m in leaves.items()), lam)
 
 
@@ -308,10 +305,22 @@ def render(expr: RatFunExpr, fmt: str = PLAIN, *, vector_exponents: bool = False
 
 
 def ratfun_from_json(text: str) -> RatFunExpr:
-    """Parse the JSON produced by ``render(..., JSON)`` back into terms of one length."""
+    """Parse the JSON produced by ``render(..., JSON)`` back into terms of one
+    length; ``ValueError`` names the first part that is not of that shape."""
+    objs = json.loads(text)
+    if not isinstance(objs, list):
+        raise ValueError("rational-function JSON must be an array of terms")
+    for i, obj in enumerate(objs, 1):
+        if not isinstance(obj, dict):
+            raise ValueError(f"term {i} is not an object")
+        if missing := [k for k in ("mult", "num", "den") if k not in obj]:
+            raise ValueError(f"term {i} lacks {', '.join(missing)}")
+        for k in ("num", "den"):
+            if not isinstance(obj[k], list) or not all(isinstance(u, list) for u in obj[k]):
+                raise ValueError(f"term {i}: {k!r} is not an array of exponent arrays")
     # render writes "mult" as a string; RatFunTerm converts and checks anything else
     terms = tuple(RatFunTerm(int(m) if isinstance(m := obj["mult"], str) else m,
-                             obj["num"], obj["den"]) for obj in json.loads(text))
+                             obj["num"], obj["den"]) for obj in objs)
     if len(lengths := sorted({t.dimension for t in terms})) > 1:
         raise ValueError(f"terms have exponent vectors of lengths {lengths}")
     return RatFunExpr(terms)

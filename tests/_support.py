@@ -6,12 +6,13 @@ semigroup membership by Cramer's rule and Smith diagonals by determinantal
 divisors, both over those determinants, rank by ``Fraction`` Gaussian
 elimination, LLL by the classical rational Gram-Schmidt algorithm, Laurent
 expansions by per-term ``Fraction`` series, and the cone JSON by a dict
-tree through ``json.dumps``. These are
+tree through ``json.dumps`` in ``sort_key`` order. These are
 the second route that the package's formulas are checked against. The
-exceptions are ``decompose_along_random_direction(s)``: input
-generators, not oracles, that set the openness bits of the package's own
-Barvinok tree (``_tree``, built from the generators alone) under other
-reference directions (``_leaves``); ``lattice_points_in_box``, a box
+exceptions are ``decompose_along`` and
+``decompose_along_random_direction(s)``: input generators, not oracles,
+that set the openness bits of the package's own Barvinok tree (``_tree``,
+built from the generators alone) under other reference directions
+(``_leaves``); ``lattice_points_in_box``, a box
 scan through the package's own ``contains``; and ``reference_term_count``,
 the count by the package's rendered Barvinok terms (sorted, flipped
 forward, each a ``RatFunTerm``), against which the term-free count is
@@ -260,13 +261,20 @@ def reference_run_check(box: int, sys_: LDSystem, combination: ConeCombination) 
     return 0, "PASS"
 
 
+def sort_key(c: SymbolicCone, den: int):
+    """The output order of cones, one key per cone: generators, then apex
+    value as numerators over ``den``, a common multiple of every cone's
+    ``den``, then openness."""
+    return c.generators, tuple(a * (den // c.den) for a in c.num), c.openness
+
+
 def reference_combination_json(combination: ConeCombination, dimension: int | None = None) -> str:
     """The cone JSON that ``cli.combination_to_json`` must equal byte for
     byte: a dict tree in ``sort_key`` order through ``json.dumps``."""
     dim = combination.ambient_dim if dimension is None else dimension
     den = lcm(*(c.den for c in combination))
     cones = []
-    for c, mult in sorted(combination.items(), key=lambda item: item[0].sort_key(den)):
+    for c, mult in sorted(combination.items(), key=lambda item: sort_key(item[0], den)):
         cones.append(
             {
                 "mult": str(mult),
@@ -323,8 +331,14 @@ def decompose_along_random_direction(c: SymbolicCone, rng: random.Random) -> Con
     sum must be [c] whichever w is drawn."""
     c = canonicalize(c)
     weights = tuple(rng.randint(1, 2**20) * (1 if bit == 0 else -1) for bit in c.openness)
-    xi = mat_vec(c.generators, weights)
-    return collect(_leaves(c, 1, _tree(c.generators, 1), xi))
+    return decompose_along(c, mat_vec(c.generators, weights))
+
+
+def decompose_along(c: SymbolicCone, xi) -> ConeCombination:
+    """[c] as the unimodular leaves of its Barvinok tree half-opened along xi,
+    each leaf built as a cone with c's apex and summed by ``collect``."""
+    return collect((sign, _canonical_cone(gens, c.num, c.den, bits, pair))
+                   for sign, gens, bits, pair in _leaves(_tree(c.generators, 1), xi))
 
 
 def collect(pairs) -> ConeCombination:
@@ -508,7 +522,7 @@ def reference_eliminate(c: SymbolicCone, mult: int, row, beta: int, tables: dict
 def reference_rounds(c: SymbolicCone, rows, rhs):
     """Yield [c and the first i half-spaces row.x >= beta] for each i as a
     combination, one cone at a time: each round sums what
-    ``reference_eliminate`` emits for every parent in one ``_collect``, with
+    ``reference_eliminate`` emits for every parent by ``collect``, with
     plan tables per round. Yields ``(combination, emitted)``, emitted being
     the number of pairs summed."""
     current = ConeCombination({c: 1})
@@ -516,7 +530,7 @@ def reference_rounds(c: SymbolicCone, rows, rhs):
         tables: dict = {}
         signed = [pair for parent, mult in current.items()
                   for pair in reference_eliminate(parent, mult, row, beta, tables)]
-        current = ConeCombination._collect(signed)
+        current = collect(signed)
         yield current, len(signed)
 
 

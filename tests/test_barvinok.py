@@ -21,8 +21,8 @@ from symcones.barvinok import _shortest_exchange_vector, decompose_combination
 from symcones.exactmath import det, scaled_inverse
 from _support import (
     assert_canonical_by_construction,
-    collect,
     cramer_solve,
+    decompose_along,
     decompose_along_random_direction,
     random_full_dim_cone,
     random_system,
@@ -209,7 +209,7 @@ def decompose_along_exchange_vector(gens, apex):
     assert all(alpha_scaled)
     bits = tuple(0 if a * d > 0 else 1 for a in alpha_scaled)
     c = canonicalize(cone(gens, apex, bits))
-    result = collect(barvinok._leaves(c, 1, barvinok._tree(c.generators, 1), w))
+    result = decompose_along(c, w)
     assert all(index(leaf) == 1 for leaf in result)
     assert any(0 in cramer_solve(leaf.generators, w) for leaf in result)
     return c, result

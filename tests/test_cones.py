@@ -34,6 +34,7 @@ from _support import (
     lattice_points_in_box,
     random_full_dim_cone,
     random_system,
+    sort_key,
 )
 
 FIG8_A_POINTS = {
@@ -352,6 +353,59 @@ def test_combination_rejects_mixed_dimensions():
         comb.add(cone([(1,)]), 1)
 
 
+def test_combination_drops_an_emptied_group():
+    # entries are held grouped by generator matrix: cancelling the last cone
+    # of a V removes its group, so nothing of it is left to compare or iterate
+    a = cone([(1, 0), (0, 1)], (Fraction(1, 2), 0))
+    b = cone([(1, 0), (1, 2)], openness=(1, 0))
+    comb = ConeCombination({a: 2, b: -1})
+    comb.add(b, 1)
+    assert comb == ConeCombination({a: 2}) and len(comb) == 1 and list(comb) == [canonicalize(a)]
+    comb.add(cone([(2, 0), (0, 3)], (Fraction(1, 2), 0)), -2)
+    assert comb == ConeCombination()
+    assert len(comb) == 0 and comb.ambient_dim is None
+    assert list(comb) == [] and comb.sorted_items() == []
+    # an emptied combination has no dimension left to refuse a cone by
+    comb.add(cone([(1,)]), 1)
+    assert comb.ambient_dim == 1 and comb == ConeCombination({cone([(1,)]): 1})
+
+
+def test_combination_equality_ignores_insertion_order_across_groups():
+    cones_ = [cone([(1, 0), (0, 1)]), cone([(1, 0), (1, 2)]), cone([(1, 0), (0, 1)], (1, 0)),
+              cone([(0, 1), (1, 3)], (Fraction(1, 3), 0), (0, 1))]
+    forward = ConeCombination({c: i + 1 for i, c in enumerate(cones_)})
+    backward = ConeCombination({c: i + 1 for i, c in reversed(list(enumerate(cones_)))})
+    assert list(forward) != list(backward)
+    assert forward == backward and forward.sorted_items() == backward.sorted_items()
+    backward.add(cones_[2], 1)
+    assert forward != backward
+
+
+def test_combination_lookup_refuses_a_missing_cone():
+    comb = ConeCombination({cone([(1, 0), (0, 1)], (1, 0)): 3})
+    assert comb[cone([(2, 0), (0, 1)], (1, 0))] == 3
+    with pytest.raises(KeyError):
+        comb[cone([(1, 0), (1, 2)], (1, 0))]  # no group for this V
+    with pytest.raises(KeyError):
+        comb[cone([(1, 0), (0, 1)])]  # V present, apex not
+    with pytest.raises(KeyError):
+        comb[cone([(1, 0), (0, 1)], (1, 0), (0, 1))]  # V and apex present, bits not
+    assert cone([(1, 0), (0, 1)]) not in comb
+
+
+def test_combination_refuses_mixed_dimensions_in_every_form():
+    plane = cone([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="mixed ambient dimensions"):
+        ConeCombination({plane: 1, cone([(1, 0, 0)]): 1})
+    # a combination wrapped from a round's groups refuses the same way
+    comb = solve(system([(2, 3)], [">="], [5]))
+    with pytest.raises(ValueError, match="mixed ambient dimensions"):
+        comb.add(cone([(1,)]), 1)
+    # one ambient dimension, any number of generators
+    comb.add(cone([(1, 1)]), 1)
+    assert comb.ambient_dim == 2 and comb[cone([(1, 1)])] == 1
+
+
 def test_sorted_items_order_apexes_by_value():
     # same generators: the apex decides, by rational value, not by numerator
     gens = [(1, 0), (0, 1)]
@@ -380,7 +434,7 @@ def test_sorted_items_order_apexes_by_value():
 ], ids=["partition-15-leaves", "random12", "random12-leaves", "hand-built"])
 def test_sorted_items_is_one_sort_by_sort_key(combination):
     den = math.lcm(*(c.den for c in combination))
-    expected = sorted(combination.items(), key=lambda it: it[0].sort_key(den))
+    expected = sorted(combination.items(), key=lambda it: sort_key(it[0], den))
     assert combination.sorted_items() == expected
 
 

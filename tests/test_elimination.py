@@ -498,9 +498,11 @@ def test_elimination_refuses_backward_generators():
 
 def test_solve_collects_each_emitted_cone_once(monkeypatch):
     # the bench 3x3 table: each round sums the signed pairs that eliminating
-    # each parent of the round before emits into exactly one combination, the
-    # one it yields, with no per-cone combination or collect in between; solve
-    # and the CLI build one combination in all, from the last round
+    # each parent of the round before emits into the groups of exactly one
+    # combination, the one it yields, with no per-cone combination in between;
+    # solve and the CLI wrap the last round's groups once and build no cone
+    # object but the orthant
+    import symcones.cones
     import symcones.elimination
 
     sys_ = table_system((2, 4, 6), (4, 4, 4))
@@ -509,22 +511,22 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
     orthant = canonicalize(cone(identity(9)[::-1]))
     reference = list(reference_rounds(orthant, rows, rhs))
 
-    made, collected, plans = [], [], {}
+    made, built, plans = [], [], {}
     real_init, real_build = ConeCombination.__init__, ConeCombination._from_groups.__func__
-    real_collect, real_plan = ConeCombination._collect.__func__, symcones.elimination._plan
+    real_cone, real_plan = symcones.cones._canonical_cone, symcones.elimination._plan
 
     def counted_init(self, entries=None):
         made.append(self)
         real_init(self, entries)
 
-    def counted_build(cls, groups):
-        out = real_build(cls, groups)
+    def counted_build(cls, groups, pairs=None):
+        out = real_build(cls, groups, pairs)
         made.append(out)
         return out
 
-    def counted_collect(cls, signed):
-        collected.append(signed)
-        return real_collect(cls, signed)
+    def counted_cone(*args):
+        built.append(args)
+        return real_cone(*args)
 
     def counted_plan(v, lengths, pairs, nonneg):
         plan = real_plan(v, lengths, pairs, nonneg)
@@ -534,12 +536,13 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
 
     monkeypatch.setattr(ConeCombination, "__init__", counted_init)
     monkeypatch.setattr(ConeCombination, "_from_groups", classmethod(counted_build))
-    monkeypatch.setattr(ConeCombination, "_collect", classmethod(counted_collect))
+    monkeypatch.setattr(symcones.cones, "_canonical_cone", counted_cone)
+    monkeypatch.setattr(symcones.elimination, "_canonical_cone", counted_cone)
     monkeypatch.setattr(symcones.elimination, "_plan", counted_plan)
     parents, emitted = {orthant: 1}, 0
     for row, beta, combination, (want, want_emitted) in zip(
             rows, rhs, solve_rounds(sys_), reference, strict=True):
-        assert made == [combination] and not collected
+        assert made == [combination]
         # every parent is eliminated once, with its own multiplicity: it keeps
         # itself when q_n >= 0 and adds one vertex cone per entry of the plan
         # of its (V, sign q_n); the first round's one parent is the orthant cone
@@ -556,10 +559,13 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
     # emitted; the lifted route emitted these 2502 cones too
     assert emitted == 2502 and len(combination) == 672
     monkeypatch.setattr(symcones.elimination, "_plan", real_plan)
-    assert solve(sys_) == combination and len(made) == 1
-    made.clear()
-    run(RunConfig("solve", verbose=True), sys_)
-    assert len(made) == 1 and not collected
+    orthant_args = (orthant.generators, orthant.num, orthant.den, orthant.openness)
+    for build in (lambda: solve(sys_) == combination,
+                  lambda: run(RunConfig("solve", verbose=True), sys_)[0] == 0):
+        made.clear()
+        built.clear()
+        assert build()
+        assert len(made) == 1 and built == [orthant_args]
 
 
 @pytest.mark.parametrize("row_sums, col_sums, plans, parents", [

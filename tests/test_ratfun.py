@@ -101,6 +101,25 @@ def test_json_refuses_terms_of_different_lengths():
         ratfun_from_json(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    # '{}' once read as an empty expression, '[1]' and '"abc"' raised
+    # TypeError and a term without "num" KeyError
+    ("{}", "must be an array of terms"),
+    ('"abc"', "must be an array of terms"),
+    ("[1]", "term 1 is not an object"),
+    ('[{"mult": "1", "num": [[0]], "den": [[1]]}, ["1"]]', "term 2 is not an object"),
+    ('[{"mult": "1"}]', "term 1 lacks num, den"),
+    ('[{"num": [[0]], "den": [[1]]}]', "term 1 lacks mult"),
+    ('[{"mult": "1", "num": [[0]]}]', "term 1 lacks den"),
+    ('[{"mult": "1", "num": [0], "den": [[1]]}]', "term 1: 'num' is not an array"),
+    ('[{"mult": "1", "num": [[0]], "den": {"1": 1}}]', "term 1: 'den' is not an array"),
+    ('[{"mult": "1", "num": [[0]], "den": "[[1]]"}]', "term 1: 'den' is not an array"),
+])
+def test_json_reader_refuses_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        ratfun_from_json(text)
+
+
 def test_term_converts_list_containers_to_an_equal_hashable_term():
     # the containers were once kept as given: a term of lists was unequal to
     # its tuple twin, and hash() of it raised TypeError
