@@ -297,8 +297,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
         """Entries in output order: the built cones along ``_sorted_groups``."""
         built = self._built()
-        return [(cones[key], mult) for v, group in self._sorted_groups()
-                for cones in (built[v],) for key, mult in group]
+        return [(built[v][key], mult) for v, group in self._sorted_groups() for key, mult in group]
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:

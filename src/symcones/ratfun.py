@@ -123,6 +123,7 @@ def combination_to_ratfun(combination: ConeCombination) -> RatFunExpr:
     the cap (its index is |det V|) is refused before any cone is listed.
     """
     items = combination.sorted_items()
+    # building the cones gave every square V of the combination its pair
     for v in sorted(v for v in combination._groups if len(v) == len(v[0])):
         _refuse_over_cap(abs(combination._pairs[v][1]))
     terms = []
