@@ -23,22 +23,22 @@ The recursion reads V alone: ``decompose_combination`` builds one ``_tree``
 per group of the combination and reads its leaves' bits (``_leaves``) once
 per openness in the group; each cone's apex goes to each leaf's output
 group. Only the root is inverted by ``scaled_inverse``: a child's pair
-follows from its parent's by an integer pivot, and a leaf hands its pair on.
+follows from its parent's by an integer pivot, and the leaves' go to the output.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cones import ConeCombination, SymbolicCone, _inverse_pair
-from .exactmath import IntMat, IntVec, exact_int, lll_reduce, mat_vec, scaled_inverse, vec_dot
+from .cones import ConeCombination, SymbolicCone
+from .exactmath import IntMat, IntVec, det, exact_int, lll_reduce, mat_vec, scaled_inverse, vec_dot
 
 
 def index(c: SymbolicCone) -> int:
     """Number of lattice points in the fundamental parallelepiped, |det V|."""
     if c.dim != c.ambient_dim:
         raise ValueError("index requires a full-dimensional cone")
-    return abs(_inverse_pair(c)[1])
+    return abs(det(c.generators))
 
 
 def _shortest_exchange_vector(generators: IntMat, adj: IntMat, d: int) -> tuple[IntVec, IntVec]:

@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, _product_sums
+from .cones import ConeCombination, _facet_forms, _product_sums
 from .elimination import LDSystem, _solve_groups, expand_equalities
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
@@ -186,16 +186,15 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
     box, d = config.box, sys_.num_variables
     width = box + 1
     oracle = _oracle_forms(sys_)
-    # one half-space per oracle row, k facets + d - k hull pairs per k-cone
-    half_spaces = len(oracle) + sum((2 * d - len(v)) * len(group)
-                                    for v, group in combination._groups.items())
+    # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
+    scans = [(oracle, -1)]
+    scans += [([_primitive(row, offset + bit) for row, offset, bit in _facet_forms(pair, *key)], m)
+              for v, group in combination._groups.items() for pair in [combination._pair(v)]
+              for key, m in group.items()]
+    half_spaces = sum(len(forms) for forms, _ in scans)
     if (values := width ** (d - 1) * half_spaces) > MAX_CHECK_VALUES:
         raise ParseError(f"check would cut {values} x_d bounds (lines x half-spaces), "
                          f"more than {MAX_CHECK_VALUES}; use a smaller --box")
-    # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
-    scans = [(oracle, -1)]
-    scans += [([_primitive(row, offset + bit) for row, offset, bit in c._facets], m)
-              for c, m in combination.items()]
     # a block fixes x_1..x_k to head; its lines run over x_{k+1}..x_{d-1}
     inner = d - 1
     while inner and width ** inner * half_spaces > CHECK_BLOCK_VALUES:

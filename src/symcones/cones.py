@@ -14,12 +14,16 @@ sorted generators) is unique per point set and openness pattern, and a
 ``ConeCombination`` holds canonical cones grouped by generator matrix.
 Membership is one integer test per facet row (``_facets``), for every k <= n.
 A cone is checked once, when ``SymbolicCone`` (alias ``cone``) builds it;
-the package's own cones come from the unchecked ``_canonical_cone``.
+the package's own cones come from the unchecked ``_canonical_cone``. Of V,
+facets and parallelepipeds need only its inverse pair (adj, d), and a cone
+carries none: a combination owns one per V (``_pair``), which fp, ``check``
+and ``count`` read per V for the per-entry cores ``_facet_forms`` and
+``_fundpar``, the cores of ``_facets`` and ``enum_fundpar``.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
 fundamental parallelepiped, the numerator of its generating function. A
 full-dimensional cone of index |det V| = 1 gets its one point in closed
-form from its inverse pair; any other cone's points are read off the U^-1,
+form from V's pair; any other cone's points are read off the U^-1,
 W^-1 and diagonal of a Smith normal form of V, in blocks of at most
 ``FUNDPAR_BLOCK`` points, one coordinate at a time. Parallelepipeds of more
 than ``MAX_FUNDPAR_POINTS`` points are refused before enumeration.
@@ -67,7 +71,6 @@ class SymbolicCone:
     openness: tuple[int, ...]
     # set only by _canonical_cone, never by callers
     _canonical = False
-    _inverse = None  # see _inverse_pair
 
     def __init__(self, generators: Iterable[Sequence[int]], apex: Sequence[Scalar] | None = None,
                  openness: Sequence[int] | None = None):
@@ -112,23 +115,8 @@ class SymbolicCone:
 
     @cached_property
     def _facets(self) -> tuple[tuple[IntVec, int, int], ...]:
-        """(row, offset, bit) triples: x in cone iff row.x - offset >= 0 on each, > 0 if bit.
-
-        With M = V completed by the first unit columns that keep it independent
-        and x = q + M mu, row j of adj = d * M^-1 gives mu_j * den * |d|. Rows
-        j < k carry the bits; rows j >= k come in opposite pairs: mu_j = 0 on the hull.
-        """
-        k, n = self.dim, self.ambient_dim
-        basis = self.generators
-        for e in identity(n) if k < n else ():
-            if has_full_column_rank((*basis, e)):
-                basis += (e,)
-        adj, d = _inverse_pair(self) if k == n else scaled_inverse(basis)
-        sgn = 1 if d > 0 else -1
-        facets = [(tuple(sgn * self.den * a for a in row),
-                   sgn * sum(map(operator.mul, row, self.num)), bit)
-                  for row, bit in zip(zip(*adj), self.openness + (0,) * (n - k))]
-        return (*facets, *((tuple(-a for a in row), -offset, 0) for row, offset, _ in facets[k:]))
+        """``_facet_forms`` of the cone, from ``_basis_pair`` of its generators."""
+        return _facet_forms(_basis_pair(self.generators), self.num, self.den, self.openness)
 
     def __str__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -143,26 +131,23 @@ def _require_exact(values: Sequence[Scalar], what: str) -> None:
         raise TypeError(f"{what} entries must be exact rationals")
 
 
-def _canonical_cone(generators: IntMat, num: IntVec, den: int, openness: tuple[int, ...],
-                    inverse: tuple[IntMat, int] | None = None) -> SymbolicCone:
-    """Build a canonical cone from columns already known to be good.
-
-    The caller (the lift, a round, a leaf, ``canonicalize``) guarantees primitive,
-    independent integer columns in lex order, their ``_inverse_pair`` if given,
-    and an apex ``num / den`` in lowest terms with ``den > 0``; nothing is checked.
-    """
+def _canonical_cone(generators: IntMat, num: IntVec, den: int, openness: tuple) -> SymbolicCone:
+    """A canonical cone, unchecked: the caller (the lift, the orthant, a combination's
+    groups, ``canonicalize``) guarantees primitive, independent integer columns in
+    lex order and an apex ``num / den`` in lowest terms with ``den > 0``."""
     out = object.__new__(SymbolicCone)
     out.__dict__.update(generators=generators, num=num, den=den, openness=openness,
-                        _canonical=True, _inverse=inverse)
+                        _canonical=True)
     return out
 
 
-def _inverse_pair(c: SymbolicCone) -> tuple[IntMat, int]:
-    """The cone's ``(adj, d)``: adj = d * V^-1 with |d| = |det V|, so adj is
-    integral and only d's sign is free; by ``scaled_inverse`` on first use."""
-    if c._inverse is None:
-        c.__dict__["_inverse"] = scaled_inverse(c.generators)
-    return c._inverse
+def _basis_pair(v: IntMat) -> tuple[IntMat, int]:
+    """``scaled_inverse`` of M, V completed by the first unit columns that keep it independent."""
+    n = len(v[0])
+    for e in identity(n) if len(v) < n else ():
+        if has_full_column_rank((*v, e)):
+            v += (e,)
+    return scaled_inverse(v)
 
 
 def canonicalize(c: SymbolicCone) -> SymbolicCone:
@@ -187,6 +172,19 @@ def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     return _contains(c, x)
 
 
+def _facet_forms(pair: tuple, num: IntVec, den: int, bits: tuple) -> tuple[tuple, ...]:
+    """(row, offset, bit) triples of the cone (V, num / den, bits): x in cone iff
+    row.x - offset >= 0 on each, > 0 if bit. With V's ``_basis_pair`` (adj, d),
+    adj = d * M^-1, and x = q + M mu, row j of adj gives mu_j * den * |d|. Rows
+    j < k carry the bits; rows j >= k come in opposite pairs: mu_j = 0 on the hull."""
+    adj, d = pair
+    k, n = len(bits), len(num)
+    sgn = 1 if d > 0 else -1
+    facets = [(tuple(sgn * den * a for a in row), sgn * sum(map(operator.mul, row, num)), bit)
+              for row, bit in zip(zip(*adj), bits + (0,) * (n - k))]
+    return (*facets, *((tuple(-a for a in row), -offset, 0) for row, offset, _ in facets[k:]))
+
+
 def _contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     if len(x) != c.ambient_dim:
         raise ValueError("point has wrong dimension")
@@ -208,14 +206,14 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     empty, no multiplicity 0, and every V has one ambient dimension.
     ``_from_groups`` wraps such groups unchecked; ``__init__``, ``add`` and
     ``__getitem__`` canonicalize other cones, ``add`` takes its multiplicity
-    through ``exact_int`` and drops an emptied group. Cone objects are built
-    once, on first use as a mapping (``_built``), and iterate in group order.
+    through ``exact_int`` and drops an emptied group. Cone objects, the mapping
+    view, are built once, on first use (``_built``), with no linear algebra.
     """
 
-    __slots__ = ("_groups", "_pairs", "_cones", "_entries")
+    __slots__ = ("_groups", "_pairs", "_entries")
 
     def __init__(self, entries: Mapping[SymbolicCone, int] | None = None):
-        self._groups, self._pairs, self._cones, self._entries = {}, {}, None, None
+        self._groups, self._pairs, self._entries = {}, {}, None
         for c, mult in (entries or {}).items():
             self.add(c, mult)
 
@@ -223,8 +221,12 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     def _from_groups(cls, groups: dict, pairs: dict | None = None) -> ConeCombination:
         """Wrap summed groups as above, unchecked, with inverse pairs already known by V."""
         out = object.__new__(cls)
-        out._groups, out._pairs, out._cones, out._entries = groups, pairs or {}, None, None
+        out._groups, out._pairs, out._entries = groups, pairs or {}, None
         return out
+
+    def _pair(self, v: IntMat) -> tuple[IntMat, int]:
+        """V's ``_basis_pair``: handed over (Barvinok's leaves), else one Bareiss on first use."""
+        return self._pairs.get(v) or self._pairs.setdefault(v, _basis_pair(v))
 
     def add(self, c: SymbolicCone, multiplicity: int = 1) -> None:
         multiplicity = exact_int(multiplicity)
@@ -240,7 +242,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
             del group[key]
             if not group:
                 del self._groups[c.generators]
-        self._cones = self._entries = None
+        self._entries = None
 
     def __getitem__(self, c: SymbolicCone) -> int:
         c = canonicalize(c)
@@ -255,28 +257,19 @@ class ConeCombination(Mapping[SymbolicCone, int]):
             return (num if d == den else tuple([a * (den // d) for a in num])), bits
         return [(v, sorted(self._groups[v].items(), key=key)) for v in sorted(self._groups)]
 
-    def _built(self) -> dict[IntMat, dict[tuple, SymbolicCone]]:
-        """Each group's cones by key, and ``_entries``, built once; each square V's pair too."""
-        if self._cones is None:
-            self._cones, self._entries = {}, {}
-            for v, group in self._groups.items():
-                pair = self._pairs.get(v)
-                if pair is None and len(v) == len(v[0]):
-                    pair = self._pairs[v] = scaled_inverse(v)
-                self._cones[v] = cones = {}
-                for (num, den, bits), mult in group.items():
-                    c = cones[num, den, bits] = _canonical_cone(v, num, den, bits, pair)
-                    self._entries[c] = mult
-        return self._cones
+    def _built(self) -> dict[SymbolicCone, int]:
+        """Every entry as ``{cone: mult}``, in group order, built once."""
+        if self._entries is None:
+            self._entries = {_canonical_cone(v, *key): mult
+                             for v, group in self._groups.items() for key, mult in group.items()}
+        return self._entries
 
     # Mapping's default would look every key up again in __getitem__
     def items(self) -> ItemsView[SymbolicCone, int]:
-        self._built()
-        return self._entries.items()
+        return self._built().items()
 
     def __iter__(self) -> Iterator[SymbolicCone]:
-        self._built()
-        return iter(self._entries)
+        return iter(self._built())
 
     def __len__(self) -> int:
         return sum(map(len, self._groups.values()))
@@ -295,9 +288,9 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         return len(next(iter(self._groups))[0]) if self._groups else None
 
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
-        """Entries in output order: the built cones along ``_sorted_groups``."""
-        built = self._built()
-        return [(built[v][key], mult) for v, group in self._sorted_groups() for key, mult in group]
+        """Entries in output order, along ``_sorted_groups``, as new cone objects."""
+        return [(_canonical_cone(v, *key), mult)
+                for v, group in self._sorted_groups() for key, mult in group]
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:
@@ -356,7 +349,7 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     The parallelepiped is q + { V @ lam } with lam_i in [0,1) on closed and
     (0,1] on open coordinates; mod' below sends 0 to 1 on open coordinates.
     A full-dimensional cone of index |d| = 1 holds one point, lam = -V^-1 q
-    mod' 1 with V^-1 = d * adj from its inverse pair. Otherwise, over a
+    mod' 1 with V^-1 = d * adj from V's pair. Otherwise, over a
     Smith normal form V = U S W with diagonal s_1 | ... | s_k, a point
     x = q + V @ lam is integral iff U^-1 x is, i.e. iff the last n-k
     entries of U^-1 q are integers and
@@ -374,12 +367,17 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     possible for k < n). Raises ``ValueError`` before enumerating when the
     parallelepiped holds more than ``MAX_FUNDPAR_POINTS`` points.
     """
-    k, n = c.dim, c.ambient_dim
     v = c.generators
-    num, den = c.num, c.den
-    adj, d = _inverse_pair(c) if k == n else (None, 0)
+    return _fundpar(v, scaled_inverse(v) if c.dim == c.ambient_dim else (None, 0),
+                    c.num, c.den, c.openness)
+
+
+def _fundpar(v: IntMat, pair: tuple, num: IntVec, den: int, bits: tuple) -> list[IntVec]:
+    """``enum_fundpar`` of (V, num / den, bits), given V's pair if V is square, else (None, 0)."""
+    k, n = len(v), len(num)
+    adj, d = pair
     if d in (1, -1):
-        r = [-d * t % den or bit * den for t, bit in zip(mat_vec(adj, num), c.openness)]
+        r = [-d * t % den or bit * den for t, bit in zip(mat_vec(adj, num), bits)]
         point = [a + b for a, b in zip(num, mat_vec(v, r))]
         if any(a % den for a in point):
             raise AssertionError("parallelepiped point is not integral")
@@ -402,7 +400,7 @@ def enum_fundpar(c: SymbolicCone) -> list[IntVec]:
     for ranges in _fundpar_blocks(diag[ones:]):
         # modulus * (lam mod' 1), one list per generator
         residues = [[t % modulus or top for t in _product_sums(step, ranges, start)]
-                    for step, start, top in zip(steps, base, [b * modulus for b in c.openness])]
+                    for step, start, top in zip(steps, base, [b * modulus for b in bits])]
         coordinates = []
         for i in range(n):
             total = [s_k * num[i]] * len(residues[0])

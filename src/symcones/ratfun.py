@@ -7,9 +7,9 @@ points u_1..u_N has the generating function
 
 and a signed combination of cones turns into the matching signed sum of
 such terms. Nothing here attempts cross-term normalization; expressions
-are structured sums, rendered as-is. Every term's numerator comes from
-``enum_fundpar``, which gives a cone of index 1 its one point in closed
-form, so a Barvinok leaf's term costs no enumeration.
+are structured sums, rendered as-is. Both walk the combination's groups:
+every numerator comes from ``_fundpar``, which gives a cone of index 1 its
+one point in closed form from V's pair, so a leaf's term costs no listing.
 
 A term is checked once, when it is built: ``RatFunTerm`` converts what
 callers give it, and ``combination_to_ratfun`` builds its own terms unchecked.
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, _refuse_over_cap, enum_fundpar
+from .cones import ConeCombination, _fundpar, _refuse_over_cap
 from .exactmath import IntVec, exact_int, is_forward, vec_dot, vec_sub
 
 
@@ -113,24 +113,25 @@ def _forward_normalized(mult: int, nums: tuple[IntVec, ...], dens: tuple[IntVec,
 
 def combination_to_ratfun(combination: ConeCombination) -> RatFunExpr:
     """Turn a signed cone combination into a rational-function expression,
-    one term per cone, whose numerator monomials are the cone's lex-sorted
-    ``enum_fundpar`` points: as many as its index.
+    one term per cone in ``sorted_items`` order, whose numerator monomials are
+    the cone's lex-sorted ``enum_fundpar`` points: as many as its index.
 
     Barvinok's short terms are ``combination_to_ratfun(decompose_combination(
     combination, index_threshold))``. Backward denominator factors are
     flipped forward (Barvinok leaves may have them; cones from ``solve`` have
-    none), cones share V^-1 per V, and zero terms are dropped. A k = n cone over
-    the cap (its index is |det V|) is refused before any cone is listed.
+    none), and zero terms are dropped. A k = n cone over the cap (its index
+    is |d| of V's pair) is refused before any cone is listed.
     """
-    items = combination.sorted_items()
-    # building the cones gave every square V of the combination its pair
-    for v in sorted(v for v in combination._groups if len(v) == len(v[0])):
-        _refuse_over_cap(abs(combination._pairs[v][1]))
+    groups = [(v, group, combination._pair(v) if len(v) == len(v[0]) else (None, 0))
+              for v, group in combination._sorted_groups()]
+    for _, _, (_, d) in groups:
+        _refuse_over_cap(abs(d))
     terms = []
-    for c, mult in items:
-        nums = tuple(sorted(enum_fundpar(c)))
-        if nums:
-            terms.append(_term(*_forward_normalized(mult, nums, c.generators)))
+    for v, group, pair in groups:
+        for key, mult in group:
+            nums = tuple(sorted(_fundpar(v, pair, *key)))
+            if nums:
+                terms.append(_term(*_forward_normalized(mult, nums, v)))
     return RatFunExpr(tuple(terms))
 
 
@@ -228,14 +229,15 @@ def count_lattice_points(combination: ConeCombination) -> int:
 
     An infinite set raises ``InfiniteSetError``. Each cone is first
     decomposed into unimodular leaves, so every Laurent expansion has pole
-    order exactly the ambient dimension; no term is built, each leaf's one
-    point and raw, unflipped generators go straight to ``_count``.
+    order exactly the ambient dimension; no term or cone is built, each
+    leaf's one point and raw, unflipped generators go straight to ``_count``.
     """
     leaves = decompose_combination(combination)
     if not leaves:
         return 0
     lam = _pick_direction(itertools.chain.from_iterable(leaves._groups), leaves.ambient_dim)
-    return _count(((m, enum_fundpar(c), c.generators) for c, m in leaves.items()), lam)
+    return _count([(m, _fundpar(v, pair, *key), v) for v, group in leaves._groups.items()
+                   for pair in [leaves._pair(v)] for key, m in group.items()], lam)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -337,8 +337,8 @@ def decompose_along_random_direction(c: SymbolicCone, rng: random.Random) -> Con
 def decompose_along(c: SymbolicCone, xi) -> ConeCombination:
     """[c] as the unimodular leaves of its Barvinok tree half-opened along xi,
     each leaf built as a cone with c's apex and summed by ``collect``."""
-    return collect((sign, _canonical_cone(gens, c.num, c.den, bits, pair))
-                   for sign, gens, bits, pair in _leaves(_tree(c.generators, 1), xi))
+    return collect((sign, _canonical_cone(gens, c.num, c.den, bits))
+                   for sign, gens, bits, _ in _leaves(_tree(c.generators, 1), xi))
 
 
 def collect(pairs) -> ConeCombination:

@@ -133,7 +133,8 @@ def test_prim_rescales_a_leaf_pair():
 @pytest.mark.parametrize("threshold", [1, 3])
 def test_carried_inverse_pairs_match_scaled_inverse(monkeypatch, threshold):
     # every exchange and every leaf reads the pair its parent handed down:
-    # each must equal Bareiss's on its columns, and each leaf cone keeps it
+    # each must equal Bareiss's on its columns, and the leaves' combination
+    # holds it for each leaf V
     real_exchange = barvinok._shortest_exchange_vector
     exchanges = []
     rescaled = []  # leaves with a column that prim divides
@@ -161,9 +162,9 @@ def test_carried_inverse_pairs_match_scaled_inverse(monkeypatch, threshold):
                 for _, leaf_gens, rows, (adj, d) in barvinok._tree(gens, threshold):
                     assert_inverse_pair(leaf_gens, adj, d)
                     assert rows == tuple(zip(*adj))
-            for leaf in decompose_combination(ConeCombination({c: 1}), threshold):
-                assert leaf._inverse is not None
-                assert_inverse_pair(leaf.generators, *leaf._inverse)
+            leaves = decompose_combination(ConeCombination({c: 1}), threshold)
+            for v in leaves._groups:
+                assert_inverse_pair(v, *leaves._pairs[v])
     assert len(exchanges) > 100
     assert bool(rescaled) == (threshold > 1)
 

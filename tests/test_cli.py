@@ -751,3 +751,32 @@ def test_fp_route_builds_no_smith_transforms(monkeypatch, capsys):
     assert parse_system(CASE[name][2]) == random_system(random.Random(12), 3, 3)
     assert CASE[name][4].startswith("fd17b613")
     assert _case_digest_in_process(name, monkeypatch, capsys) == CASE[name][4]
+
+
+def test_each_run_builds_one_cone_object_the_orthant(monkeypatch):
+    # fp, check and count read the combination's groups and its pair per V,
+    # and Barvinok's leaves are groups too, so no run builds a cone object
+    # but the orthant the rounds start from
+    from symcones import cones, elimination
+    from symcones.exactmath import identity
+
+    built = []
+    real = cones._canonical_cone
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cones, "_canonical_cone", spy)
+    monkeypatch.setattr(elimination, "_canonical_cone", spy)
+    runs = [(RunConfig("count"), system([(2, 3, 5, 7, 11, 13)], ["="], [60]))]
+    for s in range(1, 10):
+        sys_ = random_system(random.Random(s), 4, 3)
+        runs += [(config, sys_) for config in (
+            RunConfig("solve"), RunConfig("ratfun", method="fp"),
+            RunConfig("ratfun", method="barvinok"), RunConfig("check"))]
+    for config, sys_ in runs:
+        built.clear()
+        assert run(config, sys_)[0] == 0
+        d = sys_.num_variables
+        assert built == [(identity(d)[::-1], (0,) * d, 1, (0,) * d)], config

@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from symcones import (
     ConeCombination,
+    RatFunTerm,
     SymbolicCone,
     canonicalize,
+    combination_to_ratfun,
     cone,
     contains,
     count_lattice_points,
@@ -24,6 +26,7 @@ from symcones import (
 from symcones import cones
 from symcones.barvinok import decompose_combination
 from symcones.exactmath import det
+from symcones.ratfun import _forward_normalized
 from _support import (
     box_points,
     cramer_solve,
@@ -629,10 +632,10 @@ def test_enum_fundpar_index_one_is_closed_form(monkeypatch, sign):
     unimodular = [random_full_dim_cone(rng, rng.randint(1, 4), 2, max_det=1, rational_apex=True,
                                        random_openness=True) for _ in range(60)]
     monkeypatch.setattr(cones, "_smith", refused)
+    # d = det V, the sign of V's pair, picks the closed form's sign
     signed = [c for c in unimodular if det(c.generators) == sign]
     assert len(signed) >= 20
     for c in signed:
-        assert cones._inverse_pair(c)[1] == sign
         assert enum_fundpar(c) == half_open_parallelepiped_points(c)
 
 
@@ -640,13 +643,15 @@ def test_enum_fundpar_index_one_barvinok_leaves(monkeypatch):
     def refused(m):
         raise AssertionError("a Barvinok leaf computed a Smith form or V^-1")
 
+    # the leaves' combination holds each leaf V's pair, of both signs, so
+    # their terms are the reference points with no Smith form or inversion
     leaves = decompose_combination(solve(random_system(random.Random(1), 3, 3)))
-    assert all(c._inverse is not None for c in leaves)
-    assert {c._inverse[1] for c in leaves} == {1, -1}
+    assert {leaves._pairs[v][1] for v in leaves._groups} == {1, -1}
+    expected = tuple(RatFunTerm(*_forward_normalized(
+        m, tuple(half_open_parallelepiped_points(c)), c.generators)) for c, m in leaves.sorted_items())
     monkeypatch.setattr(cones, "_smith", refused)
     monkeypatch.setattr(cones, "scaled_inverse", refused)
-    for c in leaves:
-        assert enum_fundpar(c) == half_open_parallelepiped_points(c)
+    assert combination_to_ratfun(leaves).terms == expected
     assert count_lattice_points(solve(system([(2, 3, 5, 7, 11, 13)], ["="], [60]))) == 893
 
 

@@ -809,3 +809,23 @@ def test_solve_equals_eliminate_of_the_lift_on_random_systems():
         assert solve(sys_) == eliminate(lift, len(rows))
         relations.update(sys_.relations)
     assert min(relations.values()) > 40, relations
+
+
+def test_iterating_an_elimination_inverts_no_generator_matrix(monkeypatch):
+    # cone objects are only the mapping view: iterating the lifted 2x3
+    # table's elimination (96 cones over 12 V) runs no Bareiss elimination
+    from symcones import exactmath
+
+    rows, rhs = expand_equalities(table_system((2, 4), (2, 2, 2)))
+    comb = eliminate(macmahon_lift(rows, rhs), len(rows))
+    assert (len(comb), len(comb._groups), comb.ambient_dim) == (96, 12, 6)
+    calls = []
+    real = exactmath._bareiss
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactmath, "_bareiss", spy)
+    assert sum(mult for _, mult in comb.items()) == sum(map(comb.__getitem__, comb))
+    assert not calls

@@ -449,7 +449,7 @@ def test_fp_refuses_a_cone_over_the_cap_before_listing_any(monkeypatch):
     over = [i for i, index in enumerate(indices) if index > 10**6]
     assert len(indices) == 28 and over[0] > 0 and indices[over[0]] == 2825761
     listed = []
-    monkeypatch.setattr(symcones.ratfun, "enum_fundpar", listed.append)
+    monkeypatch.setattr(symcones.ratfun, "_fundpar", lambda *entry: listed.append(entry))
     start = time.perf_counter()
     with pytest.raises(ValueError) as refused:
         run(RunConfig("ratfun", method="fp"), sys_)
