@@ -81,6 +81,15 @@ CASES = [
      "iteration 1: 2 cones (bound 6), max generator entry 5 bits\n"
      "iteration 2: 7 cones (bound 21), max generator entry 8 bits\n"
      "iteration 3: 10 cones (bound 56), max generator entry 8 bits\n"),
+    # the tables-solve workload's two shapes at scale 1 and 3, as bench/workloads.table_system
+    # writes them: 96 cones over 12 (V, apex) pairs and 672 over 36
+    ("solve-table-12-111", ["solve"],
+     "1 1 1 0 0 0 = 1\n0 0 0 1 1 1 = 2\n1 0 0 1 0 0 = 1\n0 1 0 0 1 0 = 1\n", 0,
+     "7eba14bdc72f9f11f63f3d96b38d564256b50e11df054cd594be85f2f68d1d77"),
+    ("solve-table-369-666", ["solve"],
+     "1 1 1 0 0 0 0 0 0 = 3\n0 0 0 1 1 1 0 0 0 = 6\n0 0 0 0 0 0 1 1 1 = 9\n"
+     "1 0 0 1 0 0 1 0 0 = 6\n0 1 0 0 1 0 0 1 0 = 6\n", 0,
+     "790fd47f87b293f73f87ddc2c0eb51e8232e526e3e01944fe9d1c161d41b981c"),
     # recorded before the apex became integer numerators over one denominator
     ("solve-table-36-333", ["solve"],
      "1 1 1 0 0 0 = 3\n0 0 0 1 1 1 = 6\n1 0 0 1 0 0 = 3\n0 1 0 0 1 0 = 3\n", 0,
