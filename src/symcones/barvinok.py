@@ -164,18 +164,24 @@ def decompose_combination(
     if any(len(v) != len(v[0]) for v in combination._groups):
         raise ValueError("decomposition requires a full-dimensional cone")
     out, pairs = {}, {}
-    for v, group in combination._groups.items():
+    for v, apexes in combination._groups.items():
         tree = _tree(v, index_threshold)
         pairs.update((gens, pair) for _, gens, _, pair in tree)
         plans: dict = {}  # per openness of C: each leaf's output group, sign and bits
-        for (num, den, bits), mult in group.items():
-            if bits not in plans:
-                xi = mat_vec(v, [1 - 2 * bit for bit in bits])
-                plans[bits] = [(out.setdefault(gens, {}), sign, leaf_bits)
-                               for sign, gens, leaf_bits, _ in _leaves(tree, xi)]
-            for target, sign, leaf_bits in plans[bits]:
-                if m := target.get(key := (num, den, leaf_bits), 0) + mult * sign:
-                    target[key] = m
-                else:
-                    del target[key]
-    return ConeCombination._from_groups({v: group for v, group in out.items() if group}, pairs)
+        for apex, patterns in apexes.items():
+            for bits, mult in patterns.items():
+                if bits not in plans:
+                    xi = mat_vec(v, [1 - 2 * bit for bit in bits])
+                    plans[bits] = [(out.setdefault(gens, {}), sign, leaf_bits)
+                                   for sign, gens, leaf_bits, _ in _leaves(tree, xi)]
+                for target, sign, leaf_bits in plans[bits]:
+                    leaf = target.setdefault(apex, {})
+                    if m := leaf.get(leaf_bits, 0) + mult * sign:
+                        leaf[leaf_bits] = m
+                    else:
+                        del leaf[leaf_bits]
+    groups = {}
+    for v, apexes in out.items():
+        if kept := {apex: leaves for apex, leaves in apexes.items() if leaves}:
+            groups[v] = kept
+    return ConeCombination._from_groups(groups, pairs)

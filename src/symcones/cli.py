@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .barvinok import decompose_combination
-from .cones import ConeCombination, _facet_forms, _product_sums
+from .cones import ConeCombination, _product_sums
 from .elimination import LDSystem, _solve_groups, expand_equalities
 from .ratfun import combination_to_ratfun, count_lattice_points, render
 
@@ -98,18 +98,21 @@ def parse_system(text: str) -> LDSystem:
 def combination_to_json(combination: ConeCombination, dimension: int | None = None) -> str:
     """Bit-exact cone JSON: canonical column order, big integers as strings."""
     dim = combination.ambient_dim if dimension is None else dimension
-    cones = []
-    for v, group in combination._sorted_groups():
+    cones, opens = [], {}  # each openness pattern's text, made once
+    for v, apexes in combination._sorted_groups():
         # a list's repr is its JSON with ", " separators
         gens = repr([list(g) for g in v])
-        for (num, den, bits), mult in group:
+        for (num, den), patterns in apexes:
             if den == 1:
                 apex = ", ".join(['{"num": "%d", "den": "1"}' % a for a in num])
             else:
                 apex = ", ".join(['{"num": "%d", "den": "%d"}' % (a // g, den // g)
                                   for a, g in ((a, math.gcd(a, den)) for a in num)])
-            cones.append('{"mult": "%d", "generators": %s, "apex": [%s], "open": %r}'
-                         % (mult, gens, apex, list(bits)))
+            head = '", "generators": %s, "apex": [%s], "open": ' % (gens, apex)
+            for bits, mult in patterns:
+                if (text := opens.get(bits)) is None:
+                    text = opens[bits] = repr(list(bits)) + "}"
+                cones.append('{"mult": "%d%s%s' % (mult, head, text))
     return '{"dimension": %d, "cones": [%s]}' % (dim or 0, ", ".join(cones))
 
 
@@ -188,9 +191,8 @@ def _run_check(config: RunConfig, sys_: LDSystem, combination: ConeCombination) 
     oracle = _oracle_forms(sys_)
     # the oracle enters with multiplicity -1, so a pass sums to 0 everywhere
     scans = [(oracle, -1)]
-    scans += [([_primitive(row, offset + bit) for row, offset, bit in _facet_forms(pair, *key)], m)
-              for v, group in combination._groups.items() for pair in [combination._pair(v)]
-              for key, m in group.items()]
+    scans += [([_primitive(row, offset + bit) for row, offset, bit in facets], m)
+              for facets, m in combination._facet_entries()]
     half_spaces = sum(len(forms) for forms, _ in scans)
     if (values := width ** (d - 1) * half_spaces) > MAX_CHECK_VALUES:
         raise ParseError(f"check would cut {values} x_d bounds (lines x half-spaces), "
@@ -237,8 +239,9 @@ def run(config: RunConfig, sys_: LDSystem) -> tuple[int, str, list[str]]:
             bits = max((abs(x).bit_length() for v in groups for g in v
                         for x in (*g, *(sum(map(operator.mul, r, g)) for r in pending))),
                        default=0)
+            cones = sum(len(patterns) for apexes in groups.values() for patterns in apexes.values())
             diagnostics.append(
-                f"iteration {i}: {sum(map(len, groups.values()))} cones "
+                f"iteration {i}: {cones} cones "
                 f"(bound {math.comb(d + i, d)}), max generator entry {bits} bits"
             )
     combination = ConeCombination._from_groups(groups)

@@ -11,14 +11,16 @@ The apex is stored as integer numerators over one positive common
 denominator in lowest terms, so a cone holds nothing but ints. Cones are
 immutable and hashable; the canonical form (primitive, lexicographically
 sorted generators) is unique per point set and openness pattern, and a
-``ConeCombination`` holds canonical cones grouped by generator matrix.
-Membership is one integer test per facet row (``_facets``), for every k <= n.
+``ConeCombination`` holds canonical cones grouped by generator matrix, then
+by apex. Membership is one integer test per facet row (``_facets``), for
+every k <= n.
 A cone is checked once, when ``SymbolicCone`` (alias ``cone``) builds it;
 the package's own cones come from the unchecked ``_canonical_cone``. Of V,
 facets and parallelepipeds need only its inverse pair (adj, d), and a cone
-carries none: a combination owns one per V (``_pair``), which fp, ``check``
-and ``count`` read per V for the per-entry cores ``_facet_forms`` and
-``_fundpar``, the cores of ``_facets`` and ``enum_fundpar``.
+carries none: a combination owns one per V (``_pair``), which fp, ``count``,
+``check`` and ``eval_combination`` read once per V for the per-entry cores
+``_facet_forms`` and ``_fundpar``, the cores of ``_facets`` and
+``enum_fundpar``.
 
 ``enum_fundpar`` lists the lattice points of a cone's half-open
 fundamental parallelepiped, the numerator of its generating function. A
@@ -169,7 +171,9 @@ def canonicalize(c: SymbolicCone) -> SymbolicCone:
 def contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
     """Exact membership of a point of ints and ``Fraction``s, by the cone's ``_facets``."""
     _require_exact(x, "point")
-    return _contains(c, x)
+    if len(x) != c.ambient_dim:
+        raise ValueError("point has wrong dimension")
+    return _satisfies(c._facets, x)
 
 
 def _facet_forms(pair: tuple, num: IntVec, den: int, bits: tuple) -> tuple[tuple, ...]:
@@ -185,10 +189,9 @@ def _facet_forms(pair: tuple, num: IntVec, den: int, bits: tuple) -> tuple[tuple
     return (*facets, *((tuple(-a for a in row), -offset, 0) for row, offset, _ in facets[k:]))
 
 
-def _contains(c: SymbolicCone, x: Sequence[Scalar]) -> bool:
-    if len(x) != c.ambient_dim:
-        raise ValueError("point has wrong dimension")
-    for row, offset, bit in c._facets:
+def _satisfies(facets: Iterable[tuple], x: Sequence[Scalar]) -> bool:
+    """x meets each (row, offset, bit) of ``_facet_forms``: row.x - offset >= 0, > 0 if bit."""
+    for row, offset, bit in facets:
         t = sum(map(operator.mul, row, x)) - offset
         if t < 0 or (t == 0 and bit):
             return False
@@ -201,19 +204,21 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     """Finite map from canonical symbolic cones to integer multiplicities.
 
     Represents the indicator-function sum over its entries, held grouped by
-    generator matrix as ``{V: {(num, den, bits): mult}}``, the form the
-    elimination rounds and the Barvinok leaves are summed in: no group is
-    empty, no multiplicity 0, and every V has one ambient dimension.
-    ``_from_groups`` wraps such groups unchecked; ``__init__``, ``add`` and
-    ``__getitem__`` canonicalize other cones, ``add`` takes its multiplicity
-    through ``exact_int`` and drops an emptied group. Cone objects, the mapping
-    view, are built once, on first use (``_built``), with no linear algebra.
+    generator matrix and apex as ``{V: {(num, den): {bits: mult}}}``, the
+    form the elimination rounds and the Barvinok leaves are summed in: no V
+    without an apex, no apex without bits, no multiplicity 0, and every V has
+    one ambient dimension. ``_from_groups`` wraps such groups unchecked;
+    ``__init__``, ``add`` and ``__getitem__`` canonicalize other cones, ``add``
+    takes its multiplicity through ``exact_int`` and drops an emptied map at
+    each level. Cone objects, the mapping view, are built once, on first use
+    (``_built``), with no linear algebra; the facet forms that ``check`` and
+    ``eval_combination`` test are built once too (``_facet_entries``).
     """
 
-    __slots__ = ("_groups", "_pairs", "_entries")
+    __slots__ = ("_groups", "_pairs", "_entries", "_forms")
 
     def __init__(self, entries: Mapping[SymbolicCone, int] | None = None):
-        self._groups, self._pairs, self._entries = {}, {}, None
+        self._groups, self._pairs, self._entries, self._forms = {}, {}, None, None
         for c, mult in (entries or {}).items():
             self.add(c, mult)
 
@@ -221,7 +226,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
     def _from_groups(cls, groups: dict, pairs: dict | None = None) -> ConeCombination:
         """Wrap summed groups as above, unchecked, with inverse pairs already known by V."""
         out = object.__new__(cls)
-        out._groups, out._pairs, out._entries = groups, pairs or {}, None
+        out._groups, out._pairs, out._entries, out._forms = groups, pairs or {}, None, None
         return out
 
     def _pair(self, v: IntMat) -> tuple[IntMat, int]:
@@ -235,34 +240,52 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         c = canonicalize(c)
         if self._groups and c.ambient_dim != self.ambient_dim:
             raise ValueError("mixed ambient dimensions in combination")
-        group = self._groups.setdefault(c.generators, {})
-        if new := group.get(key := (c.num, c.den, c.openness), 0) + multiplicity:
-            group[key] = new
+        apexes = self._groups.setdefault(c.generators, {})
+        patterns = apexes.setdefault(apex := (c.num, c.den), {})
+        if new := patterns.get(c.openness, 0) + multiplicity:
+            patterns[c.openness] = new
         else:
-            del group[key]
-            if not group:
-                del self._groups[c.generators]
-        self._entries = None
+            del patterns[c.openness]
+            if not patterns:
+                del apexes[apex]
+                if not apexes:
+                    del self._groups[c.generators]
+        self._entries = self._forms = None
 
     def __getitem__(self, c: SymbolicCone) -> int:
         c = canonicalize(c)
-        return self._groups[c.generators][c.num, c.den, c.openness]
+        return self._groups[c.generators][c.num, c.den][c.openness]
 
-    def _sorted_groups(self) -> list[tuple[IntMat, list[tuple[tuple, int]]]]:
-        """The groups in output order: V's sorted, each V's entries by apex value, then bits."""
-        den = math.lcm(*(d for group in self._groups.values() for _, d, _ in group))
+    def _sorted_groups(self) -> list[tuple[IntMat, list[tuple[tuple, list[tuple[tuple, int]]]]]]:
+        """The groups in output order: V's sorted, each V's apexes by value, each apex's bits."""
+        den = math.lcm(*(d for apexes in self._groups.values() for _, d in apexes))
 
         def key(entry):
-            (num, d, bits), _ = entry
-            return (num if d == den else tuple([a * (den // d) for a in num])), bits
-        return [(v, sorted(self._groups[v].items(), key=key)) for v in sorted(self._groups)]
+            (num, d), _ = entry
+            return num if d == den else tuple([a * (den // d) for a in num])
+
+        # most maps hold one entry, which sorted() would only copy
+        def ordered(entries, key=None):
+            return sorted(entries.items(), key=key) if len(entries) > 1 else entries.items()
+        return [(v, [(apex, ordered(patterns)) for apex, patterns in ordered(apexes, key)])
+                for v, apexes in sorted(self._groups.items())]
 
     def _built(self) -> dict[SymbolicCone, int]:
         """Every entry as ``{cone: mult}``, in group order, built once."""
         if self._entries is None:
-            self._entries = {_canonical_cone(v, *key): mult
-                             for v, group in self._groups.items() for key, mult in group.items()}
+            self._entries = {_canonical_cone(v, num, den, bits): mult
+                             for v, apexes in self._groups.items()
+                             for (num, den), patterns in apexes.items()
+                             for bits, mult in patterns.items()}
         return self._entries
+
+    def _facet_entries(self) -> list[tuple[tuple, int]]:
+        """(``_facet_forms``, mult) of every entry, from one ``_pair`` per V, built once."""
+        if self._forms is None:
+            self._forms = [(_facet_forms(pair, *apex, bits), mult)
+                           for v, apexes in self._groups.items() for pair in [self._pair(v)]
+                           for apex, patterns in apexes.items() for bits, mult in patterns.items()]
+        return self._forms
 
     # Mapping's default would look every key up again in __getitem__
     def items(self) -> ItemsView[SymbolicCone, int]:
@@ -272,7 +295,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         return iter(self._built())
 
     def __len__(self) -> int:
-        return sum(map(len, self._groups.values()))
+        return sum(len(patterns) for apexes in self._groups.values() for patterns in apexes.values())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ConeCombination):
@@ -289,14 +312,16 @@ class ConeCombination(Mapping[SymbolicCone, int]):
 
     def sorted_items(self) -> list[tuple[SymbolicCone, int]]:
         """Entries in output order, along ``_sorted_groups``, as new cone objects."""
-        return [(_canonical_cone(v, *key), mult)
-                for v, group in self._sorted_groups() for key, mult in group]
+        return [(_canonical_cone(v, *apex, bits), mult) for v, apexes in self._sorted_groups()
+                for apex, patterns in apexes for bits, mult in patterns]
 
 
 def eval_combination(combination: ConeCombination, x: Sequence[Scalar]) -> int:
     """Value of the signed indicator sum at a point of exact rationals."""
     _require_exact(x, "point")
-    return sum(m for c, m in combination.items() if _contains(c, x))
+    if combination and len(x) != combination.ambient_dim:
+        raise ValueError("point has wrong dimension")
+    return sum(m for facets, m in combination._facet_entries() if _satisfies(facets, x))
 
 
 # --- fundamental parallelepipeds --------------------------------------------

@@ -8,11 +8,14 @@ slacks one at a time. Every vector in the lift's span is (x, A x), so
 intersects every cone with one half-space row.x >= beta, the expanded rows
 taken last first, by the step's closed form on symbolic cones.
 
-``_rounds`` is the only loop over the rounds, on groups {V: {(num, den,
-bits): mult}}. A step branches only on V and the sign of q_n = row.q - beta:
+``_rounds`` is the only loop over the rounds, on groups {V: {(num, den):
+{bits: mult}}}: in the step's closed form a vertex cone's generators depend
+on V alone and its apex on (V, q) alone, while the openness is only permuted
+and toggled. A step branches only on V and the sign of q_n = row.q - beta:
 ``_plan`` builds the vertex cones' generators, order, toggles and signs once
 per (V, sign q_n) and round, from one table of pair columns per V, each entry
-resolved to its output group once; per cone the loop adds each apex and its
+resolved to its output group once. Per (V, apex) the loop computes q_n and
+each vertex cone's apex once; per openness pattern it only adds the permuted
 bits to that group, dropping a sum of 0. Cone objects are built only from
 the last round, or as ``eliminate`` projects (``_project``).
 """
@@ -116,54 +119,68 @@ def _plan(v: IntMat, lengths: list[int], pairs: dict, nonneg: bool) -> tuple:
     With l_i = row.v_i (``lengths``) and sg the sign of q_n, vertex cone j
     (sg l_j < 0) has the crossing column -sg v_j and the columns sg w_ij,
     i != j: independent when V is. As w_ab = -w_ba, ``pairs`` (shared by both
-    signs) keeps one forward ``prim`` of w_ab and its flip bit per pair a < b.
-    V is primitive and forward, so a column with l_i = 0 is v_i and the
-    crossing column is v_j, flipped when q_n >= 0. One ``(sign, gens, flips,
-    l_j, v_j)`` per vertex cone: sorted columns, sign (-1)^(number flipped),
-    and per position a pair (i, t): the bit of parent generator i (k = len(V):
+    signs) keeps one forward ``prim`` of w_ab per pair a < b, found by one
+    signed gcd, as the column of either orientation under either sign. V is
+    primitive and forward, so a column with l_i = 0 is v_i and the crossing
+    column is v_j, flipped when q_n >= 0. One ``(sign, gens, flips, l_j,
+    v_j)`` per vertex cone: sorted columns, sign (-1)^(number flipped), and
+    per position a pair (i, t): the bit of parent generator i (k = len(V):
     the crossing generator's 0) XOR t. The apex is (num l_j - q_n v_j) / (den l_j).
     """
     sg = 1 if nonneg else -1
     plan = []
-    for j, (vj, lj) in enumerate(zip(v, lengths)):
+    for j, lj in enumerate(lengths):
         if sg * lj >= 0:
             continue
+        vj = v[j]
         # (forward column, toggle, parent index); the columns are distinct,
         # so this is canonicalize's order
         cols = [(vj, int(nonneg), len(v))]
-        for i, (vi, li) in enumerate(zip(v, lengths)):
+        for i, li in enumerate(lengths):
             if i == j:
                 continue
             if li == 0:
-                cols.append((vi, 0, i))
+                cols.append((v[i], 0, i))
                 continue
-            a, b = (i, j) if i < j else (j, i)
-            entry = pairs.get((a, b))
+            pair = (i, j) if i < j else (j, i)
+            entry = pairs.get(pair)
             if entry is None:
-                w = prim([lengths[a] * y - lengths[b] * x for x, y in zip(v[a], v[b])])
-                entry = pairs[a, b] = (w, 0) if is_forward(w) else (tuple([-x for x in w]), 1)
-            # sg w_ij is sg w_ab for i < j and -sg w_ab for i > j
-            cols.append((entry[0], entry[1] ^ ((i < j) != nonneg), i))
+                a, b = pair
+                w = [lengths[a] * y - lengths[b] * x for x, y in zip(v[a], v[b])]
+                # prim and the forward flip in one: divide by the gcd, signed
+                # by the first non-zero entry
+                g = math.gcd(*w) if next(filter(None, w)) > 0 else -math.gcd(*w)
+                w = tuple(w) if g == 1 else tuple([x // g for x in w])
+                # column i of vertex cone j, at 2 (i < j) + nonneg: sg w_ij is
+                # sg w_ab for i < j and -sg w_ab for i > j
+                t = int(g < 0)
+                entry = pairs[pair] = (w, t, b), (w, 1 - t, b), (w, 1 - t, a), (w, t, a)
+            cols.append(entry[2 * (i < j) + nonneg])
         cols.sort()
-        plan.append(((-1) ** sum([t for _, t, _ in cols]), tuple([g for g, _, _ in cols]),
-                     tuple([(i, t) for _, t, i in cols]), lj, vj))
+        gens, toggles, parents = zip(*cols)
+        plan.append(((-1) ** sum(toggles), gens, tuple(zip(parents, toggles)), lj, vj))
     return tuple(plan)
 
 
 def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[dict]:
-    """Yield [c and the first i half-spaces row.x >= beta] for each i as groups,
-    in c's space, unchecked; c is canonical and forward. A vertex cone's apex
-    is the parent's when q_n = 0, else put in lowest terms by one gcd."""
-    current = {c.generators: {(c.num, c.den, c.openness): 1}}
+    """Yield [c and the first i half-spaces row.x >= beta] for each i as groups
+    {V: {(num, den): {bits: mult}}}, in c's space, unchecked; c is canonical
+    and forward. The plan comes once per (V, sign q_n); q_n and each vertex
+    cone's apex (the parent's when q_n = 0, else put in lowest terms by one
+    gcd) once per (V, apex); per pattern only the permuted bits are added.
+    Two patterns that differ only in the crossing generator's bit give the
+    same bits, so they add."""
+    current = {c.generators: {(c.num, c.den): {c.openness: 1}}}
     for row, beta in zip(rows, rhs):
         out: dict = {}
-        for v, group in current.items():
+        emptied = []  # (apexes, key) whose bits map a sum of 0 emptied
+        for v, apexes in current.items():
             lengths = [sum(map(operator.mul, row, g)) for g in v]
             pairs: dict = {}
             plans: list = [None, None]
             same = out.setdefault(v, {})
-            for key, mult in group.items():
-                num, den, bits = key
+            for key, patterns in apexes.items():
+                num, den = key
                 q_n = sum(map(operator.mul, row, num)) - beta * den
                 nonneg = q_n >= 0
                 plan = plans[nonneg]
@@ -172,13 +189,21 @@ def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[di
                         (out.setdefault(gens, {}), sign, flips, lj, vj)
                         for sign, gens, flips, lj, vj in _plan(v, lengths, pairs, nonneg)]
                 if nonneg:
-                    if m := same.get(key, 0) + mult:
-                        same[key] = m
+                    if (kept := same.get(key)) is None:
+                        same[key] = dict(patterns)
                     else:
-                        del same[key]
-                bits += (0,)
+                        for bits, mult in patterns.items():
+                            if m := kept.get(bits, 0) + mult:
+                                kept[bits] = m
+                            else:
+                                del kept[bits]
+                                if not kept:
+                                    emptied.append((same, key))
+                if not plan:
+                    continue
+                # each pattern with the crossing generator's bit 0 appended
+                entries = [(bits + (0,), mult) for bits, mult in patterns.items()]
                 for target, sign, flips, lj, vj in plan:
-                    cone_bits = tuple([bits[i] ^ t for i, t in flips])
                     if q_n:
                         apex = [a * lj - q_n * b for a, b in zip(num, vj)]
                         # divide by the gcd, taking the sign of den * l along
@@ -187,30 +212,40 @@ def _rounds(c: SymbolicCone, rows: Sequence[IntVec], rhs: IntVec) -> Iterator[di
                             f = -f
                         if f != 1:
                             apex = [a // f for a in apex]
-                        child = (tuple(apex), den * lj // f, cone_bits)
+                        child = (tuple(apex), den * lj // f)
                     else:
-                        child = (num, den, cone_bits)
-                    if m := target.get(child, 0) + mult * sign:
-                        target[child] = m
-                    else:
-                        del target[child]
-        current = {v: group for v, group in out.items() if group}
+                        child = key
+                    dest = target.setdefault(child, {})
+                    for bits, mult in entries:
+                        bits = tuple([bits[i] ^ t for i, t in flips])
+                        if m := dest.get(bits, 0) + mult * sign:
+                            dest[bits] = m
+                        else:
+                            del dest[bits]
+                            if not dest:
+                                emptied.append((target, child))
+        for apexes, key in emptied:
+            if not apexes.get(key, True):
+                del apexes[key]
+        current = {v: apexes for v, apexes in out.items() if apexes}
         yield current
 
 
-def _project(groups: Mapping[IntMat, Mapping[tuple, int]], keep: int) -> ConeCombination:
+def _project(groups: Mapping[IntMat, Mapping[tuple, Mapping[tuple, int]]],
+             keep: int) -> ConeCombination:
     """``_rounds``' groups without all but the first ``keep`` coordinates, unchecked.
-    The projection is injective on each span, so cones stay distinct and forward;
-    ``prim`` and the order change once per V, the bits and the apex's gcd per cone."""
+    The projection is injective on each span, so apexes and cones stay distinct
+    and forward; ``prim`` and the order change once per V, the apex's gcd once
+    per apex, and the bits per pattern."""
     out = {}
-    for v, group in groups.items():
+    for v, apexes in groups.items():
         cols = [prim(g[:keep]) for g in v]
         order = sorted(range(len(v)), key=cols.__getitem__)
         out[tuple([cols[i] for i in order])] = projected = {}
-        for (num, den, bits), mult in group.items():
+        for (num, den), patterns in apexes.items():
             f = math.gcd(den, *(num := num[:keep]))
-            projected[tuple([a // f for a in num]), den // f,
-                      tuple([bits[i] for i in order])] = mult
+            projected[tuple([a // f for a in num]), den // f] = {
+                tuple([bits[i] for i in order]): mult for bits, mult in patterns.items()}
     return ConeCombination._from_groups(out)
 
 
@@ -284,7 +319,9 @@ def _solve_groups(sys: LDSystem) -> Iterator[dict]:
 def solve_rounds(sys: LDSystem) -> Iterator[ConeCombination]:
     """Each round of ``_solve_groups`` as a combination of a copy of its groups."""
     for groups in _solve_groups(sys):
-        yield ConeCombination._from_groups({v: dict(group) for v, group in groups.items()})
+        yield ConeCombination._from_groups(
+            {v: {key: dict(patterns) for key, patterns in apexes.items()}
+             for v, apexes in groups.items()})
 
 
 def solve(sys: LDSystem) -> ConeCombination:

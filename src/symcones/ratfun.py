@@ -122,16 +122,17 @@ def combination_to_ratfun(combination: ConeCombination) -> RatFunExpr:
     none), and zero terms are dropped. A k = n cone over the cap (its index
     is |d| of V's pair) is refused before any cone is listed.
     """
-    groups = [(v, group, combination._pair(v) if len(v) == len(v[0]) else (None, 0))
-              for v, group in combination._sorted_groups()]
+    groups = [(v, apexes, combination._pair(v) if len(v) == len(v[0]) else (None, 0))
+              for v, apexes in combination._sorted_groups()]
     for _, _, (_, d) in groups:
         _refuse_over_cap(abs(d))
     terms = []
-    for v, group, pair in groups:
-        for key, mult in group:
-            nums = tuple(sorted(_fundpar(v, pair, *key)))
-            if nums:
-                terms.append(_term(*_forward_normalized(mult, nums, v)))
+    for v, apexes, pair in groups:
+        for apex, patterns in apexes:
+            for bits, mult in patterns:
+                nums = tuple(sorted(_fundpar(v, pair, *apex, bits)))
+                if nums:
+                    terms.append(_term(*_forward_normalized(mult, nums, v)))
     return RatFunExpr(tuple(terms))
 
 
@@ -236,8 +237,9 @@ def count_lattice_points(combination: ConeCombination) -> int:
     if not leaves:
         return 0
     lam = _pick_direction(itertools.chain.from_iterable(leaves._groups), leaves.ambient_dim)
-    return _count([(m, _fundpar(v, pair, *key), v) for v, group in leaves._groups.items()
-                   for pair in [leaves._pair(v)] for key, m in group.items()], lam)
+    return _count([(m, _fundpar(v, pair, *apex, bits), v) for v, apexes in leaves._groups.items()
+                   for pair in [leaves._pair(v)] for apex, patterns in apexes.items()
+                   for bits, m in patterns.items()], lam)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -38,6 +38,7 @@ from _support import (
     random_full_dim_cone,
     random_system,
     sort_key,
+    table_system,
 )
 
 FIG8_A_POINTS = {
@@ -382,6 +383,79 @@ def test_combination_equality_ignores_insertion_order_across_groups():
     assert forward == backward and forward.sorted_items() == backward.sorted_items()
     backward.add(cones_[2], 1)
     assert forward != backward
+
+
+def test_combination_groups_cones_by_generators_then_apex():
+    # {V: {(num, den): {bits: mult}}}: cancelling a cone through add drops its
+    # bits, then an apex left with no bits, then a V left with no apex
+    gens = [(0, 1), (1, 0)]  # lex sorted, so the bits keep their order
+    half = (Fraction(1, 2), 0)
+    a, b = cone(gens, half, (0, 0)), cone(gens, half, (1, 0))
+    c, other = cone(gens, (1, 0), (0, 1)), cone([(1, 0), (1, 2)], openness=(1, 0))
+    comb = ConeCombination({a: 2, b: -1, c: 3, other: 1})
+    v = canonicalize(a).generators
+    assert comb._groups == {v: {((1, 0), 2): {(0, 0): 2, (1, 0): -1}, ((1, 0), 1): {(0, 1): 3}},
+                            canonicalize(other).generators: {((0, 0), 1): {(1, 0): 1}}}
+    assert len(comb) == 4 and comb[b] == -1
+    comb.add(b, 1)
+    assert comb._groups[v] == {((1, 0), 2): {(0, 0): 2}, ((1, 0), 1): {(0, 1): 3}}
+    comb.add(a, -2)
+    assert comb._groups[v] == {((1, 0), 1): {(0, 1): 3}}
+    comb.add(c, -3)
+    assert comb._groups == {canonicalize(other).generators: {((0, 0), 1): {(1, 0): 1}}}
+    assert len(comb) == 1 and list(comb) == [canonicalize(other)]
+    # no empty map is left at any level of a solved or decomposed combination
+    for combination in (solve(table_system((1, 2), (1, 1, 1))),
+                        decompose_combination(solve(random_system(random.Random(12), 3, 3)))):
+        assert all(apexes and all(apexes.values()) for apexes in combination._groups.values())
+        assert 0 not in (m for apexes in combination._groups.values()
+                         for patterns in apexes.values() for m in patterns.values())
+
+
+def test_combination_equality_ignores_the_order_of_apexes_and_bits():
+    gens = [(0, 1), (1, 0)]
+    entries = [(cone(gens, apex, bits), mult) for apex, bits, mult in [
+        ((0, 0), (0, 0), 1), ((0, 0), (1, 1), 3), ((Fraction(1, 2), 0), (1, 0), -2),
+        ((0, 0), (0, 1), -5), ((Fraction(1, 2), 0), (0, 1), 4)]]
+    forward, backward = ConeCombination(dict(entries)), ConeCombination(dict(entries[::-1]))
+    v = canonicalize(entries[0][0]).generators
+    # apexes and bits come in other orders, and the nested maps compare equal
+    assert list(forward._groups[v]) != list(backward._groups[v])
+    assert list(forward._groups[v][(0, 0), 1]) != list(backward._groups[v][(0, 0), 1])
+    assert forward == backward and forward.sorted_items() == backward.sorted_items()
+    # len counts (apex, bits) patterns, not V groups or apexes
+    assert (len(forward), len(forward._groups), len(forward._groups[v])) == (5, 1, 2)
+    backward.add(entries[0][0], 1)
+    assert forward != backward and len(backward) == 5
+
+
+def test_eval_combination_inverts_each_generator_matrix_once(monkeypatch):
+    # 672 cones over 36 V: one Bareiss per V, not per cone, on the first
+    # evaluation and none after it
+    from symcones import exactmath
+
+    comb = solve(table_system((2, 4, 6), (4, 4, 4)))
+    assert (len(comb), len(comb._groups)) == (672, 36)
+    calls = []
+    real = exactmath._bareiss
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactmath, "_bareiss", spy)
+    assert eval_combination(comb, (0,) * 9) == 0
+    assert len(calls) == 36
+    assert eval_combination(comb, (2, 0, 0, 2, 2, 0, 0, 2, 4)) == 1 and len(calls) == 36
+    monkeypatch.setattr(exactmath, "_bareiss", real)
+    # the values are the per-cone membership sum, on a box around a 2x3 table
+    small = solve(table_system((1, 2), (1, 1, 1)))
+    values = Counter()
+    for x in box_points(6, 0, 2):
+        value = eval_combination(small, x)
+        assert value == sum(m for c, m in small.items() if contains(c, x)), x
+        values[value] += 1
+    assert values[1] == 3 and values[0] == 3**6 - 3
 
 
 def test_combination_lookup_refuses_a_missing_cone():

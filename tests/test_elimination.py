@@ -568,6 +568,41 @@ def test_solve_collects_each_emitted_cone_once(monkeypatch):
         assert len(made) == 1 and built == [orthant_args]
 
 
+def test_solve_computes_one_vertex_apex_per_generator_matrix_apex_and_vertex_cone(monkeypatch):
+    # a vertex cone's apex depends on its parent's V and apex alone, not on the
+    # openness: one solve of the 2x3 table with rows 1, 2 and columns 1, 1, 1
+    # computes it (and its gcd) once per (V, apex, vertex cone) of a round
+    # where row.q != beta, not once per cone. The vertex apex's gcd is the one
+    # that takes d + 1 values (den * l_j and the apex); a pair column's takes d
+    import types
+
+    import symcones.elimination
+
+    sys_ = table_system((1, 2), (1, 1, 1))
+    rows, rhs = expand_equalities(sys_)
+    d = sys_.num_variables
+    parents = [ConeCombination({canonicalize(cone(identity(d)[::-1])): 1}), *solve_rounds(sys_)]
+    per_apex = per_cone = 0
+    for row, beta, parent in zip(rows[::-1], rhs[::-1], parents):
+        for c in parent:
+            q_n = sum(map(operator.mul, row, c.num)) - beta * c.den
+            per_cone += bool(q_n) * len(reference_plan(c.generators, row, q_n >= 0))
+        for v, num, den in {(c.generators, c.num, c.den) for c in parent}:
+            q_n = sum(map(operator.mul, row, num)) - beta * den
+            per_apex += bool(q_n) * len(reference_plan(v, row, q_n >= 0))
+    assert (per_apex, per_cone) == (54, 188)
+    calls = []
+
+    def gcd(*args):
+        if len(args) == d + 1:
+            calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(symcones.elimination, "math", types.SimpleNamespace(gcd=gcd))
+    assert len(solve(sys_)) == 96
+    assert len(calls) == per_apex
+
+
 @pytest.mark.parametrize("row_sums, col_sums, plans, parents", [
     ((2, 4, 6), (4, 4, 4), 158, 1191),
     ((3, 6), (3, 3, 3), 45, 188),
@@ -619,7 +654,7 @@ def test_plan_step_matches_per_cone_reference():
             for c in parents:
                 got = Counter()
                 for sign, c2 in reference_eliminate(c, 1, row, 0, tables):
-                    groups = {c2.generators: {(c2.num, c2.den, c2.openness): sign}}
+                    groups = {c2.generators: {(c2.num, c2.den): {c2.openness: sign}}}
                     (projected, mult), = _project(groups, n - 1).items()
                     got[mult, projected] += 1
                 assert got == reference_elimination_step(c)
@@ -649,9 +684,11 @@ def test_grouped_rounds_match_the_per_cone_reference():
         pairs = list(zip(rounds, reference_rounds(start, rows, rhs), strict=True))
         assert len(pairs) == len(rows)
         for groups, (want, _) in pairs:
-            assert all(groups.values())
-            assert sum(map(len, groups.values())) == len(want)
-            assert dict(ConeCombination._from_groups(groups).items()) == dict(want.items())
+            # {V: {(num, den): {bits: mult}}}, flattened by hand, with no empty map
+            flat = {(v, num, den, bits): mult for v, apexes in groups.items()
+                    for (num, den), patterns in apexes.items() for bits, mult in patterns.items()}
+            assert all(apexes and all(apexes.values()) for apexes in groups.values())
+            assert flat == {(c.generators, c.num, c.den, c.openness): m for c, m in want.items()}
         return sum(len(want) for _, (want, _) in pairs)
 
     def check_system(sys_) -> int:
@@ -683,18 +720,20 @@ def test_plan_matches_the_column_by_column_reference(monkeypatch):
     # random forward primitive V (k <= n <= 6, entries in [-4, 4]) and rows,
     # a third or more with some l_i = 0: both signs' plans, built from one
     # pair table in either order, equal the reference plan, which prims every
-    # column of every vertex cone; each pair's column is prim'd once
+    # column of every vertex cone; each pair's column is prim'd (and made
+    # forward) once, by the one gcd a plan takes
+    import types
+
     import symcones.elimination
     from symcones.elimination import _plan
 
     calls = []
-    real_prim = symcones.elimination.prim
 
-    def counted_prim(w):
+    def gcd(*w):
         calls.append(w)
-        return real_prim(w)
+        return math.gcd(*w)
 
-    monkeypatch.setattr(symcones.elimination, "prim", counted_prim)
+    monkeypatch.setattr(symcones.elimination, "math", types.SimpleNamespace(gcd=gcd))
     rng = random.Random(31)
     seen = Counter()
     while seen["tables"] < 300:
@@ -734,17 +773,21 @@ def test_plan_matches_the_column_by_column_reference(monkeypatch):
 def test_solve_prims_each_pair_column_once(monkeypatch, row_sums, col_sums, prims):
     # the two bench table shapes: one prim per pair {a, b} of a generator
     # matrix and a round, whatever the signs and vertex cones that read it
-    # (402 and 1944 when every column of every plan was prim'd)
+    # (402 and 1944 when every column of every plan was prim'd). The prim and
+    # the forward flip are one gcd of the d entries; a vertex apex's takes d + 1
+    import types
+
     import symcones.elimination
 
+    d = len(row_sums) * len(col_sums)
     calls = []
-    real_prim = symcones.elimination.prim
 
-    def counted_prim(w):
-        calls.append(w)
-        return real_prim(w)
+    def gcd(*args):
+        if len(args) == d:
+            calls.append(args)
+        return math.gcd(*args)
 
-    monkeypatch.setattr(symcones.elimination, "prim", counted_prim)
+    monkeypatch.setattr(symcones.elimination, "math", types.SimpleNamespace(gcd=gcd))
     solve(table_system(row_sums, col_sums))
     assert len(calls) == prims
 
