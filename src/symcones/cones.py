@@ -256,7 +256,7 @@ class ConeCombination(Mapping[SymbolicCone, int]):
         c = canonicalize(c)
         return self._groups[c.generators][c.num, c.den][c.openness]
 
-    def _sorted_groups(self) -> list[tuple[IntMat, list[tuple[tuple, list[tuple[tuple, int]]]]]]:
+    def _sorted_groups(self) -> list[tuple[IntMat, Iterable[tuple[tuple, Iterable[tuple]]]]]:
         """The groups in output order: V's sorted, each V's apexes by value, each apex's bits."""
         den = math.lcm(*(d for apexes in self._groups.values() for _, d in apexes))
 
